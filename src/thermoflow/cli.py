@@ -196,18 +196,28 @@ def run_suspension(config: dict, out_dir: Path, seed: int) -> dict:
 
 # --------------------------------------------------------------------------
 
+def _orbit_length(value, what: str) -> float:
+    l = float(value)
+    if not l > 0:
+        raise errors.ConfigError(f"{what} must be a positive orbit length, got {value}")
+    return l
+
+
 def _orbits_from(config: dict, rng) -> list:
     spec = config.get("orbits", {"kind": "random", "count": 5})
     if spec["kind"] == "explicit":
         out = []
         for item in spec["items"]:
-            l = float(item["l"])
+            l = _orbit_length(item["l"], "explicit orbit l")
             samplers = {name: FourierSampler.from_json_modes(l, modes)
                         for name, modes in item["samplers"].items()}
             out.append(OrbitData(l=l, **samplers))
         return out
     if spec["kind"] == "random":
         lo, hi = spec.get("l_range", [0.5, 6.0])
+        lo, hi = _orbit_length(lo, "l_range start"), _orbit_length(hi, "l_range end")
+        if lo > hi:
+            raise errors.ConfigError(f"l_range start {lo} exceeds its end {hi}")
         out = []
         for _ in range(spec.get("count", 5)):
             l = float(rng.uniform(lo, hi))
@@ -223,7 +233,7 @@ def _orbits_from(config: dict, rng) -> list:
                                           spec.get("scale", 0.5))))
         return out
     if spec["kind"] == "zero":
-        l = float(spec.get("l", 2.0))
+        l = _orbit_length(spec.get("l", 2.0), "zero orbit l")
         z = FourierSampler.zero(l)
         return [OrbitData(l=l, q_alpha=z, q_beta=z, q_i=z, q_j=z)]
     raise errors.ConfigError(f"unknown orbit kind {spec['kind']}")

@@ -164,27 +164,57 @@ class OrbitData:
 # parallel transport
 # --------------------------------------------------------------------------
 
-def _rk4_transport(A: Callable, V0: np.ndarray, T: float, steps: int) -> np.ndarray:
-    V = np.array(V0, dtype=complex)
-    h = T / steps
-    for k in range(steps):
-        t = k * h
-        k1 = -(A(t) @ V)
-        k2 = -(A(t + h / 2) @ (V + (h / 2) * k1))
-        k3 = -(A(t + h / 2) @ (V + (h / 2) * k2))
-        k4 = -(A(t + h) @ (V + h * k3))
-        V = V + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return V
+_BLOCK = 256  # RK4 steps composed per batch, so memory does not grow with steps
+
+
+def _ordered_product(R: np.ndarray) -> np.ndarray:
+    """R[..., n-1, :, :] @ ... @ R[..., 0, :, :] by pairwise reduction."""
+    while R.shape[-3] > 1:
+        m = R.shape[-3] - R.shape[-3] % 2
+        R = np.concatenate([R[..., 1:m:2, :, :] @ R[..., 0:m:2, :, :], R[..., m:, :, :]],
+                           axis=-3)
+    return R[..., 0, :, :]
+
+
+def _propagator(sample: Callable, t0: float, t1: float, steps: int) -> np.ndarray:
+    """RK4 propagator of V' = -A(t) V from t0 to t1, the product of the step maps.
+
+    sample(ts) stacks A at the node times on axis -3 (leading axes batch systems);
+    each of the 2 steps + 1 nodes is sampled once. A forcing f rides in the
+    generator [[A, -f], [0, 0]], whose RK4 step is the affine step of y' = -A y + f.
+    """
+    h = (t1 - t0) / steps
+    prev = sample(np.array([t0]))
+    eye = np.eye(prev.shape[-1])
+    P = None
+    for k0 in range(0, steps, _BLOCK):
+        k1 = min(k0 + _BLOCK, steps)
+        new = sample(t0 + (h / 2) * np.arange(2 * k0 + 1, 2 * k1 + 1))
+        a = np.concatenate([prev, new], axis=-3)
+        prev = new[..., -1:, :, :]
+        a0, am, a1 = a[..., 0:-1:2, :, :], a[..., 1::2, :, :], a[..., 2::2, :, :]
+        s1 = -a0
+        s2 = -am @ (eye + (h / 2) * s1)
+        s3 = -am @ (eye + (h / 2) * s2)
+        s4 = -a1 @ (eye + h * s3)
+        block = _ordered_product(eye + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4))
+        P = block if P is None else block @ P
+    return P
+
+
+def _sampled(A: Callable) -> Callable:
+    """Stack a scalar matrix-valued callable over an array of times."""
+    return lambda ts: np.array([A(t) for t in ts.tolist()], dtype=complex)
 
 
 def parallel_transport(A: Callable, V0: np.ndarray, T: float,
                        steps: int | None = None, richardson_tol: float | None = 1e-8):
     """Solve V' = -A(t) V by RK4; one step-halving Richardson check by default."""
     steps = steps or 2048
-    coarse = _rk4_transport(A, V0, T, steps)
+    coarse = _propagator(_sampled(A), 0.0, T, steps) @ V0
     if richardson_tol is None:
         return coarse
-    fine = _rk4_transport(A, V0, T, 2 * steps)
+    fine = _propagator(_sampled(A), 0.0, T, 2 * steps) @ V0
     est = float(np.max(np.abs(fine - coarse))) / 15.0
     if est > richardson_tol:
         raise StepTooLarge(est, richardson_tol)
@@ -224,12 +254,9 @@ class ConnectionFamily:
     """s-family of connection coefficients along an orbit, D(s, t)."""
 
     l: float
-    dD: Callable                      # t -> 3x3 derivative at s = 0
-    evaluator: Callable | None = None  # s -> (t -> 3x3); defaults to M + s dD
+    dD: Callable  # t -> 3x3 derivative at s = 0
 
     def connection_at(self, s: float) -> Callable:
-        if self.evaluator is not None:
-            return self.evaluator(s)
         return lambda t: M_CONN + s * self.dD(t)
 
     def gauge_shifted(self, gdot: Callable, gdot_prime: Callable) -> "ConnectionFamily":
@@ -239,7 +266,7 @@ class ConnectionFamily:
             g = gdot(t)
             return self.dD(t) + gdot_prime(t) + M_CONN @ g - g @ M_CONN
 
-        return ConnectionFamily(l=self.l, dD=shifted, evaluator=None)
+        return ConnectionFamily(l=self.l, dD=shifted)
 
 
 def _check_base_spectrum(l: float):
@@ -260,13 +287,13 @@ def trace_derivative(family: ConnectionFamily, T: float | None = None,
     if n_panels % 2:
         n_panels += 1
     ts = np.linspace(0.0, T, n_panels + 1)
-    vals = np.array([np.trace(family.dD(t) @ BaseFrame.pi(t)) for t in ts])
+    vals = np.einsum("nij,ji->n", _sampled(family.dD)(ts), BaseFrame.pi0)
     integral = integrate.simpson(vals, x=ts)
     return -complex(integral)
 
 
 def monodromy(A: Callable, T: float, steps: int = 2048) -> np.ndarray:
-    return _rk4_transport(A, np.eye(3, dtype=complex), T, steps)
+    return _propagator(_sampled(A), 0.0, T, steps)
 
 
 def top_eigenvalue(mat: np.ndarray) -> complex:
@@ -280,10 +307,14 @@ def top_eigenvalue(mat: np.ndarray) -> complex:
 
 def eigenvalue_derivative_fd(family: ConnectionFamily, T: float | None = None,
                              h_s: float = 1e-4, steps: int = 2048) -> complex:
-    """Central finite difference of s -> log(top eigenvalue of the monodromy)."""
+    """Central finite difference of s -> log(top eigenvalue of the monodromy).
+
+    dD is sampled once; the s = +h_s and s = -h_s monodromies share the samples.
+    """
     T = T if T is not None else family.l
-    lam_p = top_eigenvalue(monodromy(family.connection_at(h_s), T, steps))
-    lam_m = top_eigenvalue(monodromy(family.connection_at(-h_s), T, steps))
+    dD, s = _sampled(family.dD), np.array([h_s, -h_s])[:, None, None, None]
+    mono_p, mono_m = _propagator(lambda ts: M_CONN + s * dD(ts), 0.0, T, steps)
+    lam_p, lam_m = top_eigenvalue(mono_p), top_eigenvalue(mono_m)
     return (cmath.log(lam_p) - cmath.log(lam_m)) / (2 * h_s)
 
 
@@ -393,6 +424,38 @@ def _im(q: FourierSampler):
     return lambda s: float(np.imag(q(s)))
 
 
+# (i, direction) -> (sampler, rate r, components of e^{-r t} f(t) in q = q(t),
+# kappa / (e^{r l} K0)); the eigenvalue is e^{r l} and K0 = int_0^l Re q.
+_FORCINGS = {
+    (1, "cubic"): ("q_beta", 1, lambda q: (-SQ2 / 2 * q, 0 * q, -SQ2 * np.conj(q)), -1.0),
+    (2, "cubic"): ("q_beta", 0, lambda q: (-q, 0 * q, 2 * np.conj(q)), 2.0),
+    (3, "cubic"): ("q_beta", -1, lambda q: (-SQ2 / 2 * q, 0 * q, -SQ2 * np.conj(q)), -1.0),
+    (1, "quadratic"): ("q_i", 1,
+                       lambda q: (SQ2 / 2 * q, -SQ2 * np.real(q), SQ2 * np.conj(q)), 2.0),
+    (2, "quadratic"): ("q_i", 0, lambda q: (0 * q, -2j * np.imag(q), 0 * q), 0.0),
+    (3, "quadratic"): ("q_i", -1,
+                       lambda q: (-SQ2 / 2 * q, -SQ2 * np.real(q), -SQ2 * np.conj(q)), -2.0),
+}
+
+
+def _forcing_for(i: int, direction: str, orbit: OrbitData):
+    """(f, kappa, lambda) for d_t y + M y = f = -dD(t) e_i(t) with the monodromy
+    boundary condition y(l) = kappa e_i(0) + lambda y(0).
+
+    f takes a time or an array of times; its components are on the last axis.
+    """
+    if (i, direction) not in _FORCINGS:
+        raise UnsupportedCase(f"no forcing for i={i}, direction={direction}")
+    name, rate, comps, kappa = _FORCINGS[i, direction]
+    q = orbit.sampler(name)
+
+    def forcing(t):
+        return np.stack(comps(q(t)), axis=-1) * np.exp(rate * np.asarray(t))[..., None]
+
+    lam = math.exp(rate * orbit.l)
+    return forcing, kappa * lam * _quad(_re(q), 0.0, orbit.l), lam
+
+
 def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> VariationSolution:
     """Explicit kernel solution of d_t y + M y = -dD(t) e_i(t) with the
     holonomy boundary conditions (H-orthogonality at 0, monodromy at l).
@@ -403,11 +466,9 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
     if direction == "cubic":
         q = orbit.sampler("q_beta")
         re, im = _re(q), _im(q)
-        K0 = _quad(re, 0.0, l)
         if i == 1:
             c2p = 1.0 / (math.exp(2 * l) - 1.0)
             c1p = 1.0 / (math.exp(l) - 1.0)
-            comps = []
             spec = [
                 # (loc terms, glob terms) per component
                 ([(-SQ2 / 4, 1, 0, re), (-SQ2 / 4, -1, 2, re), (-SQ2 / 2 * 1j, 0, 1, im)],
@@ -417,9 +478,6 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
                 ([(-SQ2 / 2, 1, 0, re), (-SQ2 / 2, -1, 2, re), (SQ2 * 1j, 0, 1, im)],
                  [(-SQ2 / 2 * c2p, -1, 2, re), (SQ2 * 1j * c1p, 0, 1, im)]),
             ]
-            kappa, lam = -math.exp(l) * K0, math.exp(l)
-            forcing = lambda t: -(SQ2 / 2) * math.exp(t) * np.array(
-                [complex(q(t)), 0.0, 2 * np.conj(complex(q(t)))])
         elif i == 2:
             d1p = math.exp(l) / (1.0 - math.exp(l))
             d1m = math.exp(-l) / (1.0 - math.exp(-l))
@@ -431,9 +489,6 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
                 ([(2.0, 0, 0, re), (-1j, 1, -1, im), (-1j, -1, 1, im)],
                  [(-1j * d1p, 1, -1, im), (-1j * d1m, -1, 1, im)]),
             ]
-            kappa, lam = 2.0 * K0, 1.0
-            forcing = lambda t: np.array(
-                [-complex(q(t)), 0.0, 2 * np.conj(complex(q(t)))])
         elif i == 3:
             c2m = 1.0 / (math.exp(-2 * l) - 1.0)
             c1m = 1.0 / (math.exp(-l) - 1.0)
@@ -445,9 +500,6 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
                 ([(-SQ2 / 2, 1, -2, re), (-SQ2 / 2, -1, 0, re), (SQ2 * 1j, 0, -1, im)],
                  [(-SQ2 / 2 * c2m, 1, -2, re), (SQ2 * 1j * c1m, 0, -1, im)]),
             ]
-            kappa, lam = -math.exp(-l) * K0, math.exp(-l)
-            forcing = lambda t: -(SQ2 / 2) * math.exp(-t) * np.array(
-                [complex(q(t)), 0.0, 2 * np.conj(complex(q(t)))])
         else:
             raise UnsupportedCase("cubic direction supports i in {1, 2, 3}")
     elif direction == "quadratic":
@@ -455,7 +507,6 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
             raise UnsupportedCase("quadratic closed form is available for i = 1 only")
         q = orbit.sampler("q_i")
         re, im = _re(q), _im(q)
-        K0 = _quad(re, 0.0, l)
         e1p = 1.0 / (math.exp(l) - 1.0)
         spec = [
             ([(SQ2 / 2, 1, 0, re), (SQ2 / 2 * 1j, 0, 1, im)],
@@ -464,11 +515,6 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
             ([(SQ2, 1, 0, re), (-SQ2 * 1j, 0, 1, im)],
              [(-SQ2 * 1j * e1p, 0, 1, im)]),
         ]
-        kappa, lam = 2.0 * math.exp(l) * K0, math.exp(l)
-
-        def forcing(t):
-            qt = complex(q(t))
-            return (SQ2 / 2) * math.exp(t) * np.array([qt, -2 * qt.real, 2 * np.conj(qt)])
     else:
         raise UnsupportedCase("direction must be 'cubic' or 'quadratic'")
 
@@ -480,6 +526,7 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
         for coef, mu, a, g in glob_terms:
             expr.add_glob(coef, mu, a, g)
         components.append(expr)
+    forcing, kappa, lam = _forcing_for(i, direction, orbit)
     return VariationSolution(l=l, index=i, direction=direction,
                              components=tuple(components), forcing=forcing,
                              boundary_kappa=kappa, eigenvalue=lam)
@@ -489,61 +536,17 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
 # shooting oracle for the same boundary-value problems
 # --------------------------------------------------------------------------
 
-def _forcing_for(i: int, direction: str, orbit: OrbitData):
-    l = orbit.l
-    if direction == "cubic":
-        q = orbit.sampler("q_beta")
-        K0 = _quad(_re(q), 0.0, l)
-        if i == 1:
-            return (lambda t: -(SQ2 / 2) * math.exp(t) * np.array(
-                [complex(q(t)), 0.0, 2 * np.conj(complex(q(t)))]),
-                -math.exp(l) * K0, math.exp(l))
-        if i == 2:
-            return (lambda t: np.array([-complex(q(t)), 0.0, 2 * np.conj(complex(q(t)))]),
-                    2.0 * K0, 1.0)
-        if i == 3:
-            return (lambda t: -(SQ2 / 2) * math.exp(-t) * np.array(
-                [complex(q(t)), 0.0, 2 * np.conj(complex(q(t)))]),
-                -math.exp(-l) * K0, math.exp(-l))
-    if direction == "quadratic":
-        q = orbit.sampler("q_i")
-        K0 = _quad(_re(q), 0.0, l)
-        if i == 1:
-            def f1(t):
-                qt = complex(q(t))
-                return (SQ2 / 2) * math.exp(t) * np.array(
-                    [qt, -2 * qt.real, 2 * np.conj(qt)])
-            return f1, 2.0 * math.exp(l) * K0, math.exp(l)
-        if i == 2:
-            def f2(t):
-                qt = complex(q(t))
-                return np.array([0.0, -2j * qt.imag, 0.0])
-            return f2, 0.0, 1.0
-        if i == 3:
-            def f3(t):
-                qt = complex(q(t))
-                return -(SQ2 / 2) * math.exp(-t) * np.array(
-                    [qt, 2 * qt.real, 2 * np.conj(qt)])
-            return f3, -2.0 * math.exp(-l) * K0, math.exp(-l)
-    raise UnsupportedCase(f"no forcing for i={i}, direction={direction}")
+def _forced_transport(forcing: Callable, y: np.ndarray, t0: float, t1: float,
+                      steps: int) -> np.ndarray:
+    """RK4 solution at t1 of d_t y + M y = forcing(t) from y at t0."""
 
+    def sample(ts):
+        a = np.zeros((len(ts), 4, 4), dtype=complex)
+        a[:, :3, :3], a[:, :3, 3] = M_CONN, -forcing(ts)
+        return a
 
-def _rk4_inhomogeneous(forcing: Callable, y0: np.ndarray, t0: float, t1: float,
-                       steps: int) -> np.ndarray:
-    y = np.array(y0, dtype=complex)
-    h = (t1 - t0) / steps
-
-    def rhs(t, yv):
-        return -(M_CONN @ yv) + forcing(t)
-
-    for k in range(steps):
-        t = t0 + k * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + (h / 2) * k1)
-        k3 = rhs(t + h / 2, y + (h / 2) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+    P = _propagator(sample, t0, t1, steps)
+    return P[:3, :3] @ y + P[:3, 3]
 
 
 class ShootingSolution:
@@ -554,7 +557,7 @@ class ShootingSolution:
         forcing, kappa, lam = _forcing_for(i, direction, orbit)
         l = orbit.l
         self.l, self.i, self.steps, self.forcing = l, i, steps, forcing
-        yp_l = _rk4_inhomogeneous(forcing, np.zeros(3, dtype=complex), 0.0, l, steps)
+        yp_l = _forced_transport(forcing, np.zeros(3, dtype=complex), 0.0, l, steps)
         Phi = expm(-M_CONN * l)
         rhs = kappa * BaseFrame.e(i, 0.0).astype(complex) - yp_l
         A = Phi - lam * np.eye(3)
@@ -567,10 +570,7 @@ class ShootingSolution:
         self.match_residual = float(np.max(np.abs(A @ y0 - rhs)))
 
     def value(self, t: float) -> np.ndarray:
-        steps = max(8, int(self.steps * t / self.l)) if t > 0 else 0
-        if steps == 0:
-            return self.y0.copy()
-        return _rk4_inhomogeneous(self.forcing, self.y0, 0.0, t, steps)
+        return self.values_on_grid([t])[0]
 
     def values_on_grid(self, ts) -> np.ndarray:
         """One integration sweep through sorted nonnegative times."""
@@ -579,7 +579,7 @@ class ShootingSolution:
         for t in ts:
             if t > prev:
                 steps = max(8, int(math.ceil(self.steps * (t - prev) / self.l)))
-                y = _rk4_inhomogeneous(self.forcing, y, prev, t, steps)
+                y = _forced_transport(self.forcing, y, prev, t, steps)
                 prev = t
             out.append(y.copy())
         return np.array(out)

@@ -75,6 +75,22 @@ def test_holonomy_zero_perturbation(tmp_path):
         assert float(rec["lambda3"]) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("orbits", [
+    {"kind": "random", "count": 2, "l_range": [0, 0]},
+    {"kind": "random", "count": 2, "l_range": [-2, -1]},
+    {"kind": "random", "count": 2, "l_range": [0, 3]},
+    {"kind": "random", "count": 2, "l_range": [3.0, 1.0]},
+    {"kind": "zero", "l": 0},
+    {"kind": "zero", "l": -1.5},
+    {"kind": "explicit", "items": [{"l": 0.0, "samplers": {"q_alpha": [[0, 1.0, 0.0]]}}]},
+])
+def test_holonomy_bad_orbit_length_exit_2(tmp_path, orbits):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "holonomy", "orbits": orbits,
+                               "variations": False}))
+    assert _run(["holonomy", "--config", cfg, "--out", tmp_path]) == 2
+
+
 def test_holonomy_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from thermoflow import errors
 from thermoflow.holonomy import (BaseFrame, ConnectionFamily, FourierSampler,
@@ -109,6 +110,20 @@ def test_monodromy_eigenvalues_of_base_connection():
     assert lam[0] == pytest.approx(math.exp(l), rel=1e-10)
     assert lam[1] == pytest.approx(1.0, rel=1e-10)
     assert lam[2] == pytest.approx(math.exp(-l), rel=1e-10)
+
+
+@pytest.mark.parametrize("steps", [1000, 2049])
+def test_transport_time_dependent_commuting_connection(steps):
+    # A(t) = (1 + sin(t) / 2) M commutes with itself at all times, so the exact
+    # transport is expm(-(T + (1 - cos T) / 2) M); these step counts leave a
+    # partial block in the integrator.
+    T = 2.0
+    A = lambda t: (1.0 + 0.5 * math.sin(t)) * M_CONN
+    exact = expm(-(T + 0.5 * (1.0 - math.cos(T))) * M_CONN)
+    assert np.max(np.abs(monodromy(A, T, steps=steps) - exact)) < 1e-10
+    v0 = np.array([1.0, -0.5j, 2.0])
+    out = parallel_transport(A, v0, T, steps=steps)
+    assert np.max(np.abs(out - exact @ v0)) < 1e-10
 
 
 # -------------------------------------------------------------- trace formula
@@ -236,6 +251,13 @@ def test_closed_forms_match_shooting(i, direction):
     for t in np.linspace(0.0, orbit.l, 7):
         dev = np.max(np.abs(closed.value(float(t)) - shot.value(float(t))))
         assert dev < 1e-6
+
+
+def test_shooting_value_matches_values_on_grid():
+    orbit = _orbit(12, l=1.6)
+    shot = ShootingSolution(1, "quadratic", orbit)
+    for t in (0.0, 0.37, 1.1, orbit.l):
+        assert np.array_equal(shot.value(t), shot.values_on_grid([t])[0])
 
 
 def test_single_mode_forcing_against_shooting():
