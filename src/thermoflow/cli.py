@@ -72,18 +72,28 @@ def _sft_from(config: dict) -> Sft:
 def _potential_from(config: dict, s: Sft, rng) -> DepthKFunction:
     spec = config.get("potential", {"kind": "zero"})
     kind = spec.get("kind", "zero")
-    if kind == "zero":
-        return constant_function(s, 0.0, depth=spec.get("depth", 1))
-    if kind == "constant":
-        return constant_function(s, float(spec["value"]), depth=spec.get("depth", 1))
-    if kind == "random":
-        return random_function(s, spec.get("depth", 2), rng, scale=spec.get("scale", 0.3))
-    if kind == "values":
-        depth = spec["depth"]
-        vals = {tuple(int(ch) for ch in key): float(v)
-                for key, v in spec["values"].items()}
-        return DepthKFunction(s, depth, vals)
+    try:
+        if kind == "zero":
+            return constant_function(s, 0.0, depth=spec.get("depth", 1))
+        if kind == "constant":
+            return constant_function(s, float(spec["value"]), depth=spec.get("depth", 1))
+        if kind == "random":
+            return random_function(s, spec.get("depth", 2), rng, scale=spec.get("scale", 0.3))
+        if kind == "values":
+            depth = spec["depth"]
+            vals = {tuple(int(ch) for ch in key): float(v)
+                    for key, v in spec["values"].items()}
+            return DepthKFunction(s, depth, vals)
+    except (KeyError, TypeError, ValueError, errors.DepthMismatch) as exc:
+        raise errors.ConfigError(f"bad {kind} potential: {exc}")
     raise errors.ConfigError(f"unknown potential kind {kind}")
+
+
+def _orders_from(config: dict) -> list:
+    orders = config.get("orders", [1, 2, 3])
+    if not isinstance(orders, list) or any(o not in (1, 2, 3) for o in orders):
+        raise errors.ConfigError(f"orders must be a list drawn from 1, 2, 3, got {orders}")
+    return orders
 
 
 # --------------------------------------------------------------------------
@@ -92,6 +102,7 @@ def run_pressure(config: dict, out_dir: Path, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     s = _sft_from(config)
     w = _potential_from(config, s, rng)
+    orders = _orders_from(config)
     data = rpf(s, w)
     report = {
         "schema": SCHEMA,
@@ -118,7 +129,7 @@ def run_pressure(config: dict, out_dir: Path, seed: int) -> dict:
             family = PotentialFamily.from_taylor(
                 s, w, {(0,): g1, (0, 0): g2, (0, 0, 0): g3})
             corr = variance(g1, m, wn, ctx=ctx)  # truncation data for the sums
-            for order in config.get("orders", [1, 2, 3]):
+            for order in orders:
                 value = {1: pressure_d1, 2: pressure_d2, 3: pressure_d3}[order](family)
                 oracle = fd_oracle(family, order)
                 report["derivatives"].append({
@@ -162,15 +173,22 @@ def _flow_function_from(spec: dict, s: Sft, rng) -> FlowFunction | None:
 def run_suspension(config: dict, out_dir: Path, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     s = _sft_from(config)
+    orders = _orders_from(config)
     roof_spec = config.get("roof", {"kind": "constant", "value": 1.0})
-    if roof_spec["kind"] == "constant":
-        roof = constant_function(s, float(roof_spec["value"]), depth=roof_spec.get("depth", 1))
-    elif roof_spec["kind"] == "random_positive":
-        roof = random_function(s, roof_spec.get("depth", 2), rng,
-                               scale=roof_spec.get("scale", 0.2)) + roof_spec.get("base", 1.2)
-    else:
-        raise errors.ConfigError(f"unknown roof kind {roof_spec['kind']}")
-    flow = SuspensionFlow(sft=s, roof=roof)
+    kind = roof_spec.get("kind")
+    try:
+        if kind == "constant":
+            roof = constant_function(s, float(roof_spec["value"]),
+                                     depth=roof_spec.get("depth", 1))
+        elif kind == "random_positive":
+            roof = random_function(s, roof_spec.get("depth", 2), rng,
+                                   scale=roof_spec.get("scale", 0.2))
+            roof = roof + roof_spec.get("base", 1.2)
+        else:
+            raise errors.ConfigError(f"unknown roof kind {kind}")
+        flow = SuspensionFlow(sft=s, roof=roof)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise errors.ConfigError(f"bad {kind} roof: {exc}")
     F = _flow_function_from(config.get("flow_function"), s, rng)
     c = flow_pressure(flow, F)
     hat = hat_function(flow, F) if F is not None else constant_function(s, 0.0)
@@ -184,7 +202,7 @@ def run_suspension(config: dict, out_dir: Path, seed: int) -> dict:
             G1=_flow_function_from({"kind": "random_fourier"}, s, rng),
             G2=_flow_function_from({"kind": "random_fourier"}, s, rng),
             G3=_flow_function_from({"kind": "random_fourier"}, s, rng))
-        for order in config.get("orders", [1, 2, 3]):
+        for order in orders:
             flow_side, shift_side = flow_pressure_derivative_transfer(flow, fam, order)
             report["transfer"].append({"family": fam_idx, "order": order,
                                        "flow_side": flow_side,
@@ -266,8 +284,7 @@ def run_holonomy(config: dict, out_dir: Path, seed: int) -> dict:
                 sol = variation_ode_closed_form(i, orbit, direction)
                 shot = ShootingSolution(i, direction, orbit)
                 ts = np.linspace(0.0, orbit.l, 5)
-                ode_res = max(sol.ode_residual(float(t))
-                              for t in ts[1:-1]) if orbit.l > 0 else 0.0
+                ode_res = max(sol.ode_residual(float(t)) for t in ts[1:-1])
                 dev = float(np.max(np.abs(sol.values_on_grid(ts)
                                           - shot.values_on_grid(ts))))
                 var_rows.append([idx, i, direction, ode_res,
@@ -306,7 +323,9 @@ def run_diskvanish(config: dict, out_dir: Path, seed: int) -> dict:
               "cases": [], "warnings": []}
     mismatch = False
     for item in cases:
-        case = item["case"]
+        case = item.get("case")
+        if case not in REFERENCE_COUPLINGS:
+            raise errors.ConfigError(f"unknown diskvanish case {case}")
         N = int(item.get("N", 20))
         margin = int(item.get("margin", 2))
         couplings = item.get("couplings", list(REFERENCE_COUPLINGS[case]))

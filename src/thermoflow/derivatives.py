@@ -107,33 +107,6 @@ class PotentialFamily:
                                evaluator=evaluator, partials=table,
                                complete_partials=True)
 
-    def restrict_ray(self, direction) -> "PotentialFamily":
-        """One-parameter family s -> F(s * direction)."""
-        direction = tuple(direction)
-
-        def evaluator(params):
-            s = params[0]
-            return self.at(tuple(s * d for d in direction))
-
-        new_partials = {}
-        for order in (1, 2, 3):
-            acc = None
-            for alpha in itertools.product(range(self.nparams), repeat=order):
-                key = tuple(sorted(alpha))
-                if key not in self.partials:
-                    acc = None
-                    break
-                coef = 1.0
-                for i in alpha:
-                    coef *= direction[i]
-                term = self.partials[key] * coef
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                new_partials[(0,) * order] = acc
-        return PotentialFamily(sft=self.sft, nparams=1, f0=self.f0,
-                               evaluator=evaluator, partials=new_partials,
-                               complete_partials=self.complete_partials)
-
 
 def _unit(n, i, h):
     return tuple(h if j == i else 0.0 for j in range(n))

@@ -74,10 +74,6 @@ class DegenerateSpectrum(ThermoflowError):
     pass
 
 
-class QuadratureFailure(ThermoflowError):
-    pass
-
-
 class UnsupportedCoupling(ThermoflowError):
     pass
 

@@ -9,6 +9,7 @@ ODE systems with explicit kernel solutions).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import integrate
 from scipy.linalg import expm
 
-from .errors import DegenerateSpectrum, QuadratureFailure, StepTooLarge, UnsupportedCase
+from .errors import DegenerateSpectrum, StepTooLarge, UnsupportedCase
 
 SQ2 = math.sqrt(2.0)
 
@@ -164,7 +165,7 @@ class OrbitData:
 # parallel transport
 # --------------------------------------------------------------------------
 
-_BLOCK = 256  # RK4 steps composed per batch, so memory does not grow with steps
+_BLOCK = 256  # RK4 steps composed per batch, so the step maps do not grow with steps
 
 
 def _ordered_product(R: np.ndarray) -> np.ndarray:
@@ -176,23 +177,25 @@ def _ordered_product(R: np.ndarray) -> np.ndarray:
     return R[..., 0, :, :]
 
 
-def _propagator(sample: Callable, t0: float, t1: float, steps: int) -> np.ndarray:
-    """RK4 propagator of V' = -A(t) V from t0 to t1, the product of the step maps.
-
-    sample(ts) stacks A at the node times on axis -3 (leading axes batch systems);
-    each of the 2 steps + 1 nodes is sampled once. A forcing f rides in the
-    generator [[A, -f], [0, 0]], whose RK4 step is the affine step of y' = -A y + f.
-    """
+def _nodes(t0: float, t1: float, steps: int):
+    """The 2 steps + 1 RK4 node times t0 + j h / 2 and the step h = (t1 - t0) / steps."""
     h = (t1 - t0) / steps
-    prev = sample(np.array([t0]))
-    eye = np.eye(prev.shape[-1])
+    return t0 + (h / 2) * np.arange(2 * steps + 1), h
+
+
+def _propagator(a: np.ndarray, h: float) -> np.ndarray:
+    """RK4 propagator of V' = -A(t) V, the product of the step maps of size h.
+
+    a stacks A at the 2 steps + 1 nodes of _nodes on axis -3 (leading axes batch
+    systems). A forcing f rides in the generator [[A, -f], [0, 0]], whose RK4 step
+    is the affine step of y' = -A y + f.
+    """
+    steps = (a.shape[-3] - 1) // 2
+    eye = np.eye(a.shape[-1])
     P = None
     for k0 in range(0, steps, _BLOCK):
-        k1 = min(k0 + _BLOCK, steps)
-        new = sample(t0 + (h / 2) * np.arange(2 * k0 + 1, 2 * k1 + 1))
-        a = np.concatenate([prev, new], axis=-3)
-        prev = new[..., -1:, :, :]
-        a0, am, a1 = a[..., 0:-1:2, :, :], a[..., 1::2, :, :], a[..., 2::2, :, :]
+        blk = a[..., 2 * k0:2 * min(k0 + _BLOCK, steps) + 1, :, :]
+        a0, am, a1 = blk[..., 0:-1:2, :, :], blk[..., 1::2, :, :], blk[..., 2::2, :, :]
         s1 = -a0
         s2 = -am @ (eye + (h / 2) * s1)
         s3 = -am @ (eye + (h / 2) * s2)
@@ -202,19 +205,28 @@ def _propagator(sample: Callable, t0: float, t1: float, steps: int) -> np.ndarra
     return P
 
 
-def _sampled(A: Callable) -> Callable:
-    """Stack a scalar matrix-valued callable over an array of times."""
-    return lambda ts: np.array([A(t) for t in ts.tolist()], dtype=complex)
+def _sampled(A: Callable, ts: np.ndarray) -> np.ndarray:
+    """A scalar matrix-valued callable stacked over an array of times, each called once."""
+    times = ts.tolist()
+    first = np.asarray(A(times[0]), dtype=complex)
+    return np.fromiter(itertools.chain([first], map(A, times[1:])),
+                       dtype=np.dtype((complex, first.shape)), count=len(times))
 
 
 def parallel_transport(A: Callable, V0: np.ndarray, T: float,
                        steps: int | None = None, richardson_tol: float | None = 1e-8):
-    """Solve V' = -A(t) V by RK4; one step-halving Richardson check by default."""
+    """Solve V' = -A(t) V by RK4; one step-halving Richardson check by default.
+
+    The check samples A once at the fine nodes; every other one is a coarse node.
+    """
     steps = steps or 2048
-    coarse = _propagator(_sampled(A), 0.0, T, steps) @ V0
     if richardson_tol is None:
-        return coarse
-    fine = _propagator(_sampled(A), 0.0, T, 2 * steps) @ V0
+        ts, h = _nodes(0.0, T, steps)
+        return _propagator(_sampled(A, ts), h) @ V0
+    ts, h = _nodes(0.0, T, 2 * steps)
+    a = _sampled(A, ts)
+    coarse = _propagator(a[0::2], 2 * h) @ V0
+    fine = _propagator(a, h) @ V0
     est = float(np.max(np.abs(fine - coarse))) / 15.0
     if est > richardson_tol:
         raise StepTooLarge(est, richardson_tol)
@@ -287,13 +299,14 @@ def trace_derivative(family: ConnectionFamily, T: float | None = None,
     if n_panels % 2:
         n_panels += 1
     ts = np.linspace(0.0, T, n_panels + 1)
-    vals = np.einsum("nij,ji->n", _sampled(family.dD)(ts), BaseFrame.pi0)
+    vals = np.einsum("nij,ji->n", _sampled(family.dD, ts), BaseFrame.pi0)
     integral = integrate.simpson(vals, x=ts)
     return -complex(integral)
 
 
 def monodromy(A: Callable, T: float, steps: int = 2048) -> np.ndarray:
-    return _propagator(_sampled(A), 0.0, T, steps)
+    ts, h = _nodes(0.0, T, steps)
+    return _propagator(_sampled(A, ts), h)
 
 
 def top_eigenvalue(mat: np.ndarray) -> complex:
@@ -312,8 +325,10 @@ def eigenvalue_derivative_fd(family: ConnectionFamily, T: float | None = None,
     dD is sampled once; the s = +h_s and s = -h_s monodromies share the samples.
     """
     T = T if T is not None else family.l
-    dD, s = _sampled(family.dD), np.array([h_s, -h_s])[:, None, None, None]
-    mono_p, mono_m = _propagator(lambda ts: M_CONN + s * dD(ts), 0.0, T, steps)
+    ts, h = _nodes(0.0, T, steps)
+    a = np.array([h_s, -h_s])[:, None, None, None] * _sampled(family.dD, ts)
+    a += M_CONN
+    mono_p, mono_m = _propagator(a, h)
     lam_p, lam_m = top_eigenvalue(mono_p), top_eigenvalue(mono_m)
     return (cmath.log(lam_p) - cmath.log(lam_m)) / (2 * h_s)
 
@@ -322,64 +337,63 @@ def eigenvalue_derivative_fd(family: ConnectionFamily, T: float | None = None,
 # closed-form variation solutions
 # --------------------------------------------------------------------------
 
-def _quad(f: Callable, a: float, b: float) -> float:
-    val, err = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=400)
-    if err > 1e-8 * (1.0 + abs(val)):
-        raise QuadratureFailure(f"quadrature error {err:.3e} on [{a}, {b}]")
-    return val
+def _moment(q: FourierSampler, rho: float, a: float, b, anchor=0.0):
+    """int_a^b e^{rho (s - anchor)} q(s) ds, exactly, for an upper limit or an array.
+
+    Mode k gives e^{rho (a - anchor)} c_k e^{i w_k a} (e^{z_k (b - a)} - 1) / z_k with
+    z_k = rho + i w_k, or c_0 (b - a) when z_k = 0. Each mode is integrated from the
+    end of [a, b] where e^{rho s} is largest, so no intermediate exceeds the kernel
+    there. rho is real, so Re and Im of the result are the moments of Re q and Im q.
+    """
+    b = np.asarray(b, dtype=float)
+    w = np.array([2 * math.pi * k / q.l for k in q.modes]).reshape((-1,) + (1,) * b.ndim)
+    c = np.array(list(q.modes.values()), dtype=complex).reshape(w.shape)
+    z = rho + 1j * w
+    start, d, sign = (b, a - b, -1.0) if rho >= 0 else (a, b - a, 1.0)
+    frac = np.where(z == 0, d, np.expm1(z * d) / np.where(z == 0, 1.0, z))
+    modes = np.sum(c * np.exp(1j * w * start) * frac, axis=0)
+    return sign * np.exp(rho * (start - anchor)) * modes
 
 
 class _KernelExpr:
     """Value sum_j c_j e^{mu_j t} I_j with I_j local (int_0^t) or global (int_0^l)
-    integrals of e^{a s} g(s); carries enough structure for an exact t-derivative.
+    integrals of e^{a s} g(s), g = Re q or Im q; every I_j is an exact moment of q,
+    so values and t-derivatives come from one vectorized evaluation.
     """
 
-    def __init__(self, l: float):
-        self.l = l
-        self.loc = []   # (coef, mu, a, g)
-        self.glob = []  # (coef, mu, value)
+    def __init__(self, q: FourierSampler, l: float, loc, glob):
+        self.q = q
+        self.loc = loc  # (coef, mu, a, part) with part np.real or np.imag
+        self.glob = [(coef * float(part(_moment(q, a, 0.0, l))), mu)
+                     for coef, mu, a, part in glob]
 
-    def add_loc(self, coef, mu, a, g):
-        self.loc.append((complex(coef), mu, a, g))
-
-    def add_glob(self, coef, mu, a, g):
-        val = _quad(lambda s: math.exp(a * s) * g(s), 0.0, self.l)
-        self.glob.append((complex(coef), mu, val))
+    def _evaluate(self, t):
+        """(values, t-derivatives) at a time or an array of times; g(t) is sampled
+        the way the forcing samples it, so ode_residual compares like with like."""
+        qt = self.q(t)
+        ts = np.asarray(t, dtype=float)
+        val = np.zeros(ts.shape, dtype=complex)
+        der = np.zeros(ts.shape, dtype=complex)
+        for coef, mu, a, part in self.loc:
+            # e^{mu t} I = e^{(mu + a) t} J with J = int_0^t e^{a (s - t)} g, J' = g - a J
+            J = part(_moment(self.q, a, 0.0, ts, ts))
+            scale = coef * np.exp((mu + a) * ts)
+            val += scale * J
+            der += scale * (mu * J + part(qt))
+        for coef, mu in self.glob:
+            term = coef * np.exp(mu * ts)
+            val += term
+            der += mu * term
+        return val, der
 
     def value(self, t: float) -> complex:
-        out = 0.0 + 0.0j
-        for coef, mu, a, g in self.loc:
-            integral = _quad(lambda s: math.exp(a * s) * g(s), 0.0, t) if t else 0.0
-            out += coef * math.exp(mu * t) * integral
-        for coef, mu, val in self.glob:
-            out += coef * math.exp(mu * t) * val
-        return out
+        return self.values_on_grid([t])[0]
 
     def values_on_grid(self, ts) -> np.ndarray:
-        """Values at sorted nonnegative times, accumulating the local integrals
-        segment by segment instead of restarting at zero."""
-        ts = list(ts)
-        out = np.zeros(len(ts), dtype=complex)
-        for coef, mu, a, g in self.loc:
-            acc, prev = 0.0, 0.0
-            for idx, t in enumerate(ts):
-                if t > prev:
-                    acc += _quad(lambda s: math.exp(a * s) * g(s), prev, t)
-                    prev = t
-                out[idx] += coef * math.exp(mu * t) * acc
-        for coef, mu, val in self.glob:
-            out += coef * val * np.exp(mu * np.asarray(ts))
-        return out
+        return self._evaluate(ts)[0]
 
     def derivative(self, t: float) -> complex:
-        out = 0.0 + 0.0j
-        for coef, mu, a, g in self.loc:
-            integral = _quad(lambda s: math.exp(a * s) * g(s), 0.0, t) if t else 0.0
-            out += coef * (mu * math.exp(mu * t) * integral
-                           + math.exp((mu + a) * t) * g(t))
-        for coef, mu, val in self.glob:
-            out += coef * mu * math.exp(mu * t) * val
-        return out
+        return complex(self._evaluate(t)[1])
 
 
 @dataclass
@@ -416,16 +430,8 @@ class VariationSolution:
         return max(bnd, orth)
 
 
-def _re(q: FourierSampler):
-    return lambda s: float(np.real(q(s)))
-
-
-def _im(q: FourierSampler):
-    return lambda s: float(np.imag(q(s)))
-
-
 # (i, direction) -> (sampler, rate r, components of e^{-r t} f(t) in q = q(t),
-# kappa / (e^{r l} K0)); the eigenvalue is e^{r l} and K0 = int_0^l Re q.
+# kappa / (e^{r l} K0)); the eigenvalue is e^{r l} and K0 = int_0^l Re q = l Re c_0.
 _FORCINGS = {
     (1, "cubic"): ("q_beta", 1, lambda q: (-SQ2 / 2 * q, 0 * q, -SQ2 * np.conj(q)), -1.0),
     (2, "cubic"): ("q_beta", 0, lambda q: (-q, 0 * q, 2 * np.conj(q)), 2.0),
@@ -453,7 +459,7 @@ def _forcing_for(i: int, direction: str, orbit: OrbitData):
         return np.stack(comps(q(t)), axis=-1) * np.exp(rate * np.asarray(t))[..., None]
 
     lam = math.exp(rate * orbit.l)
-    return forcing, kappa * lam * _quad(_re(q), 0.0, orbit.l), lam
+    return forcing, kappa * lam * orbit.l * q.modes.get(0, 0j).real, lam
 
 
 def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> VariationSolution:
@@ -463,9 +469,9 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
     Cubic forcing covers i = 1, 2, 3; quadratic forcing covers i = 1.
     """
     l = orbit.l
+    re, im = np.real, np.imag
     if direction == "cubic":
         q = orbit.sampler("q_beta")
-        re, im = _re(q), _im(q)
         if i == 1:
             c2p = 1.0 / (math.exp(2 * l) - 1.0)
             c1p = 1.0 / (math.exp(l) - 1.0)
@@ -506,7 +512,6 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
         if i != 1:
             raise UnsupportedCase("quadratic closed form is available for i = 1 only")
         q = orbit.sampler("q_i")
-        re, im = _re(q), _im(q)
         e1p = 1.0 / (math.exp(l) - 1.0)
         spec = [
             ([(SQ2 / 2, 1, 0, re), (SQ2 / 2 * 1j, 0, 1, im)],
@@ -518,17 +523,10 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
     else:
         raise UnsupportedCase("direction must be 'cubic' or 'quadratic'")
 
-    components = []
-    for loc_terms, glob_terms in spec:
-        expr = _KernelExpr(l)
-        for coef, mu, a, g in loc_terms:
-            expr.add_loc(coef, mu, a, g)
-        for coef, mu, a, g in glob_terms:
-            expr.add_glob(coef, mu, a, g)
-        components.append(expr)
+    components = tuple(_KernelExpr(q, l, loc, glob) for loc, glob in spec)
     forcing, kappa, lam = _forcing_for(i, direction, orbit)
     return VariationSolution(l=l, index=i, direction=direction,
-                             components=tuple(components), forcing=forcing,
+                             components=components, forcing=forcing,
                              boundary_kappa=kappa, eigenvalue=lam)
 
 
@@ -540,12 +538,10 @@ def _forced_transport(forcing: Callable, y: np.ndarray, t0: float, t1: float,
                       steps: int) -> np.ndarray:
     """RK4 solution at t1 of d_t y + M y = forcing(t) from y at t0."""
 
-    def sample(ts):
-        a = np.zeros((len(ts), 4, 4), dtype=complex)
-        a[:, :3, :3], a[:, :3, 3] = M_CONN, -forcing(ts)
-        return a
-
-    P = _propagator(sample, t0, t1, steps)
+    ts, h = _nodes(t0, t1, steps)
+    a = np.zeros((len(ts), 4, 4), dtype=complex)
+    a[:, :3, :3], a[:, :3, 3] = M_CONN, -forcing(ts)
+    P = _propagator(a, h)
     return P[:3, :3] @ y + P[:3, 3]
 
 
@@ -589,49 +585,29 @@ class ShootingSolution:
 # second-variation trace kernels
 # --------------------------------------------------------------------------
 
+def _green(q: FourierSampler, rate: float, t: float, l: float) -> complex:
+    """Local plus monodromy kernels at rate r on q, exactly:
+    int_0^t (e^{r(t-s)} - e^{r(s-t)}) q
+      - int_0^l (e^{r(t-s)} + e^{r(s-t-l)}) q / (1 - e^{-r l}).
+    """
+    loc = _moment(q, -rate, 0.0, t, t) - _moment(q, rate, 0.0, t, t)
+    glob = _moment(q, -rate, 0.0, l, t) + _moment(q, rate, 0.0, l, t + l)
+    return complex(loc - glob / (1.0 - math.exp(-rate * l)))
+
+
 def second_variation_trace_cc(orbit: OrbitData, t: float) -> float:
     """Tr(dD_cubic * d_v pi)(Phi_t x): exponential kernels on Re parts (rate 2)
     and Im parts (rate 1) plus monodromy boundary terms."""
-    l = orbit.l
     qa, qb = orbit.sampler("q_alpha"), orbit.sampler("q_beta")
     re_a, im_a = float(np.real(qa(t))), float(np.imag(qa(t)))
-    re_b, im_b = _re(qb), _im(qb)
-    loc_re = _quad(lambda s: (math.exp(2 * (t - s)) - math.exp(2 * (s - t))) * re_b(s),
-                   0.0, t) if t else 0.0
-    loc_im = _quad(lambda s: (math.exp(t - s) - math.exp(s - t)) * im_b(s),
-                   0.0, t) if t else 0.0
-    den2 = 1.0 - math.exp(-2 * l)
-    den1 = 1.0 - math.exp(-l)
-    # kernels e^{2(t-s)}/(e^{-2l}-1) - e^{2(s-t)}/(e^{2l}-1), written stably
-    glob_re = _quad(lambda s: (-math.exp(2 * (t - s)) - math.exp(2 * (s - t) - 2 * l))
-                    / den2 * re_b(s), 0.0, l)
-    glob_im = _quad(lambda s: (-math.exp(t - s) - math.exp(s - t - l))
-                    / den1 * im_b(s), 0.0, l)
-    return re_a * (loc_re + glob_re) + 2.0 * im_a * (loc_im + glob_im)
+    return re_a * _green(qb, 2, t, orbit.l).real + 2.0 * im_a * _green(qb, 1, t, orbit.l).imag
 
 
 def psi_cc(orbit: OrbitData, r: float) -> float:
     """The boundary kernel at t = 0 with horizon r (periodic samplers extended)."""
     qa, qb = orbit.sampler("q_alpha"), orbit.sampler("q_beta")
     re_a, im_a = float(np.real(qa(0.0))), float(np.imag(qa(0.0)))
-    re_b, im_b = _re(qb), _im(qb)
-    den2 = 1.0 - math.exp(-2 * r)
-    den1 = 1.0 - math.exp(-r)
-
-    def int_periodwise(f):
-        # integrate over [0, r] in unit chunks for accuracy on long horizons
-        total, a = 0.0, 0.0
-        while a < r - 1e-12:
-            b = min(a + 1.0, r)
-            total += _quad(f, a, b)
-            a = b
-        return total
-
-    glob_re = int_periodwise(lambda s: (-math.exp(-2 * s) - math.exp(2 * (s - r)))
-                             / den2 * re_b(s))
-    glob_im = int_periodwise(lambda s: (-math.exp(-s) - math.exp(s - r))
-                             / den1 * im_b(s))
-    return re_a * glob_re + 2.0 * im_a * glob_im
+    return re_a * _green(qb, 2, 0.0, r).real + 2.0 * im_a * _green(qb, 1, 0.0, r).imag
 
 
 def eta_cc(orbit: OrbitData, T: float) -> tuple:
@@ -642,18 +618,11 @@ def eta_cc(orbit: OrbitData, T: float) -> tuple:
     """
     qa, qb = orbit.sampler("q_alpha"), orbit.sampler("q_beta")
     re_a, im_a = float(np.real(qa(0.0))), float(np.imag(qa(0.0)))
-    re_b, im_b = _re(qb), _im(qb)
 
-    def halfline(f, rate):
-        total, a = 0.0, 0.0
-        while a < T - 1e-12:
-            b = min(a + 1.0, T)
-            total += _quad(lambda s: math.exp(-rate * s) * f(s), a, b)
-            total += _quad(lambda s: math.exp(-rate * s) * f(-s), a, b)
-            a = b
-        return total
+    def two_sided(rate):
+        return complex(_moment(qb, -rate, 0.0, T) + _moment(qb, rate, -T, 0.0))
 
-    val = -re_a * halfline(re_b, 2.0) - 2.0 * im_a * halfline(im_b, 1.0)
+    val = -re_a * two_sided(2).real - 2.0 * im_a * two_sided(1).imag
     grid = np.linspace(0.0, orbit.l, 64, endpoint=False)
     m_bound = max(float(np.max(np.abs(qa(grid)))), float(np.max(np.abs(qb(grid)))))
     return val, 3.0 * m_bound ** 2 * math.exp(-T)
@@ -662,21 +631,8 @@ def eta_cc(orbit: OrbitData, T: float) -> tuple:
 def psi_cq(orbit: OrbitData, r: float) -> float:
     """t = 0 boundary kernel of the mixed case with horizon r: the telescoping
     argument makes it invariant under replacing r by multiples of the period."""
-    qa, qi = orbit.sampler("q_alpha"), orbit.sampler("q_i")
-    im_a = float(np.imag(qa(0.0)))
-    im_i = _im(qi)
-    den1 = 1.0 - math.exp(-r)
-
-    def chunked(f):
-        total, a = 0.0, 0.0
-        while a < r - 1e-12:
-            b = min(a + 1.0, r)
-            total += _quad(f, a, b)
-            a = b
-        return total
-
-    glob = chunked(lambda s: (math.exp(s - r) + math.exp(-s)) / den1 * im_i(s))
-    return -2.0 * im_a * glob
+    im_a = float(np.imag(orbit.sampler("q_alpha")(0.0)))
+    return 2.0 * im_a * _green(orbit.sampler("q_i"), 1, 0.0, r).imag
 
 
 def second_variation_trace_cq(orbit: OrbitData, t: float,
@@ -686,17 +642,9 @@ def second_variation_trace_cq(orbit: OrbitData, t: float,
     y21 is caller-supplied opaque data (solution of an elliptic system off this
     module's scope); it defaults to zero.
     """
-    l = orbit.l
-    qa, qi = orbit.sampler("q_alpha"), orbit.sampler("q_i")
-    im_a = float(np.imag(qa(t)))
-    im_i = _im(qi)
-    loc = _quad(lambda s: (math.exp(s - t) - math.exp(t - s)) * im_i(s),
-                0.0, t) if t else 0.0
-    den1 = 1.0 - math.exp(-l)
-    glob = _quad(lambda s: (math.exp(s - t - l) + math.exp(t - s)) / den1 * im_i(s),
-                 0.0, l)
+    im_a = float(np.imag(orbit.sampler("q_alpha")(t)))
     y_term = 0.5 * float(np.real(y21(t))) if y21 is not None else 0.0
-    return y_term - 2.0 * im_a * (loc + glob)
+    return y_term + 2.0 * im_a * _green(orbit.sampler("q_i"), 1, t, orbit.l).imag
 
 
 # --------------------------------------------------------------------------

@@ -137,10 +137,6 @@ def tanh_multiple(m: int, order: int) -> Series:
     return (num * den.inverse(order)).truncate(order)
 
 
-def one_minus_square(order: int) -> Series:
-    return Series([1, 0, -1], order)
-
-
 class LinForm(dict):
     """Linear form over named unknowns: {unknown: Fraction}."""
 
@@ -193,15 +189,6 @@ class LinSeries:
         self.order = order
         self.coeffs = [LinForm() for _ in range(order)]
 
-    @staticmethod
-    def monomial(unknown, scalar_series: Series, order: int) -> "LinSeries":
-        out = LinSeries(order)
-        for n in range(min(order, scalar_series.order)):
-            c = scalar_series[n]
-            if c:
-                out.coeffs[n] = LinForm({unknown: c})
-        return out
-
     def __add__(self, other: "LinSeries") -> "LinSeries":
         out = LinSeries(max(self.order, other.order))
         for n in range(out.order):
@@ -215,6 +202,3 @@ class LinSeries:
             c = scalar_series[n]
             if c:
                 self.coeffs[n] = self.coeffs[n] + LinForm({unknown: c})
-
-    def rows(self):
-        return list(self.coeffs)

@@ -258,10 +258,6 @@ def indicator(sft: Sft, symbol: int) -> DepthKFunction:
                                    for a in range(sft.alphabet_size)})
 
 
-def from_values(sft: Sft, depth: int, values: Mapping) -> DepthKFunction:
-    return DepthKFunction(sft, depth, {tuple(k): v for k, v in values.items()})
-
-
 def random_function(sft: Sft, depth: int, rng, scale: float = 1.0,
                     complex_valued: bool = False) -> DepthKFunction:
     vals = {}

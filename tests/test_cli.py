@@ -91,6 +91,29 @@ def test_holonomy_bad_orbit_length_exit_2(tmp_path, orbits):
     assert _run(["holonomy", "--config", cfg, "--out", tmp_path]) == 2
 
 
+GOLDEN_MEAN = {"transition": [[1, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "pressure", "sft": GOLDEN_MEAN, "potential": {"kind": "constant"}},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "derivative_families": {"count": 1, "depth": 2}, "orders": [4]},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "potential": {"kind": "values", "depth": 2, "values": {"00": 0.1, "01": 0.2}}},
+    {"experiment": "suspension", "sft": GOLDEN_MEAN, "families": {"count": 1},
+     "orders": [4]},
+    {"experiment": "suspension", "sft": GOLDEN_MEAN, "roof": {"kind": "constant", "value": 0}},
+    {"experiment": "suspension", "sft": GOLDEN_MEAN,
+     "roof": {"kind": "constant", "value": -1}},
+    {"experiment": "diskvanish", "cases": [{"case": "ZZ", "N": 8}]},
+])
+def test_bad_field_values_exit_2(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, **cfg}))
+    assert _run([cfg["experiment"], "--config", path, "--out", tmp_path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_holonomy_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

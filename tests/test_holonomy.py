@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.linalg import expm
 
 from thermoflow import errors
 from thermoflow.holonomy import (BaseFrame, ConnectionFamily, FourierSampler,
-                                 M_CONN, OrbitData, ShootingSolution, cubic_direction,
-                                 eigenvalue_derivative_fd, eta_cc, hermitian, monodromy,
-                                 parallel_transport, psi_cc, quadratic_direction,
+                                 M_CONN, OrbitData, ShootingSolution, _moment,
+                                 cubic_direction, eigenvalue_derivative_fd, eta_cc,
+                                 hermitian, monodromy, parallel_transport, psi_cc, psi_cq,
+                                 quadratic_direction,
                                  reassemble_trace_cc, reassemble_trace_cq,
                                  second_variation_trace_cc, second_variation_trace_cq,
                                  trace_derivative, variation_ode_closed_form)
@@ -124,6 +126,19 @@ def test_transport_time_dependent_commuting_connection(steps):
     v0 = np.array([1.0, -0.5j, 2.0])
     out = parallel_transport(A, v0, T, steps=steps)
     assert np.max(np.abs(out - exact @ v0)) < 1e-10
+
+
+def test_transport_samples_each_fine_node_once():
+    # the coarse Richardson pass reuses every other fine-pass sample
+    calls = []
+
+    def A(t):
+        calls.append(t)
+        return M_CONN
+
+    parallel_transport(A, BaseFrame.e(1, 0.0), 1.3, steps=512)
+    assert len(calls) == 4 * 512 + 1
+    assert len(set(calls)) == len(calls)
 
 
 # -------------------------------------------------------------- trace formula
@@ -270,6 +285,33 @@ def test_single_mode_forcing_against_shooting():
         assert np.max(np.abs(closed.value(float(t)) - shot.value(float(t)))) < 1e-6
 
 
+# ------------------------------------------------------------ exact moments
+
+def _quad_moment(q, rho, a, b, anchor):
+    """int_a^b e^{rho (s - anchor)} q(s) ds by quad, and a bound on its modulus."""
+    kernel = lambda s: math.exp(rho * (s - anchor))
+    opts = dict(epsabs=0.0, epsrel=1e-12, limit=400)
+    re = integrate.quad(lambda s: kernel(s) * q(s).real, a, b, **opts)[0]
+    im = integrate.quad(lambda s: kernel(s) * q(s).imag, a, b, **opts)[0]
+    bound = sum(abs(c) for c in q.modes.values()) * integrate.quad(kernel, a, b)[0]
+    return complex(re, im), bound
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_moment_matches_quad(seed):
+    rng = np.random.default_rng(seed)
+    l = float(rng.uniform(0.5, 4.0))
+    q = FourierSampler.random(l, rng, int(rng.integers(0, 4)), 0.5)
+    for rho in (-2, -1, 0, 1, 2):
+        a = float(rng.uniform(-2 * l, l))
+        bs = a + l * rng.uniform(0.0, 3.0, size=3)
+        anchor = float(rng.choice([a, bs[-1], 0.0]))
+        exact = _moment(q, rho, a, bs, anchor)
+        for b, val in zip(bs, exact):
+            ref, scale = _quad_moment(q, rho, a, float(b), anchor)
+            assert abs(val - ref) <= 1e-12 * scale
+
+
 # ------------------------------------------------------ second-variation trace
 
 def test_trace_cc_zero_when_beta_zero():
@@ -316,7 +358,8 @@ def test_trace_cq_zero_cases():
 def test_psi_multiple_traversal_invariance():
     orbit = _orbit(19, l=1.2)
     base = psi_cc(orbit, orbit.l)
-    for k in (2, 3, 4, 5, 6):
+    for k in (2, 3, 4, 5, 6, 120):
+        assert math.isfinite(psi_cc(orbit, k * orbit.l))
         assert psi_cc(orbit, k * orbit.l) == pytest.approx(base, abs=1e-12)
 
 
@@ -344,12 +387,21 @@ def test_eta_zero_beta():
 
 
 def test_psi_cq_multiple_traversal_invariance():
-    from thermoflow.holonomy import psi_cq
     orbit = _orbit(23, l=1.3)
     base = psi_cq(orbit, orbit.l)
     assert base == pytest.approx(second_variation_trace_cq(orbit, 0.0), abs=1e-12)
-    for k in (2, 3, 4, 5, 6):
+    for k in (2, 3, 4, 5, 6, 120):
+        assert math.isfinite(psi_cq(orbit, k * orbit.l))
         assert psi_cq(orbit, k * orbit.l) == pytest.approx(base, abs=1e-12)
+
+
+def test_psi_long_horizon_stays_finite():
+    # e^{2 r} at r = 120 l overflows a double; the kernels must never form it
+    orbit = _orbit(19, l=3.7)
+    for psi in (psi_cc, psi_cq):
+        far = psi(orbit, 120 * orbit.l)
+        assert math.isfinite(far)
+        assert far == pytest.approx(psi(orbit, orbit.l), abs=1e-12)
 
 
 def test_orbit_json_roundtrip():
