@@ -6,9 +6,8 @@ from .sft import (DepthKFunction, PeriodicOrbit, Sft, admissible_words, birkhoff
                   coboundary, constant_function, full_shift, golden_mean_shift,
                   indicator, livsic_coboundary_test, new_sft, periodic_orbits,
                   random_function)
-from .transfer import (MarkovMeasure, RpfData, RuelleMatrix, TransferWithProjection,
-                       equilibrium_measure, normalize_potential, pressure, rpf,
-                       ruelle_matrix)
+from .transfer import (MarkovMeasure, RpfData, RuelleMatrix, equilibrium_measure,
+                       normalize_potential, pressure, rpf, ruelle_matrix)
 from .correlations import (CorrelationReport, EquilibriumContext, birkhoff_moment,
                            covariance, project_mean_zero, triple_covariance, variance)
 from .derivatives import (PotentialFamily, fd_oracle, measure_derivative, pressure_d1,

@@ -57,20 +57,40 @@ def _load_config(path: str) -> dict:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise errors.ConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(config, dict):
+        raise errors.ConfigError(f"config {path} must be a JSON object")
     if config.get("schema") != SCHEMA:
         raise errors.ConfigError(f"unsupported schema {config.get('schema')}")
     return config
 
 
+def _section(config: dict, key: str, default) -> dict:
+    """The object under `key` (absent or null gives `default`)."""
+    spec = config.get(key)
+    spec = default if spec is None else spec
+    if not isinstance(spec, dict):
+        raise errors.ConfigError(f"{key} must be an object, got {spec!r}")
+    return spec
+
+
+def _integer(value, what: str, lo: int = 0) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+        raise errors.ConfigError(f"{what} must be an integer >= {lo}, got {value!r}")
+    return value
+
+
 def _sft_from(config: dict) -> Sft:
     try:
-        return new_sft(config["sft"]["transition"])
-    except (KeyError, ValueError, errors.EmptyRowOrColumn) as exc:
+        s = new_sft(_section(config, "sft", {})["transition"])
+    except (KeyError, TypeError, ValueError, errors.EmptyRowOrColumn) as exc:
         raise errors.ConfigError(f"bad sft spec: {exc}")
+    if not s.is_mixing:
+        raise errors.ConfigError("sft transition matrix is not topologically mixing")
+    return s
 
 
 def _potential_from(config: dict, s: Sft, rng) -> DepthKFunction:
-    spec = config.get("potential", {"kind": "zero"})
+    spec = _section(config, "potential", {"kind": "zero"})
     kind = spec.get("kind", "zero")
     try:
         if kind == "zero":
@@ -114,13 +134,14 @@ def run_pressure(config: dict, out_dir: Path, seed: int) -> dict:
         "gap_estimate": data.gap_estimate,
         "derivatives": [],
     }
-    fam_spec = config.get("derivative_families")
+    fam_spec = _section(config, "derivative_families", {})
     if fam_spec:
+        depth = _integer(fam_spec.get("depth", 2), "derivative_families.depth", lo=1)
+        count = _integer(fam_spec.get("count", 1), "derivative_families.count")
         wn = normalize_potential(s, w, data)
-        ctx = EquilibriumContext(s, wn, depth=max(wn.depth, fam_spec.get("depth", 2)))
+        ctx = EquilibriumContext(s, wn, depth=max(wn.depth, depth))
         m = equilibrium_measure(s, w, data)
-        for fam_idx in range(fam_spec.get("count", 1)):
-            depth = fam_spec.get("depth", 2)
+        for fam_idx in range(count):
             scale = fam_spec.get("scale", 0.25)
             g1 = random_function(s, depth, rng, scale=scale)
             g1 = g1 - ctx.integrate(g1)
@@ -150,6 +171,8 @@ def run_pressure(config: dict, out_dir: Path, seed: int) -> dict:
 def _flow_function_from(spec: dict, s: Sft, rng) -> FlowFunction | None:
     if spec is None:
         return None
+    if not isinstance(spec, dict):
+        raise errors.ConfigError(f"flow_function must be an object, got {spec!r}")
     kind = spec.get("kind", "fourier")
     if kind == "fourier":
         return FlowFunction.from_fourier(spec["depth"],
@@ -174,7 +197,7 @@ def run_suspension(config: dict, out_dir: Path, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     s = _sft_from(config)
     orders = _orders_from(config)
-    roof_spec = config.get("roof", {"kind": "constant", "value": 1.0})
+    roof_spec = _section(config, "roof", {"kind": "constant", "value": 1.0})
     kind = roof_spec.get("kind")
     try:
         if kind == "constant":
@@ -195,7 +218,7 @@ def run_suspension(config: dict, out_dir: Path, seed: int) -> dict:
     residual = abs(pressure(s, hat - roof.promote(max(hat.depth, roof.depth)) * c))
     report = {"schema": SCHEMA, "experiment": "suspension", "seed": seed,
               "flow_pressure": c, "root_residual": residual, "transfer": []}
-    n_families = config.get("families", {}).get("count", 0)
+    n_families = _integer(_section(config, "families", {}).get("count", 0), "families.count")
     for fam_idx in range(n_families):
         fam = FlowFamily(
             F0=_flow_function_from({"kind": "random_fourier"}, s, rng),
@@ -222,8 +245,8 @@ def _orbit_length(value, what: str) -> float:
 
 
 def _orbits_from(config: dict, rng) -> list:
-    spec = config.get("orbits", {"kind": "random", "count": 5})
-    if spec["kind"] == "explicit":
+    spec = _section(config, "orbits", {"kind": "random", "count": 5})
+    if spec.get("kind") == "explicit":
         out = []
         for item in spec["items"]:
             l = _orbit_length(item["l"], "explicit orbit l")
@@ -231,13 +254,13 @@ def _orbits_from(config: dict, rng) -> list:
                         for name, modes in item["samplers"].items()}
             out.append(OrbitData(l=l, **samplers))
         return out
-    if spec["kind"] == "random":
+    if spec.get("kind") == "random":
         lo, hi = spec.get("l_range", [0.5, 6.0])
         lo, hi = _orbit_length(lo, "l_range start"), _orbit_length(hi, "l_range end")
         if lo > hi:
             raise errors.ConfigError(f"l_range start {lo} exceeds its end {hi}")
         out = []
-        for _ in range(spec.get("count", 5)):
+        for _ in range(_integer(spec.get("count", 5), "orbits.count")):
             l = float(rng.uniform(lo, hi))
             out.append(OrbitData(
                 l=l,
@@ -250,11 +273,11 @@ def _orbits_from(config: dict, rng) -> list:
                 q_j=FourierSampler.random(l, rng, spec.get("modes", 3),
                                           spec.get("scale", 0.5))))
         return out
-    if spec["kind"] == "zero":
+    if spec.get("kind") == "zero":
         l = _orbit_length(spec.get("l", 2.0), "zero orbit l")
         z = FourierSampler.zero(l)
         return [OrbitData(l=l, q_alpha=z, q_beta=z, q_i=z, q_j=z)]
-    raise errors.ConfigError(f"unknown orbit kind {spec['kind']}")
+    raise errors.ConfigError(f"unknown orbit kind {spec.get('kind')}")
 
 
 def run_holonomy(config: dict, out_dir: Path, seed: int) -> dict:
@@ -317,8 +340,9 @@ def run_holonomy(config: dict, out_dir: Path, seed: int) -> dict:
 
 def run_diskvanish(config: dict, out_dir: Path, seed: int) -> dict:
     cases = config.get("cases")
-    if not cases:
-        raise errors.ConfigError("diskvanish config needs a 'cases' list")
+    if not cases or not isinstance(cases, list) \
+            or not all(isinstance(item, dict) for item in cases):
+        raise errors.ConfigError("diskvanish config needs a 'cases' list of objects")
     report = {"schema": SCHEMA, "experiment": "diskvanish", "seed": seed,
               "cases": [], "warnings": []}
     mismatch = False
@@ -326,8 +350,8 @@ def run_diskvanish(config: dict, out_dir: Path, seed: int) -> dict:
         case = item.get("case")
         if case not in REFERENCE_COUPLINGS:
             raise errors.ConfigError(f"unknown diskvanish case {case}")
-        N = int(item.get("N", 20))
-        margin = int(item.get("margin", 2))
+        N = _integer(item.get("N", 20), f"{case} N")
+        margin = _integer(item.get("margin", 2), f"{case} margin")
         couplings = item.get("couplings", list(REFERENCE_COUPLINGS[case]))
         try:
             system = build_relations(case, N, couplings)
@@ -447,7 +471,8 @@ def main(argv=None) -> int:
             config = {"schema": SCHEMA, "experiment": "selftest"}
         else:
             raise errors.ConfigError("--config is required")
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        seed = _integer(args.seed if args.seed is not None else config.get("seed", 0),
+                        "seed")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         report = RUNNERS[args.command](config, out_dir, seed)

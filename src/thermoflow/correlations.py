@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DepthMismatch, NotMeanZero
 from .sft import DepthKFunction, Sft
 from .transfer import (MarkovMeasure, RuelleMatrix, require_normalized, ruelle_matrix,
-                       stationary_vector, _gap_estimate)
+                       stationary_vector, _perron)
 
 MEAN_ZERO_TOL = 1e-8
 
@@ -23,15 +23,13 @@ class EquilibriumContext:
     """Shared machinery for correlation sums at a common working depth."""
 
     def __init__(self, sft: Sft, w_norm: DepthKFunction, depth: int | None = None):
-        require_normalized(sft, w_norm)
-        k = max(w_norm.depth, depth or 1)
         self.sft = sft
         self.w = w_norm
-        self.rm: RuelleMatrix = ruelle_matrix(sft, w_norm, depth=k)
+        self.rm: RuelleMatrix = ruelle_matrix(sft, w_norm, depth=depth)
+        require_normalized(self.rm)
         self.depth = self.rm.depth
-        self.m = stationary_vector(self.rm)
-        ones = np.ones(len(self.rm.words))
-        self.gap = _gap_estimate(self.rm.matrix, 1.0, ones, self.m)
+        # L 1 = 1, so nu is the stationary vector and |lambda_2| sets the decay
+        _, _, self.m, self.gap = _perron(self.rm.matrix)
 
     def vector(self, f: DepthKFunction) -> np.ndarray:
         if f.depth > self.depth:

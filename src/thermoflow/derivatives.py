@@ -16,7 +16,7 @@ from typing import Callable
 from .correlations import EquilibriumContext, covariance, triple_covariance, variance
 from .errors import DegenerateDenominator, HypothesisViolated
 from .sft import DepthKFunction, Sft
-from .transfer import equilibrium_measure, normalize_potential, pressure, rpf
+from .transfer import normalize_potential, pressure, rpf
 
 FIRST_DERIV_TOL = 1e-8
 
@@ -122,18 +122,22 @@ def _add(a, b):
 
 @dataclass
 class _Base:
-    data: object
+    pressure: float
     w_norm: DepthKFunction
     m: object
     ctx: EquilibriumContext
 
 
 def _prepare(family: PotentialFamily, depth: int | None = None) -> _Base:
+    """One RPF solve of the base potential, its normalization and its context.
+
+    The normalized potential, hence the context, does not change when a
+    constant is added to f0, so no caller needs to shift the base first.
+    """
     data = rpf(family.sft, family.f0)
     w_norm = normalize_potential(family.sft, family.f0, data)
-    m = equilibrium_measure(family.sft, family.f0, data)
     ctx = EquilibriumContext(family.sft, w_norm, depth=depth)
-    return _Base(data=data, w_norm=w_norm, m=m, ctx=ctx)
+    return _Base(pressure=data.pressure, w_norm=w_norm, m=ctx.measure(), ctx=ctx)
 
 
 def _ctx_depth(family: PotentialFamily) -> int:
@@ -181,12 +185,11 @@ def pressure_d2_mixed(family: PotentialFamily, params=(0, 1),
 
 def pressure_d3(family: PotentialFamily, param: int = 0,
                 N: int | None = None) -> float:
-    """Triple covariance + 3 cov(d1, d2) + int d^3 f dm at a pressure-zero base.
+    """Triple covariance + 3 cov(d1, d2) + int d^3 f dm.
 
-    The base is shifted by its pressure constant first (this changes no
-    derivative), then the vanishing of the first derivative is enforced.
+    A constant added to the base changes neither the equilibrium state nor any
+    derivative; the vanishing of the first derivative is enforced.
     """
-    family = _shift_base_to_pressure_zero(family)
     base = _prepare(family, depth=_ctx_depth(family))
     _check_first_derivs_zero(base, family, [param])
     g1 = family.partial((param,))
@@ -201,7 +204,6 @@ def pressure_d3(family: PotentialFamily, param: int = 0,
 def pressure_d3_mixed(family: PotentialFamily, params=(0, 1, 2),
                       N: int | None = None) -> float:
     """Five-term third mixed derivative for a three-parameter family."""
-    family = _shift_base_to_pressure_zero(family)
     base = _prepare(family, depth=_ctx_depth(family))
     _check_first_derivs_zero(base, family, params)
     u, v, w = params
@@ -217,18 +219,6 @@ def pressure_d3_mixed(family: PotentialFamily, params=(0, 1, 2),
     c3 = covariance(gw, family.partial((u, v)), base.m, base.w_norm, N=N, ctx=base.ctx)
     third = base.ctx.integrate(family.partial((u, v, w)))
     return trip.value + c1.value + c2.value + c3.value + third
-
-
-def _shift_base_to_pressure_zero(family: PotentialFamily) -> PotentialFamily:
-    p0 = pressure(family.sft, family.f0)
-    if abs(p0) < 1e-13:
-        return family
-    f0 = family.f0 - p0
-    ev = family.evaluator
-    return PotentialFamily(sft=family.sft, nparams=family.nparams, f0=f0,
-                           evaluator=lambda params: ev(params) - p0,
-                           partials=family.partials,
-                           complete_partials=family.complete_partials)
 
 
 _FD_STEPS = {1: 1e-4, 2: 5e-3, 3: 1e-2}
@@ -256,10 +246,8 @@ def measure_derivative(w_family: PotentialFamily, f_family: PotentialFamily,
                        N: int | None = None) -> float:
     """d/ds int w_s dm_{f_s} at 0 = Cov(w_0, d_s f_0) + int d_s w_0 dm.
 
-    Adding constants to the f-family does not change its equilibrium states,
-    so the base is pressure-shifted to zero internally.
+    Adding constants to the f-family does not change its equilibrium states.
     """
-    f_family = _shift_base_to_pressure_zero(f_family)
     depth = max(_ctx_depth(f_family), _ctx_depth(w_family))
     base = _prepare(f_family, depth=depth)
     w0 = w_family.f0
@@ -316,9 +304,8 @@ def pressure_metric_d1(family: PotentialFamily, params=(0, 1, 2),
     int F dm = -1 this is the display itself.
     """
     base = _prepare(family, depth=_ctx_depth(family))
-    p0 = pressure(family.sft, family.f0)
-    if abs(p0) > FIRST_DERIV_TOL:
-        raise HypothesisViolated("base pressure", p0)
+    if abs(base.pressure) > FIRST_DERIV_TOL:
+        raise HypothesisViolated("base pressure", base.pressure)
     _check_first_derivs_zero(base, family, params)
     f0_centered = family.f0 - base.ctx.integrate(family.f0)
     if f0_centered.sup_norm() > 1e-9:

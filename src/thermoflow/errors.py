@@ -26,10 +26,7 @@ class DepthMismatch(ThermoflowError):
 
 
 class NoConvergence(ThermoflowError):
-    def __init__(self, max_iter, residual=None):
-        self.max_iter = max_iter
-        self.residual = residual
-        super().__init__(f"no convergence after {max_iter} iterations (residual={residual})")
+    """An iterative eigensolver stopped before converging."""
 
 
 class NonPositiveEigenfunction(ThermoflowError):

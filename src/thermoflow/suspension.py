@@ -155,12 +155,12 @@ def flow_pressure(flow: SuspensionFlow, F: FlowFunction | None,
             hi = mid
     c = 0.5 * (lo + hi)
     for _ in range(50):
-        pc = P(c)
-        if abs(pc) < residual_tol:
+        w = hat - roof * c
+        data = rpf(s, w)
+        if abs(data.pressure) < residual_tol:
             return c
-        m_c = equilibrium_measure(s, hat - roof * c)
-        slope = -flow_measure_factor(m_c, roof)
-        c = c - pc / slope
+        slope = -flow_measure_factor(equilibrium_measure(s, w, data), roof)
+        c = c - data.pressure / slope
     raise BracketingFailed(f"Newton refinement stalled at |P| = {abs(P(c)):.3e}")
 
 
@@ -205,9 +205,8 @@ def flow_pressure_derivative_transfer(flow: SuspensionFlow, family: FlowFamily,
     hat1 = _hat_or_zero(flow, family.G1)
     hat2 = _hat_or_zero(flow, family.G2)
     hat3 = _hat_or_zero(flow, family.G3)
-    m = equilibrium_measure(s, hat0)
-    R = flow_measure_factor(m, roof)
     data = rpf(s, hat0)
+    R = flow_measure_factor(equilibrium_measure(s, hat0, data), roof)
     wn = normalize_potential(s, hat0, data)
     depth = max(hat0.depth, hat1.depth, hat2.depth, hat3.depth, roof.depth, wn.depth)
     ctx = EquilibriumContext(s, wn, depth=depth)

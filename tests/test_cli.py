@@ -42,6 +42,38 @@ def test_malformed_config_exit_2(tmp_path):
     assert _run(["pressure", "--config", bad, "--out", tmp_path]) == 2
 
 
+def test_config_not_an_object_exit_2(tmp_path, capsys):
+    bad = tmp_path / "array.json"
+    bad.write_text(json.dumps([{"schema": 1, "experiment": "pressure"}]))
+    assert _run(["pressure", "--config", bad, "--out", tmp_path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_depth_past_word_budget_exit_3(tmp_path, capsys):
+    """Word counts can also overflow at derived depths, so this is numerical."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "pressure",
+                               "sft": {"transition": [[1, 1], [1, 1]]},
+                               "potential": {"kind": "random", "depth": 25}}))
+    assert _run(["pressure", "--config", cfg, "--out", tmp_path]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_arpack_no_convergence_exit_3(tmp_path, capsys, monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from thermoflow import transfer
+
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("stalled", None, None)
+
+    monkeypatch.setattr(transfer, "DENSE_WORDS", 0)
+    monkeypatch.setattr(transfer, "eigs", stalled)
+    assert _run(["pressure", "--config", CONFIGS / "pressure_golden_mean.json",
+                 "--out", tmp_path]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_wrong_schema_exit_2(tmp_path):
     bad = tmp_path / "bad_schema.json"
     bad.write_text(json.dumps({"schema": 99, "experiment": "pressure"}))
@@ -106,6 +138,19 @@ GOLDEN_MEAN = {"transition": [[1, 1], [1, 0]]}
     {"experiment": "suspension", "sft": GOLDEN_MEAN,
      "roof": {"kind": "constant", "value": -1}},
     {"experiment": "diskvanish", "cases": [{"case": "ZZ", "N": 8}]},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN, "seed": "x"},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN, "seed": -1},
+    {"experiment": "pressure", "sft": [[1, 1], [1, 0]]},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN, "potential": 3},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN, "derivative_families": 5},
+    {"experiment": "suspension", "sft": GOLDEN_MEAN, "roof": 2.0},
+    {"experiment": "suspension", "sft": GOLDEN_MEAN, "families": 5},
+    {"experiment": "holonomy", "orbits": {"kind": "random", "count": "x"},
+     "variations": False},
+    {"experiment": "diskvanish", "cases": [{"case": "AB", "N": "x"}]},
+    {"experiment": "diskvanish", "cases": [5]},
+    {"experiment": "pressure", "sft": {"transition": [[0, 1], [1, 0]]}},
+    {"experiment": "suspension", "sft": {"transition": [[0, 1], [1, 0]]}},
 ])
 def test_bad_field_values_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"

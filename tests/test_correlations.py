@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,43 @@ def test_tail_bound_decreases_geometrically():
               if bounds[i] > 1e-200]
     for r in ratios:
         assert r <= ctx.gap + 0.05
+
+
+def test_equilibrium_context_kills_constants():
+    s = golden_mean_shift()
+    wn, _ = _setup(s, constant_function(s, 0.0))
+    ctx = EquilibriumContext(s, wn)
+    v = ctx.vector(constant_function(s, 1.0, depth=ctx.depth))
+    out = ctx.apply_L(v - ctx.integrate_vec(v))
+    assert np.abs(out).max() < 1e-12
+
+
+def test_equilibrium_context_decay():
+    s = golden_mean_shift()
+    rng = np.random.default_rng(4)
+    wn, _ = _setup(s, random_function(s, 2, rng, scale=0.3))
+    ctx = EquilibriumContext(s, wn, depth=3)
+    r = ctx.gap
+    assert 0.0 <= r < 1.0
+    vec = ctx.vector(random_function(s, 3, rng))
+    vec = vec - ctx.integrate_vec(vec)
+    norms = []
+    for _ in range(40):
+        vec = ctx.apply_L(vec - ctx.integrate_vec(vec))
+        norms.append(np.abs(vec).max())
+    # geometric decay at rate <= r (+ slack)
+    for i in range(20, 39):
+        if norms[i] > 1e-200:
+            assert norms[i + 1] <= (r + 0.05) * norms[i] + 1e-250
+
+
+def test_equilibrium_context_full_shift_depth1_gap_zero():
+    s = full_shift(2)
+    ctx = EquilibriumContext(s, constant_function(s, -math.log(2)))
+    assert ctx.gap == pytest.approx(0.0, abs=1e-12)
+
+
+def test_equilibrium_context_requires_normalized():
+    s = full_shift(2)
+    with pytest.raises(errors.NotNormalized):
+        EquilibriumContext(s, constant_function(s, 0.0))

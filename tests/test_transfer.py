@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from thermoflow import errors
+from thermoflow import errors, transfer
+from thermoflow.correlations import EquilibriumContext
 from thermoflow.sft import (coboundary, constant_function, full_shift, golden_mean_shift,
                             new_sft, random_function)
-from thermoflow.transfer import (TransferWithProjection, equilibrium_measure,
-                                 normalization_defect, normalize_potential, pressure,
-                                 rpf, ruelle_matrix, stationary_vector)
+from thermoflow.transfer import (_perron, equilibrium_measure, normalization_defect,
+                                 normalize_potential, pressure, rpf, ruelle_matrix,
+                                 stationary_vector)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -247,49 +248,61 @@ def test_variational_principle_cross_check():
     assert P == pytest.approx(cond_entropy + integral, abs=1e-6)
 
 
-def test_transfer_with_projection_kills_constants():
+def _random_mixing_shift(rng, n):
+    while True:
+        t = (rng.uniform(size=(n, n)) < 0.6).astype(int)
+        if t.sum(axis=0).all() and t.sum(axis=1).all() and new_sft(t.tolist()).is_mixing:
+            return new_sft(t.tolist())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_perron_dense_and_arpack_agree(monkeypatch, seed):
+    """Both branches of the spectral core on the same matrices, to 1e-12."""
+    rng = np.random.default_rng([seed, 2026])
+    s = _random_mixing_shift(rng, 3 + seed % 2)
+    for depth in (2, 3):
+        rm = ruelle_matrix(s, random_function(s, depth, rng, scale=0.6))
+        monkeypatch.setattr(transfer, "DENSE_WORDS", 10 ** 6)
+        dense = _perron(rm.matrix)
+        monkeypatch.setattr(transfer, "DENSE_WORDS", 0)
+        arpack = _perron(rm.matrix)
+        rho, h, nu, ratio = dense
+        assert arpack[0] == pytest.approx(rho, abs=1e-12 * rho)
+        assert np.max(np.abs(arpack[1] - h)) < 1e-12
+        assert np.max(np.abs(arpack[2] - nu)) < 1e-12
+        assert arpack[3] == pytest.approx(ratio, abs=1e-12)
+        assert np.all(h > 0) and np.all(nu > 0)
+        assert nu.sum() == pytest.approx(1.0, abs=1e-14)
+        assert nu @ h == pytest.approx(1.0, abs=1e-12)
+
+
+def _eigvals_ratio(matrix):
+    lam = sorted(np.linalg.eigvals(matrix.toarray()), key=abs, reverse=True)
+    return abs(lam[1]) / abs(lam[0]), lam[1]
+
+
+def test_gap_is_exact_second_modulus_with_complex_lambda2():
     s = golden_mean_shift()
-    w = constant_function(s, 0.0)
+    rng = np.random.default_rng(5)
+    for _ in range(7):
+        w = random_function(s, 3, rng, scale=0.8)
+    exact, lam2 = _eigvals_ratio(ruelle_matrix(s, w).matrix)
+    assert abs(lam2.imag) > 0.1
+    assert exact == pytest.approx(0.6238, abs=1e-4)
     data = rpf(s, w)
-    wn = normalize_potential(s, w, data)
-    m = equilibrium_measure(s, w, data)
-    T = TransferWithProjection(s, wn, m)
-    out = T.apply(constant_function(s, 1.0, depth=T.rm.depth))
-    assert np.abs(out).max() < 1e-12
+    assert data.gap_estimate == pytest.approx(exact, abs=1e-12)
+    ctx = EquilibriumContext(s, normalize_potential(s, w, data))
+    assert ctx.gap == pytest.approx(exact, abs=1e-12)
+    assert ctx.default_truncation() == math.ceil(math.log(1e-12) / math.log(exact)) == 59
 
 
-def test_transfer_with_projection_decay():
-    s = golden_mean_shift()
-    rng = np.random.default_rng(4)
-    w = random_function(s, 2, rng, scale=0.3)
+@pytest.mark.parametrize("seed", range(4))
+def test_gap_matches_eigvals_on_random_shifts(seed):
+    rng = np.random.default_rng([seed, 7])
+    s = _random_mixing_shift(rng, 3)
+    w = random_function(s, 2, rng, scale=0.7)
     data = rpf(s, w)
-    wn = normalize_potential(s, w, data)
-    m = equilibrium_measure(s, w, data)
-    T = TransferWithProjection(s, wn, m, depth=3)
-    r = T.spectral_radius_estimate
-    assert 0.0 <= r < 1.0
-    g = random_function(s, 3, rng)
-    vec = T.project(T.rm.vector_of(g).real)
-    norms = []
-    for _ in range(40):
-        vec = T.apply(vec)
-        norms.append(np.abs(vec).max())
-    # geometric decay at rate <= r (+ slack)
-    for i in range(20, 39):
-        if norms[i] > 1e-200:
-            assert norms[i + 1] <= (r + 0.05) * norms[i] + 1e-250
-
-
-def test_transfer_with_projection_full_shift_depth1_r_zero():
-    s = full_shift(2)
-    w = constant_function(s, -math.log(2))
-    m = equilibrium_measure(s, constant_function(s, 0.0))
-    T = TransferWithProjection(s, w, m)
-    assert T.spectral_radius_estimate == pytest.approx(0.0, abs=1e-12)
-
-
-def test_transfer_with_projection_requires_normalized():
-    s = full_shift(2)
-    m = equilibrium_measure(s, constant_function(s, 0.0))
-    with pytest.raises(errors.NotNormalized):
-        TransferWithProjection(s, constant_function(s, 0.0), m)
+    exact, _ = _eigvals_ratio(ruelle_matrix(s, w).matrix)
+    assert data.gap_estimate == pytest.approx(exact, abs=1e-12)
+    ctx = EquilibriumContext(s, normalize_potential(s, w, data))
+    assert ctx.gap == pytest.approx(_eigvals_ratio(ctx.rm.matrix)[0], abs=1e-12)
