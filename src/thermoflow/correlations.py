@@ -1,20 +1,27 @@
 """Variance, covariance and triple covariance against equilibrium measures.
 
 Correlation sums are evaluated with the normalized transfer operator via
-m(f * g o sigma^j) = m(L^j f * g); the spectral gap makes the sums geometric,
-which justifies the truncation and yields a computable tail bound.
+m(f * g o sigma^j) = m(L^j f * g). L 1 = 1 and m^T L = m^T, so every series
+sum_{j>=0} L^j v over a mean-zero v is the solution x of (I - L) x = v with
+m(x) = 0, i.e. x = (I - L + 1 m^T)^{-1} v (Kemeny & Snell, Finite Markov
+Chains, 1960). The sums are exact linear solves with no truncation order; each
+report states an a-posteriori bound from the solve residuals.
 """
 from __future__ import annotations
 
-import math
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .errors import DepthMismatch, NotMeanZero
 from .sft import DepthKFunction, Sft
-from .transfer import (MarkovMeasure, RuelleMatrix, require_normalized, ruelle_matrix,
-                       stationary_vector, _perron)
+from .transfer import (DENSE_WORDS, MarkovMeasure, RuelleMatrix, require_normalized,
+                       ruelle_matrix, stationary_vector, _perron)
 
 MEAN_ZERO_TOL = 1e-8
 
@@ -49,16 +56,50 @@ class EquilibriumContext:
         return MarkovMeasure(self.sft, self.depth,
                              {w: float(self.m[i]) for i, w in enumerate(self.rm.words)})
 
-    def default_truncation(self, floor: float = 1e-12, lo: int = 20, hi: int = 80) -> int:
-        g = self.gap
-        if g <= 0.0:
-            return lo
-        n = int(math.ceil(math.log(floor) / math.log(g)))
-        return min(max(n, lo), hi)
+    @functools.cached_property
+    def _factor(self):
+        """(A, solve, ||A^-1||_1) for the fundamental system, built on first use.
+
+        Up to DENSE_WORDS words A = I - L + 1 m^T with a dense LU; above, A is
+        the bordered [[I - L, 1], [m^T, 0]] with a sparse LU. The bordered
+        matrix is nonsingular because 1 is a simple eigenvalue of L.
+        """
+        n = len(self.m)
+        ones = np.ones(n)
+        if n <= DENSE_WORDS:
+            a = np.eye(n) - self.rm.matrix.toarray() + np.outer(ones, self.m)
+            lu = scipy.linalg.lu_factor(a)
+            norm = np.abs(a).sum(axis=0).max()
+            rcond, _ = scipy.linalg.lapack.dgecon(lu[0], norm)
+            return a, functools.partial(scipy.linalg.lu_solve, lu), 1.0 / (rcond * norm)
+        a = sp.bmat([[sp.identity(n) - self.rm.matrix, ones[:, None]],
+                     [self.m[None, :], None]], format="csc")
+        lu = splu(a)
+        inverse = LinearOperator(a.shape, matvec=lu.solve, dtype=float,
+                                 rmatvec=lambda y: lu.solve(y, trans="T"))
+        return a, lu.solve, onenormest(inverse)
+
+    def sums(self, vecs: np.ndarray, lo=0, err_in=0.0):
+        """Columns sum_{j>=lo} L^j (v - m(v)) over the columns v of `vecs`.
+
+        Also returns, per column, a bound on the 1-norm of its error up to a
+        multiple of 1 (which pairs to zero with a mean-zero vector): ||A^-1||_1
+        times the solve residual, plus the input error `err_in` carried
+        through the solve. `lo` and `err_in` may vary by column.
+        """
+        a, solve, inv_norm = self._factor
+        b = vecs - self.m @ vecs
+        rhs = np.vstack([b, np.zeros((a.shape[0] - len(b), b.shape[1]))])
+        x = solve(rhs)
+        resid = np.abs(rhs - a @ x).sum(axis=0)
+        return x[:len(b)] - lo * b, inv_norm * (err_in + resid) + lo * err_in
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
+    """`truncation` is 0 (the sums are exact solves); `tail_bound` bounds the
+    error of `value` from the solve residuals."""
+
     value: float
     truncation: int
     tail_bound: float
@@ -79,45 +120,25 @@ def _require_mean_zero(ctx: EquilibriumContext, vec: np.ndarray):
         raise NotMeanZero(mean)
 
 
-def _pair_terms(ctx: EquilibriumContext, v1: np.ndarray, v2: np.ndarray, N: int):
-    """m(g1 * g2 o sigma^j) for j = 0..N and m(g2 * g1 o sigma^j) for j = 1..N."""
-    fwd = np.empty(N + 1)
-    bwd = np.empty(N + 1)
-    u = v1.copy()
-    fwd[0] = ctx.integrate_vec(u * v2)
-    for j in range(1, N + 1):
-        u = ctx.apply_L(u)
-        fwd[j] = ctx.integrate_vec(u * v2)
-    u = v2.copy()
-    bwd[0] = fwd[0]
-    for j in range(1, N + 1):
-        u = ctx.apply_L(u)
-        bwd[j] = ctx.integrate_vec(u * v1)
-    return fwd, bwd
-
-
-def _geometric_tail(terms: np.ndarray, gap: float, N: int) -> float:
-    r = min(max(gap, 1e-6), 1.0 - 1e-9)
-    last = np.max(np.abs(terms[max(0, N - 4): N + 1]))
-    return float(last * r / (1.0 - r) + 1e-300)
+def _weight(ctx: EquilibriumContext, cols: np.ndarray) -> np.ndarray:
+    """max |m * v| per column v: turns a 1-norm error of x into one of m(v * x)."""
+    return np.abs(ctx.m[:, None] * cols).max(axis=0)
 
 
 def variance(g: DepthKFunction, m: MarkovMeasure, w: DepthKFunction,
-             N: int | None = None, ctx: EquilibriumContext | None = None) -> CorrelationReport:
-    """Green-Kubo sum m(g^2) + 2 sum_{j=1..N} m(g * g o sigma^j)."""
+             ctx: EquilibriumContext | None = None) -> CorrelationReport:
+    """Green-Kubo sum m(g^2) + 2 sum_{j>=1} m(g * g o sigma^j)."""
     ctx = ctx or EquilibriumContext(g.sft, w, depth=max(g.depth, m.depth))
     v = ctx.vector(g)
     _require_mean_zero(ctx, v)
-    N = N if N is not None else ctx.default_truncation()
-    fwd, _ = _pair_terms(ctx, v, v, N)
-    value = fwd[0] + 2.0 * fwd[1:].sum()
-    return CorrelationReport(value=float(value), truncation=N,
-                             tail_bound=2.0 * _geometric_tail(fwd, ctx.gap, N), gap=ctx.gap)
+    s1, err = ctx.sums(v[:, None], lo=1)
+    value = ctx.integrate_vec(v * v) + 2.0 * ctx.integrate_vec(v * s1[:, 0])
+    bound = 2.0 * float(_weight(ctx, v[:, None]) @ err)
+    return CorrelationReport(value, truncation=0, tail_bound=bound, gap=ctx.gap)
 
 
 def covariance(g1: DepthKFunction, g2: DepthKFunction, m: MarkovMeasure,
-               w: DepthKFunction, N: int | None = None,
-               ctx: EquilibriumContext | None = None) -> CorrelationReport:
+               w: DepthKFunction, ctx: EquilibriumContext | None = None) -> CorrelationReport:
     """Symmetric bilinear correlation sum; g2 is projected mean-zero first.
 
     Cov(g1, g2) = Cov(g1, P_m g2) holds because the cross terms average out,
@@ -129,75 +150,34 @@ def covariance(g1: DepthKFunction, g2: DepthKFunction, m: MarkovMeasure,
     _require_mean_zero(ctx, v1)
     v2 = ctx.vector(g2)
     v2 = v2 - ctx.integrate_vec(v2)
-    N = N if N is not None else ctx.default_truncation()
-    fwd, bwd = _pair_terms(ctx, v1, v2, N)
-    value = fwd[0] + fwd[1:].sum() + bwd[1:].sum()
-    tail = _geometric_tail(fwd, ctx.gap, N) + _geometric_tail(bwd, ctx.gap, N)
-    return CorrelationReport(value=float(value), truncation=N, tail_bound=tail, gap=ctx.gap)
-
-
-class _OrderedTripleGrid:
-    """Terms m(L^c(L^p(h1) * h2) * h3) for one ordering of the three factors."""
-
-    def __init__(self, ctx: EquilibriumContext, vecs, N: int):
-        self.ctx = ctx
-        self.vecs = vecs
-        self.N = N
-        self.cache: dict = {}
-
-    def grid(self, perm):
-        if perm in self.cache:
-            return self.cache[perm]
-        ctx, N = self.ctx, self.N
-        h1, h2, h3 = (self.vecs[i] for i in perm)
-        out = np.empty((2 * N + 1, 2 * N + 1))
-        u = h1.copy()
-        for p in range(2 * N + 1):
-            if p > 0:
-                u = ctx.apply_L(u)
-            z = u * h2
-            out[p, 0] = ctx.integrate_vec(z * h3)
-            for c in range(1, 2 * N + 1):
-                z = ctx.apply_L(z)
-                out[p, c] = ctx.integrate_vec(z * h3)
-        self.cache[perm] = out
-        return out
-
-    def term(self, shifts) -> float:
-        b = min(shifts)
-        a = [s - b for s in shifts]
-        order = sorted(range(3), key=lambda i: (a[i], i))
-        p = a[order[1]]
-        q = a[order[2]]
-        return float(self.grid(tuple(order))[p, q - p])
+    s1, err = ctx.sums(np.column_stack([v1, v2]), lo=1)
+    value = ctx.integrate_vec(v1 * v2 + s1[:, 0] * v2 + s1[:, 1] * v1)
+    bound = float(_weight(ctx, np.column_stack([v2, v1])) @ err)
+    return CorrelationReport(value, truncation=0, tail_bound=bound, gap=ctx.gap)
 
 
 def triple_covariance(g1: DepthKFunction, g2: DepthKFunction, g3: DepthKFunction,
-                      m: MarkovMeasure, w: DepthKFunction, N: int | None = None,
+                      m: MarkovMeasure, w: DepthKFunction,
                       ctx: EquilibriumContext | None = None) -> CorrelationReport:
-    """Double correlation sum over |n|, |m| <= N of m(g1 * g2 o sigma^n * g3 o sigma^m).
+    """Double correlation sum over all n, m of m(g1 * g2 o sigma^n * g3 o sigma^m).
 
-    This is the discrete form of the third-moment limit (1/n) int (S_n)^3; the
-    rearranged double sum converges geometrically thanks to the spectral gap.
+    This is the discrete form of the third-moment limit (1/n) int (S_n)^3.
+    Each index pair is one ordering (i, j, k) of the factors by shift, ties
+    broken by index, with gaps p, c >= 0; the ordering's share is
+    m(S_c(S_p(h_i) * h_j) * h_k) with lower limits p >= [i > j], c >= [j > k].
     """
     depth = max(g1.depth, g2.depth, g3.depth, m.depth)
     ctx = ctx or EquilibriumContext(g1.sft, w, depth=depth)
-    vecs = [ctx.vector(g) for g in (g1, g2, g3)]
-    for v in vecs:
+    h = np.column_stack([ctx.vector(g) for g in (g1, g2, g3)])
+    for v in h.T:
         _require_mean_zero(ctx, v)
-    N = N if N is not None else ctx.default_truncation()
-    grids = _OrderedTripleGrid(ctx, vecs, N)
-    total = 0.0
-    ring = 0.0
-    for a in range(-N, N + 1):
-        for b in range(-N, N + 1):
-            t = grids.term((0, a, b))
-            total += t
-            if max(abs(a), abs(b)) == N:
-                ring += abs(t)
-    r = min(max(ctx.gap, 1e-6), 1.0 - 1e-9)
-    tail = (ring + 1e-300) * r / (1.0 - r)
-    return CorrelationReport(value=float(total), truncation=N, tail_bound=tail, gap=ctx.gap)
+    i, j, k = np.array(list(itertools.permutations(range(3)))).T
+    inner, err = ctx.sums(h[:, i], lo=i > j)
+    outer, err = ctx.sums(inner * h[:, j], lo=j > k,
+                          err_in=np.abs(h[:, j]).max(axis=0) * err)
+    value = ctx.integrate_vec((outer * h[:, k]).sum(axis=1))
+    bound = float(_weight(ctx, h[:, k]) @ err)
+    return CorrelationReport(value, truncation=0, tail_bound=bound, gap=ctx.gap)
 
 
 def birkhoff_moment(ctx: EquilibriumContext, gs, n: int) -> float:
@@ -225,7 +205,7 @@ def birkhoff_moment(ctx: EquilibriumContext, gs, n: int) -> float:
         if m_here[iu] > 0:
             trans[iu][index[v]] = trans[iu].get(index[v], 0.0) + weight / m_here[iu]
     # state: for each window, joint moments E[1_window * prod_{i in subset} A_i]
-    subsets = [frozenset(s) for s in _all_subsets(k)]
+    subsets = _subsets(range(k))
     phi = {s: np.zeros(len(words)) for s in subsets}
     phi[frozenset()] = m_here.copy()
     for _ in range(n):
@@ -236,26 +216,17 @@ def birkhoff_moment(ctx: EquilibriumContext, gs, n: int) -> float:
             for iv, p in trans[iu].items():
                 for s in subsets:
                     acc = 0.0
-                    for sub in _all_subsets_of(s):
+                    for sub in _subsets(s):
                         coeff = 1.0
                         for i in s - sub:
                             coeff *= vecs[i][iu]
-                        acc += coeff * phi[frozenset(sub)][iu]
+                        acc += coeff * phi[sub][iu]
                     new[s][iv] += p * acc
         phi = new
     return float(phi[frozenset(range(k))].sum())
 
 
-def _all_subsets(k):
-    out = [[]]
-    for i in range(k):
-        out += [s + [i] for s in out]
-    return [tuple(s) for s in out]
-
-
-def _all_subsets_of(s):
-    items = sorted(s)
-    out = [[]]
-    for i in items:
-        out += [t + [i] for t in out]
-    return [frozenset(t) for t in out]
+def _subsets(items) -> list:
+    items = sorted(items)
+    return [frozenset(c) for r in range(len(items) + 1)
+            for c in itertools.combinations(items, r)]

@@ -127,6 +127,9 @@ class _Base:
     m: object
     ctx: EquilibriumContext
 
+    def centered(self, g: DepthKFunction) -> DepthKFunction:
+        return g - self.ctx.integrate(g)
+
 
 def _prepare(family: PotentialFamily, depth: int | None = None) -> _Base:
     """One RPF solve of the base potential, its normalization and its context.
@@ -159,32 +162,26 @@ def _check_first_derivs_zero(base: _Base, family: PotentialFamily, params):
             raise HypothesisViolated(f"first derivative in parameter {p}", val)
 
 
-def pressure_d2(family: PotentialFamily, param: int = 0,
-                N: int | None = None) -> float:
+def pressure_d2(family: PotentialFamily, param: int = 0) -> float:
     """Var(d_s f_0) + int d_ss f_0 dm; requires the first derivative to vanish."""
     base = _prepare(family, depth=_ctx_depth(family))
     _check_first_derivs_zero(base, family, [param])
-    g = family.partial((param,))
-    g0 = g - base.ctx.integrate(g)
-    var = variance(g0, base.m, base.w_norm, N=N, ctx=base.ctx)
+    g0 = base.centered(family.partial((param,)))
+    var = variance(g0, base.m, base.w_norm, ctx=base.ctx)
     return var.value + base.ctx.integrate(family.partial((param, param)))
 
 
-def pressure_d2_mixed(family: PotentialFamily, params=(0, 1),
-                      N: int | None = None) -> float:
+def pressure_d2_mixed(family: PotentialFamily, params=(0, 1)) -> float:
     """Cov(P d_s f, P d_t f) + int d_st f dm for a two-parameter family."""
     base = _prepare(family, depth=_ctx_depth(family))
     _check_first_derivs_zero(base, family, params)
     i, j = params
-    gi = family.partial((i,))
-    gj = family.partial((j,))
-    gi = gi - base.ctx.integrate(gi)
-    cov = covariance(gi, gj, base.m, base.w_norm, N=N, ctx=base.ctx)
+    gi = base.centered(family.partial((i,)))
+    cov = covariance(gi, family.partial((j,)), base.m, base.w_norm, ctx=base.ctx)
     return cov.value + base.ctx.integrate(family.partial((i, j)))
 
 
-def pressure_d3(family: PotentialFamily, param: int = 0,
-                N: int | None = None) -> float:
+def pressure_d3(family: PotentialFamily, param: int = 0) -> float:
     """Triple covariance + 3 cov(d1, d2) + int d^3 f dm.
 
     A constant added to the base changes neither the equilibrium state nor any
@@ -192,31 +189,24 @@ def pressure_d3(family: PotentialFamily, param: int = 0,
     """
     base = _prepare(family, depth=_ctx_depth(family))
     _check_first_derivs_zero(base, family, [param])
-    g1 = family.partial((param,))
-    g1 = g1 - base.ctx.integrate(g1)
+    g1 = base.centered(family.partial((param,)))
     g2 = family.partial((param, param))
-    trip = triple_covariance(g1, g1, g1, base.m, base.w_norm, N=N, ctx=base.ctx)
-    cov = covariance(g1, g2, base.m, base.w_norm, N=N, ctx=base.ctx)
+    trip = triple_covariance(g1, g1, g1, base.m, base.w_norm, ctx=base.ctx)
+    cov = covariance(g1, g2, base.m, base.w_norm, ctx=base.ctx)
     third = base.ctx.integrate(family.partial((param, param, param)))
     return trip.value + 3.0 * cov.value + third
 
 
-def pressure_d3_mixed(family: PotentialFamily, params=(0, 1, 2),
-                      N: int | None = None) -> float:
+def pressure_d3_mixed(family: PotentialFamily, params=(0, 1, 2)) -> float:
     """Five-term third mixed derivative for a three-parameter family."""
     base = _prepare(family, depth=_ctx_depth(family))
     _check_first_derivs_zero(base, family, params)
     u, v, w = params
-    gu = family.partial((u,))
-    gv = family.partial((v,))
-    gw = family.partial((w,))
-    gu = gu - base.ctx.integrate(gu)
-    gv = gv - base.ctx.integrate(gv)
-    gw = gw - base.ctx.integrate(gw)
-    trip = triple_covariance(gu, gv, gw, base.m, base.w_norm, N=N, ctx=base.ctx)
-    c1 = covariance(gu, family.partial((v, w)), base.m, base.w_norm, N=N, ctx=base.ctx)
-    c2 = covariance(gv, family.partial((u, w)), base.m, base.w_norm, N=N, ctx=base.ctx)
-    c3 = covariance(gw, family.partial((u, v)), base.m, base.w_norm, N=N, ctx=base.ctx)
+    gu, gv, gw = (base.centered(family.partial((p,))) for p in params)
+    trip = triple_covariance(gu, gv, gw, base.m, base.w_norm, ctx=base.ctx)
+    c1 = covariance(gu, family.partial((v, w)), base.m, base.w_norm, ctx=base.ctx)
+    c2 = covariance(gv, family.partial((u, w)), base.m, base.w_norm, ctx=base.ctx)
+    c3 = covariance(gw, family.partial((u, v)), base.m, base.w_norm, ctx=base.ctx)
     third = base.ctx.integrate(family.partial((u, v, w)))
     return trip.value + c1.value + c2.value + c3.value + third
 
@@ -242,40 +232,33 @@ def fd_oracle(family: PotentialFamily, order: int, h: float | None = None,
     return (P(2 * h) - 2 * P(h) + 2 * P(-h) - P(-2 * h)) / (2 * h ** 3)
 
 
-def measure_derivative(w_family: PotentialFamily, f_family: PotentialFamily,
-                       N: int | None = None) -> float:
+def measure_derivative(w_family: PotentialFamily, f_family: PotentialFamily) -> float:
     """d/ds int w_s dm_{f_s} at 0 = Cov(w_0, d_s f_0) + int d_s w_0 dm.
 
     Adding constants to the f-family does not change its equilibrium states.
     """
     depth = max(_ctx_depth(f_family), _ctx_depth(w_family))
     base = _prepare(f_family, depth=depth)
-    w0 = w_family.f0
-    df = f_family.partial((0,))
-    df = df - base.ctx.integrate(df)
-    w0c = w0 - base.ctx.integrate(w0)
-    cov = covariance(w0c, df, base.m, base.w_norm, N=N, ctx=base.ctx)
+    df = base.centered(f_family.partial((0,)))
+    cov = covariance(base.centered(w_family.f0), df, base.m, base.w_norm, ctx=base.ctx)
     return cov.value + base.ctx.integrate(w_family.partial((0,)))
 
 
-def pressure_metric(family: PotentialFamily, params=(0, 1),
-                    N: int | None = None) -> float:
+def pressure_metric(family: PotentialFamily, params=(0, 1)) -> float:
     """-Cov(d_u F, d_v F, m_F) / int F dm_F for a pressure-zero base."""
     base = _prepare(family, depth=_ctx_depth(family))
     denom = base.ctx.integrate(family.f0)
     if abs(denom) < 1e-12:
         raise DegenerateDenominator(f"int F dm = {denom}")
     i, j = params
-    gi = family.partial((i,))
-    gj = family.partial((j,))
-    gi = gi - base.ctx.integrate(gi)
-    cov = covariance(gi, gj, base.m, base.w_norm, N=N, ctx=base.ctx)
+    gi = base.centered(family.partial((i,)))
+    cov = covariance(gi, family.partial((j,)), base.m, base.w_norm, ctx=base.ctx)
     return -cov.value / denom
 
 
 def pressure_metric_d1_terms(du: DepthKFunction, dv: DepthKFunction, dw: DepthKFunction,
                              dwv: DepthKFunction, dwu: DepthKFunction,
-                             m, w_norm: DepthKFunction, N: int | None = None,
+                             m, w_norm: DepthKFunction,
                              ctx: EquilibriumContext | None = None) -> float:
     """Three-term first variation of the metric numerator.
 
@@ -288,14 +271,13 @@ def pressure_metric_d1_terms(du: DepthKFunction, dv: DepthKFunction, dw: DepthKF
     du = du - ctx.integrate(du)
     dv = dv - ctx.integrate(dv)
     dw = dw - ctx.integrate(dw)
-    trip = triple_covariance(du, dv, dw, m, w_norm, N=N, ctx=ctx)
-    c1 = covariance(du, dwv, m, w_norm, N=N, ctx=ctx)
-    c2 = covariance(dv, dwu, m, w_norm, N=N, ctx=ctx)
+    trip = triple_covariance(du, dv, dw, m, w_norm, ctx=ctx)
+    c1 = covariance(du, dwv, m, w_norm, ctx=ctx)
+    c2 = covariance(dv, dwu, m, w_norm, ctx=ctx)
     return trip.value + c1.value + c2.value
 
 
-def pressure_metric_d1(family: PotentialFamily, params=(0, 1, 2),
-                       N: int | None = None) -> float:
+def pressure_metric_d1(family: PotentialFamily, params=(0, 1, 2)) -> float:
     """d/dw of the pressure metric <d_u, d_v> along a pressure-zero family.
 
     Hypotheses (checked): base pressure zero, all first pressure derivatives
@@ -317,5 +299,5 @@ def pressure_metric_d1(family: PotentialFamily, params=(0, 1, 2),
     s3 = pressure_metric_d1_terms(
         family.partial((u,)), family.partial((v,)), family.partial((w,)),
         family.partial((v, w)), family.partial((u, w)),
-        base.m, base.w_norm, N=N, ctx=base.ctx)
+        base.m, base.w_norm, ctx=base.ctx)
     return s3 / (-denom)

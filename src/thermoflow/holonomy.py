@@ -268,9 +268,6 @@ class ConnectionFamily:
     l: float
     dD: Callable  # t -> 3x3 derivative at s = 0
 
-    def connection_at(self, s: float) -> Callable:
-        return lambda t: M_CONN + s * self.dD(t)
-
     def gauge_shifted(self, gdot: Callable, gdot_prime: Callable) -> "ConnectionFamily":
         """dD -> dD + d(gdot)/dt + [A0, gdot] for a periodic section gdot."""
 

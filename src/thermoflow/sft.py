@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import CapacityExceeded, DepthMismatch, EmptyRowOrColumn, WordTooShort
 
@@ -37,12 +37,6 @@ class Sft:
 
     def successors(self, a: int) -> tuple:
         return tuple(b for b in range(self.alphabet_size) if self.transition[a][b])
-
-    def is_admissible(self, symbols: Iterable[int]) -> bool:
-        syms = tuple(symbols)
-        if any(not (0 <= s < self.alphabet_size) for s in syms):
-            return False
-        return all(self.transition[a][b] for a, b in zip(syms, syms[1:]))
 
     def word_count(self, k: int) -> int:
         """Number of admissible k-words (sum of entries of transition^(k-1))."""

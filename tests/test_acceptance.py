@@ -89,23 +89,21 @@ def test_criterion_3_livsic_invariance():
         comps.append(g - ctx.integrate(g))
     cb = lambda: coboundary(random_function(s, 2, rng, scale=0.5))
     worst = 0.0
-    v0 = variance(comps[0], m, wn, N=60, ctx=ctx).value
-    worst = max(worst, abs(variance(comps[0] + cb(), m, wn, N=60, ctx=ctx).value - v0))
-    c0 = covariance(comps[0], comps[1], m, wn, N=60, ctx=ctx).value
-    worst = max(worst, abs(covariance(comps[0] + cb(), comps[1], m, wn,
-                                      N=60, ctx=ctx).value - c0))
-    worst = max(worst, abs(covariance(comps[0], comps[1] + cb(), m, wn,
-                                      N=60, ctx=ctx).value - c0))
-    t0 = triple_covariance(comps[0], comps[1], comps[2], m, wn, N=45, ctx=ctx).value
+    v0 = variance(comps[0], m, wn, ctx=ctx).value
+    worst = max(worst, abs(variance(comps[0] + cb(), m, wn, ctx=ctx).value - v0))
+    c0 = covariance(comps[0], comps[1], m, wn, ctx=ctx).value
+    worst = max(worst, abs(covariance(comps[0] + cb(), comps[1], m, wn, ctx=ctx).value - c0))
+    worst = max(worst, abs(covariance(comps[0], comps[1] + cb(), m, wn, ctx=ctx).value - c0))
+    t0 = triple_covariance(comps[0], comps[1], comps[2], m, wn, ctx=ctx).value
     for idx in range(3):
         args = list(comps[:3])
         args[idx] = args[idx] + cb()
-        worst = max(worst, abs(triple_covariance(*args, m, wn, N=45, ctx=ctx).value - t0))
-    d0 = pressure_metric_d1_terms(*comps, m, wn, N=45, ctx=ctx)
+        worst = max(worst, abs(triple_covariance(*args, m, wn, ctx=ctx).value - t0))
+    d0 = pressure_metric_d1_terms(*comps, m, wn, ctx=ctx)
     for idx in range(5):
         args = list(comps)
         args[idx] = args[idx] + cb()
-        worst = max(worst, abs(pressure_metric_d1_terms(*args, m, wn, N=45, ctx=ctx) - d0))
+        worst = max(worst, abs(pressure_metric_d1_terms(*args, m, wn, ctx=ctx) - d0))
     ok = worst < 1e-6
     _report(3, "Livsic invariance of correlation functionals", ok, f"worst={worst:.2e}")
 

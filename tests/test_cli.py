@@ -29,6 +29,23 @@ def test_pressure_golden_mean_value(tmp_path):
         assert entry["abs_err"] < tol
 
 
+def test_pressure_bounds_come_from_the_sums_of_each_order(tmp_path):
+    assert _run(["pressure", "--config", CONFIGS / "pressure_golden_mean.json",
+                 "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "pressure_report.json").read_text())
+    rows = {(d["family"], d["order"]): d for d in report["derivatives"]}
+    assert len(rows) == 6
+    for (family, order), row in rows.items():
+        assert row["truncation_N"] == 0
+        assert math.isfinite(row["tail_bound"]) and 0.0 <= row["tail_bound"] < 1e-9
+        if order == 1:
+            assert row["tail_bound"] == 0.0
+        else:
+            assert row["tail_bound"] > 0.0
+    for family in (0, 1):
+        assert rows[family, 2]["tail_bound"] != rows[family, 3]["tail_bound"]
+
+
 def test_pressure_full_two_shift(tmp_path):
     assert _run(["pressure", "--config", CONFIGS / "pressure_full2.json",
                  "--out", tmp_path]) == 0
@@ -151,6 +168,8 @@ GOLDEN_MEAN = {"transition": [[1, 1], [1, 0]]}
     {"experiment": "diskvanish", "cases": [5]},
     {"experiment": "pressure", "sft": {"transition": [[0, 1], [1, 0]]}},
     {"experiment": "suspension", "sft": {"transition": [[0, 1], [1, 0]]}},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "derivative_families": {"count": 1, "depth": 2, "scale": "x"}},
 ])
 def test_bad_field_values_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from thermoflow import errors
+from conftest import series_covariance, series_triple, series_variance
+from thermoflow import correlations, errors
 from thermoflow.correlations import (EquilibriumContext, birkhoff_moment, covariance,
                                      project_mean_zero, triple_covariance, variance)
 from thermoflow.sft import (coboundary, constant_function, full_shift, golden_mean_shift,
@@ -69,7 +70,7 @@ def test_variance_of_coboundary_vanishes():
     w = random_function(s, 2, rng, scale=0.4)
     wn, m = _setup(s, w)
     v = random_function(s, 2, rng)
-    rep = variance(coboundary(v), m, wn, N=60)
+    rep = variance(coboundary(v), m, wn)
     assert abs(rep.value) < max(1e-10, rep.tail_bound * 10)
 
 
@@ -156,7 +157,7 @@ def test_triple_zero_argument():
     ctx = EquilibriumContext(s, wn, depth=1)
     z = constant_function(s, 0.0)
     g = indicator(s, 0) - 0.5
-    assert triple_covariance(z, g, g, m, wn, N=10, ctx=ctx).value == 0.0
+    assert triple_covariance(z, g, g, m, wn, ctx=ctx).value == 0.0
 
 
 def test_triple_coboundary_vanishes():
@@ -166,7 +167,7 @@ def test_triple_coboundary_vanishes():
     wn, m = _setup(s, w)
     ctx = EquilibriumContext(s, wn, depth=3)
     cb = coboundary(random_function(s, 2, rng))
-    rep = triple_covariance(cb, cb, cb, m, wn, N=40, ctx=ctx)
+    rep = triple_covariance(cb, cb, cb, m, wn, ctx=ctx)
     assert abs(rep.value) < 1e-7
 
 
@@ -179,7 +180,7 @@ def test_triple_matches_direct_estimator():
     ctx = EquilibriumContext(s, wn, depth=2)
     g = indicator(s, 0)
     g = g - ctx.integrate(g)
-    trip = triple_covariance(g, g, g, m, wn, N=35, ctx=ctx).value
+    trip = triple_covariance(g, g, g, m, wn, ctx=ctx).value
     direct = birkhoff_moment(ctx, [g, g, g], 20) / 20
     assert trip == pytest.approx(direct, abs=1e-3)
 
@@ -189,7 +190,7 @@ def test_triple_centered_indicator_uniform_matches_direct():
     wn, m = _setup(s, constant_function(s, 0.0))
     ctx = EquilibriumContext(s, wn, depth=2)
     g = indicator(s, 0) - 0.5
-    trip = triple_covariance(g, g, g, m, wn, N=25, ctx=ctx).value
+    trip = triple_covariance(g, g, g, m, wn, ctx=ctx).value
     direct = birkhoff_moment(ctx, [g, g, g], 20) / 20
     assert trip == pytest.approx(direct, abs=1e-3)
 
@@ -205,7 +206,7 @@ def test_triple_symmetry_under_permutation():
         g = random_function(s, 2, rng)
         gs.append(g - ctx.integrate(g))
     import itertools
-    vals = [triple_covariance(gs[i], gs[j], gs[k], m, wn, N=30, ctx=ctx).value
+    vals = [triple_covariance(gs[i], gs[j], gs[k], m, wn, ctx=ctx).value
             for i, j, k in itertools.permutations(range(3))]
     assert max(vals) - min(vals) < 1e-10
 
@@ -221,30 +222,72 @@ def test_livsic_invariance_of_correlations():
     g1 = g1 - ctx.integrate(g1)
     g2 = g2 - ctx.integrate(g2)
     cb = coboundary(random_function(s, 2, rng, scale=0.5))
-    v0 = variance(g1, m, wn, N=60, ctx=ctx).value
-    v1 = variance(g1 + cb, m, wn, N=60, ctx=ctx).value
+    v0 = variance(g1, m, wn, ctx=ctx).value
+    v1 = variance(g1 + cb, m, wn, ctx=ctx).value
     assert abs(v0 - v1) < 1e-6
-    c0 = covariance(g1, g2, m, wn, N=60, ctx=ctx).value
-    c1 = covariance(g1 + cb, g2, m, wn, N=60, ctx=ctx).value
+    c0 = covariance(g1, g2, m, wn, ctx=ctx).value
+    c1 = covariance(g1 + cb, g2, m, wn, ctx=ctx).value
     assert abs(c0 - c1) < 1e-6
-    t0 = triple_covariance(g1, g2, g1, m, wn, N=40, ctx=ctx).value
-    t1 = triple_covariance(g1 + cb, g2, g1, m, wn, N=40, ctx=ctx).value
+    t0 = triple_covariance(g1, g2, g1, m, wn, ctx=ctx).value
+    t1 = triple_covariance(g1 + cb, g2, g1, m, wn, ctx=ctx).value
     assert abs(t0 - t1) < 1e-6
 
 
-def test_tail_bound_decreases_geometrically():
-    s = golden_mean_shift()
-    rng = np.random.default_rng(2)
-    w = random_function(s, 2, rng, scale=0.4)
+def _complex_lambda2_potential(s):
+    """The golden-mean potential whose lambda_2 is complex, ratio 0.6238."""
+    rng = np.random.default_rng(5)
+    for _ in range(7):
+        w = random_function(s, 3, rng, scale=0.8)
+    return w
+
+
+# shift, potential (seed, depth, scale or a builder), context depth, solve branch
+ORACLE_CASES = {
+    "golden-complex-lambda2": (golden_mean_shift, _complex_lambda2_potential, None, None),
+    "golden-d2": (golden_mean_shift, (31, 2, 0.5), 2, None),
+    "golden-d3": (golden_mean_shift, (32, 3, 0.6), 3, None),
+    "golden-d4": (golden_mean_shift, (33, 4, 0.4), 4, None),
+    "full2-d2": (lambda: full_shift(2), (34, 2, 0.5), 2, None),
+    "full2-d3": (lambda: full_shift(2), (35, 3, 0.8), 3, None),
+    "full2-d4": (lambda: full_shift(2), (36, 4, 0.5), 4, None),
+    "full3-d2": (lambda: full_shift(3), (37, 2, 0.8), 2, None),
+    "full3-d3": (lambda: full_shift(3), (38, 3, 0.4), 3, None),
+    "full2-d7-dense": (lambda: full_shift(2), (39, 2, 0.5), 7, "dense"),
+    "full2-d7-sparse": (lambda: full_shift(2), (39, 2, 0.5), 7, "sparse"),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_exact_sums_match_truncated_series(case, monkeypatch):
+    shift, potential, depth, branch = ORACLE_CASES[case]
+    s = shift()
+    if callable(potential):
+        w, rng = potential(s), np.random.default_rng(40)
+    else:
+        seed, wdepth, scale = potential
+        rng = np.random.default_rng(seed)
+        w = random_function(s, wdepth, rng, scale=scale)
     wn, m = _setup(s, w)
-    ctx = EquilibriumContext(s, wn, depth=3)
-    g = random_function(s, 3, rng)
-    g = g - ctx.integrate(g)
-    bounds = [variance(g, m, wn, N=N, ctx=ctx).tail_bound for N in (10, 15, 20, 25)]
-    ratios = [(bounds[i + 1] / bounds[i]) ** (1 / 5) for i in range(3)
-              if bounds[i] > 1e-200]
-    for r in ratios:
-        assert r <= ctx.gap + 0.05
+    ctx = EquilibriumContext(s, wn, depth=depth)
+    if branch is not None:
+        assert len(ctx.m) >= 96
+        # both branches factor the same L: only the solve switches
+        monkeypatch.setattr(correlations, "DENSE_WORDS", len(ctx.m) if branch == "dense" else 1)
+    gs = [random_function(s, min(ctx.depth, 3), rng) for _ in range(3)]
+    gs = [g - ctx.integrate(g) for g in gs]
+    vecs = [ctx.vector(g) for g in gs]
+    N = 80
+    pairs = [(variance(gs[0], m, wn, ctx=ctx), series_variance(ctx, vecs[0], N)),
+             (covariance(gs[0], gs[1], m, wn, ctx=ctx),
+              series_covariance(ctx, vecs[0], vecs[1], N)),
+             (triple_covariance(*gs, m, wn, ctx=ctx), series_triple(ctx, vecs, N))]
+    if branch is not None:
+        assert isinstance(ctx._factor[0], np.ndarray) == (branch == "dense")
+    for rep, (series, tail) in pairs:
+        assert rep.truncation == 0
+        assert math.isfinite(rep.tail_bound) and rep.tail_bound >= 0.0
+        tol = tail + rep.tail_bound + 1e-12 * max(1.0, abs(rep.value))
+        assert abs(rep.value - series) <= tol
 
 
 def test_equilibrium_context_kills_constants():

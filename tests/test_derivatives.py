@@ -242,7 +242,7 @@ def test_pressure_metric_d1_all_coboundaries_zero():
     wn = normalize_potential(s, f0, data)
     m = equilibrium_measure(s, f0, data)
     cbs = [coboundary(random_function(s, 2, rng)) for _ in range(5)]
-    val = pressure_metric_d1_terms(cbs[0], cbs[1], cbs[2], cbs[3], cbs[4], m, wn, N=50)
+    val = pressure_metric_d1_terms(cbs[0], cbs[1], cbs[2], cbs[3], cbs[4], m, wn)
     assert abs(val) < 1e-7
 
 
@@ -270,7 +270,7 @@ def test_pressure_metric_d1_matches_fd_sweep():
     proj = lambda g: g - ctx.integrate(g)
 
     def mixed_partial(first, second, cross):
-        c = cov_fn(proj(first), proj(second), m0, wn0, N=60, ctx=ctx).value
+        c = cov_fn(proj(first), proj(second), m0, wn0, ctx=ctx).value
         return cross - (c + ctx.integrate(cross))
 
     partials = {
@@ -304,9 +304,9 @@ def test_pressure_metric_d1_livsic_replacement_invariance():
     for _ in range(5):
         g = random_function(s, 2, rng)
         comps.append(g - ctx.integrate(g))
-    base_val = pressure_metric_d1_terms(*comps, m, wn, N=50, ctx=ctx)
+    base_val = pressure_metric_d1_terms(*comps, m, wn, ctx=ctx)
     for idx in range(5):
         shifted = list(comps)
         shifted[idx] = shifted[idx] + coboundary(random_function(s, 2, rng, scale=0.5))
-        val = pressure_metric_d1_terms(*shifted, m, wn, N=50, ctx=ctx)
+        val = pressure_metric_d1_terms(*shifted, m, wn, ctx=ctx)
         assert abs(val - base_val) < 1e-6

@@ -181,7 +181,7 @@ def test_shift_to_flow_triple_identity():
     R = flow_measure_factor(m, roof)
     g = hat_function(flow, _random_flow_function(s, 2, rng))
     g = g - ctx.integrate(g)
-    double_sum = triple_covariance(g, g, g, m, wn, N=30, ctx=ctx)
+    double_sum = triple_covariance(g, g, g, m, wn, ctx=ctx)
     flow_side = birkhoff_moment(ctx, [g, g, g], 24) / 24 / R
     assert double_sum.value / R == pytest.approx(flow_side,
                                                  abs=max(1e-3, double_sum.tail_bound / R))

@@ -293,7 +293,6 @@ def test_gap_is_exact_second_modulus_with_complex_lambda2():
     assert data.gap_estimate == pytest.approx(exact, abs=1e-12)
     ctx = EquilibriumContext(s, normalize_potential(s, w, data))
     assert ctx.gap == pytest.approx(exact, abs=1e-12)
-    assert ctx.default_truncation() == math.ceil(math.log(1e-12) / math.log(exact)) == 59
 
 
 @pytest.mark.parametrize("seed", range(4))
