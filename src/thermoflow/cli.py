@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .correlations import EquilibriumContext, covariance, triple_covariance, variance
-from .derivatives import PotentialFamily, fd_oracle, pressure_d1, pressure_d2, pressure_d3
+from .correlations import variance
+from .derivatives import PotentialFamily, _prepare, fd_oracle
 from .diskseries import DifferentialExpansion, angular_triple_reduce, quadrature_triple
 from .holonomy import (BaseFrame, ConnectionFamily, FourierSampler, OrbitData,
                        ShootingSolution, cubic_direction, eigenvalue_derivative_fd,
@@ -79,9 +79,12 @@ def _integer(value, what: str, lo: int = 0) -> int:
     return value
 
 
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
-        raise errors.ConfigError(f"{what} must be a finite number >= 0, got {value!r}")
+def _number(value, what: str, lo: float | None = 0.0) -> float:
+    """A finite number, at least `lo` unless `lo` is None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or (lo is not None and value < lo):
+        bound = "" if lo is None else f" >= {lo:g}"
+        raise errors.ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
     return float(value)
 
 
@@ -108,7 +111,7 @@ def _potential_from(config: dict, s: Sft, rng) -> DepthKFunction:
         if kind == "values":
             depth = spec["depth"]
             vals = {tuple(int(ch) for ch in key): float(v)
-                    for key, v in spec["values"].items()}
+                    for key, v in _section(spec, "values", None).items()}
             return DepthKFunction(s, depth, vals)
     except (KeyError, TypeError, ValueError, errors.DepthMismatch) as exc:
         raise errors.ConfigError(f"bad {kind} potential: {exc}")
@@ -123,16 +126,6 @@ def _orders_from(config: dict) -> list:
 
 
 # --------------------------------------------------------------------------
-
-def _sum_bound(order: int, g1, g2, m, wn, ctx) -> float:
-    """Stated error of the correlation sums behind a derivative of this order."""
-    if order == 1:
-        return 0.0  # a plain integral
-    if order == 2:
-        return variance(g1, m, wn, ctx=ctx).tail_bound
-    return (triple_covariance(g1, g1, g1, m, wn, ctx=ctx).tail_bound
-            + 3.0 * covariance(g1, g2, m, wn, ctx=ctx).tail_bound)
-
 
 def run_pressure(config: dict, out_dir: Path, seed: int) -> dict:
     rng = np.random.default_rng(seed)
@@ -155,18 +148,16 @@ def run_pressure(config: dict, out_dir: Path, seed: int) -> dict:
         depth = _integer(fam_spec.get("depth", 2), "derivative_families.depth", lo=1)
         count = _integer(fam_spec.get("count", 1), "derivative_families.count")
         scale = _number(fam_spec.get("scale", 0.25), "derivative_families.scale")
-        wn = normalize_potential(s, w, data)
-        ctx = EquilibriumContext(s, wn, depth=max(wn.depth, depth))
-        m = equilibrium_measure(s, w, data)
+        base = _prepare(w, max(w.depth + 1, depth), data)
+        derivative = {1: base.d1, 2: base.d2, 3: base.d3}
         for fam_idx in range(count):
-            g1 = random_function(s, depth, rng, scale=scale)
-            g1 = g1 - ctx.integrate(g1)
+            g1 = base.centered(random_function(s, depth, rng, scale=scale))
             g2 = random_function(s, depth, rng, scale=scale)
             g3 = random_function(s, depth, rng, scale=scale)
             family = PotentialFamily.from_taylor(
                 s, w, {(0,): g1, (0, 0): g2, (0, 0, 0): g3})
             for order in orders:
-                value = {1: pressure_d1, 2: pressure_d2, 3: pressure_d3}[order](family)
+                value, bound = derivative[order](family)
                 oracle = fd_oracle(family, order)
                 report["derivatives"].append({
                     "family": fam_idx,
@@ -175,13 +166,25 @@ def run_pressure(config: dict, out_dir: Path, seed: int) -> dict:
                     "oracle_value": oracle,
                     "abs_err": abs(value - oracle),
                     "truncation_N": 0,
-                    "tail_bound": _sum_bound(order, g1, g2, m, wn, ctx),
+                    "tail_bound": bound,
                 })
     _write_json(out_dir / "pressure_report.json", report)
     return report
 
 
 # --------------------------------------------------------------------------
+
+def _fourier_cylinder(spec, what: str) -> dict:
+    if not isinstance(spec, dict):
+        raise errors.ConfigError(f"{what} must be an object, got {spec!r}")
+    out = {"const": _number(spec.get("const", 0.0), f"{what}.const", lo=None)}
+    for key in ("cos", "sin"):
+        coefs = spec.get(key, [])
+        if not isinstance(coefs, list):
+            raise errors.ConfigError(f"{what}.{key} must be a list, got {coefs!r}")
+        out[key] = [_number(a, f"{what}.{key}", lo=None) for a in coefs]
+    return out
+
 
 def _flow_function_from(spec: dict, s: Sft, rng) -> FlowFunction | None:
     if spec is None:
@@ -190,13 +193,22 @@ def _flow_function_from(spec: dict, s: Sft, rng) -> FlowFunction | None:
         raise errors.ConfigError(f"flow_function must be an object, got {spec!r}")
     kind = spec.get("kind", "fourier")
     if kind == "fourier":
-        return FlowFunction.from_fourier(spec["depth"],
-                                         {tuple(int(c) for c in k): v
-                                          for k, v in spec["cylinders"].items()})
+        depth = _integer(spec.get("depth"), "flow_function.depth", lo=1)
+        try:
+            cylinders = {tuple(int(ch) for ch in key): cyl
+                         for key, cyl in _section(spec, "cylinders", None).items()}
+        except ValueError as exc:
+            raise errors.ConfigError(f"bad flow_function.cylinders key: {exc}")
+        if set(cylinders) != set(admissible_words(s, depth)):
+            raise errors.ConfigError("flow_function.cylinders keys must be exactly "
+                                     f"the admissible words of depth {depth}")
+        return FlowFunction.from_fourier(depth, {
+            w: _fourier_cylinder(cyl, f"flow_function.cylinders {w}")
+            for w, cyl in cylinders.items()})
     if kind == "random_fourier":
-        depth = spec.get("depth", 2)
-        modes = spec.get("modes", 2)
-        scale = spec.get("scale", 0.3)
+        depth = _integer(spec.get("depth", 2), "flow_function.depth", lo=1)
+        modes = _integer(spec.get("modes", 2), "flow_function.modes")
+        scale = _number(spec.get("scale", 0.3), "flow_function.scale")
         cylinders = {}
         for w in admissible_words(s, depth):
             cylinders[w] = {"const": float(rng.normal(0, scale)),
@@ -204,7 +216,8 @@ def _flow_function_from(spec: dict, s: Sft, rng) -> FlowFunction | None:
                             "sin": [float(x) for x in rng.normal(0, scale, modes)]}
         return FlowFunction.from_fourier(depth, cylinders)
     if kind == "constant":
-        return FlowFunction.constant(float(spec["value"]))
+        return FlowFunction.constant(_number(spec.get("value"), "flow_function.value",
+                                             lo=None))
     raise errors.ConfigError(f"unknown flow function kind {kind}")
 
 
@@ -214,18 +227,18 @@ def run_suspension(config: dict, out_dir: Path, seed: int) -> dict:
     orders = _orders_from(config)
     roof_spec = _section(config, "roof", {"kind": "constant", "value": 1.0})
     kind = roof_spec.get("kind")
+    if kind == "constant":
+        roof = constant_function(s, _number(roof_spec.get("value"), "roof.value"),
+                                 depth=_integer(roof_spec.get("depth", 1), "roof.depth", lo=1))
+    elif kind == "random_positive":
+        roof = random_function(s, _integer(roof_spec.get("depth", 2), "roof.depth", lo=1),
+                               rng, scale=_number(roof_spec.get("scale", 0.2), "roof.scale"))
+        roof = roof + _number(roof_spec.get("base", 1.2), "roof.base", lo=None)
+    else:
+        raise errors.ConfigError(f"unknown roof kind {kind}")
     try:
-        if kind == "constant":
-            roof = constant_function(s, float(roof_spec["value"]),
-                                     depth=roof_spec.get("depth", 1))
-        elif kind == "random_positive":
-            roof = random_function(s, roof_spec.get("depth", 2), rng,
-                                   scale=roof_spec.get("scale", 0.2))
-            roof = roof + roof_spec.get("base", 1.2)
-        else:
-            raise errors.ConfigError(f"unknown roof kind {kind}")
         flow = SuspensionFlow(sft=s, roof=roof)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise errors.ConfigError(f"bad {kind} roof: {exc}")
     F = _flow_function_from(config.get("flow_function"), s, rng)
     c = flow_pressure(flow, F)
@@ -253,7 +266,7 @@ def run_suspension(config: dict, out_dir: Path, seed: int) -> dict:
 # --------------------------------------------------------------------------
 
 def _orbit_length(value, what: str) -> float:
-    l = float(value)
+    l = _number(value, what, lo=None)
     if not l > 0:
         raise errors.ConfigError(f"{what} must be a positive orbit length, got {value}")
     return l
@@ -262,31 +275,40 @@ def _orbit_length(value, what: str) -> float:
 def _orbits_from(config: dict, rng) -> list:
     spec = _section(config, "orbits", {"kind": "random", "count": 5})
     if spec.get("kind") == "explicit":
+        items = spec.get("items")
+        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+            raise errors.ConfigError("explicit orbits need an items list of objects, "
+                                     f"got {items!r}")
         out = []
-        for item in spec["items"]:
-            l = _orbit_length(item["l"], "explicit orbit l")
-            samplers = {name: FourierSampler.from_json_modes(l, modes)
-                        for name, modes in item["samplers"].items()}
-            out.append(OrbitData(l=l, **samplers))
+        for item in items:
+            l = _orbit_length(item.get("l"), "explicit orbit l")
+            try:
+                samplers = {name: FourierSampler.from_json_modes(l, modes)
+                            for name, modes in _section(item, "samplers", None).items()}
+                out.append(OrbitData(l=l, **samplers))
+            except (TypeError, ValueError) as exc:
+                raise errors.ConfigError(f"bad explicit orbit samplers: {exc}")
         return out
     if spec.get("kind") == "random":
-        lo, hi = spec.get("l_range", [0.5, 6.0])
-        lo, hi = _orbit_length(lo, "l_range start"), _orbit_length(hi, "l_range end")
+        l_range = spec.get("l_range", [0.5, 6.0])
+        if not isinstance(l_range, list) or len(l_range) != 2:
+            raise errors.ConfigError(f"l_range must be a [start, end] list, got {l_range!r}")
+        lo = _orbit_length(l_range[0], "l_range start")
+        hi = _orbit_length(l_range[1], "l_range end")
         if lo > hi:
             raise errors.ConfigError(f"l_range start {lo} exceeds its end {hi}")
+        count = _integer(spec.get("count", 5), "orbits.count")
+        modes = _integer(spec.get("modes", 3), "orbits.modes")
+        scale = _number(spec.get("scale", 0.5), "orbits.scale")
         out = []
-        for _ in range(_integer(spec.get("count", 5), "orbits.count")):
+        for _ in range(count):
             l = float(rng.uniform(lo, hi))
             out.append(OrbitData(
                 l=l,
-                q_alpha=FourierSampler.random(l, rng, spec.get("modes", 3),
-                                              spec.get("scale", 0.5)),
-                q_beta=FourierSampler.random(l, rng, spec.get("modes", 3),
-                                             spec.get("scale", 0.5)),
-                q_i=FourierSampler.random(l, rng, spec.get("modes", 3),
-                                          spec.get("scale", 0.5)),
-                q_j=FourierSampler.random(l, rng, spec.get("modes", 3),
-                                          spec.get("scale", 0.5))))
+                q_alpha=FourierSampler.random(l, rng, modes, scale),
+                q_beta=FourierSampler.random(l, rng, modes, scale),
+                q_i=FourierSampler.random(l, rng, modes, scale),
+                q_j=FourierSampler.random(l, rng, modes, scale)))
         return out
     if spec.get("kind") == "zero":
         l = _orbit_length(spec.get("l", 2.0), "zero orbit l")
@@ -338,7 +360,8 @@ def run_holonomy(config: dict, out_dir: Path, seed: int) -> dict:
     if orbits and orbits[0].q_alpha is not None and orbits[0].q_beta is not None:
         from .holonomy import second_variation_trace_cc
         orbit = orbits[0]
-        ts = np.linspace(0.0, orbit.l, config.get("kernel_samples", 17))
+        ts = np.linspace(0.0, orbit.l, _integer(config.get("kernel_samples", 17),
+                                                "kernel_samples"))
         _write_csv(out_dir / "holonomy_kernel.csv", ["t", "value"],
                    [[float(t), second_variation_trace_cc(orbit, float(t))] for t in ts])
     worst = max((row[7] for row in trace_rows), default=0.0)
@@ -368,6 +391,8 @@ def run_diskvanish(config: dict, out_dir: Path, seed: int) -> dict:
         N = _integer(item.get("N", 20), f"{case} N")
         margin = _integer(item.get("margin", 2), f"{case} margin")
         couplings = item.get("couplings", list(REFERENCE_COUPLINGS[case]))
+        if not isinstance(couplings, list):
+            raise errors.ConfigError(f"{case} couplings must be a list, got {couplings!r}")
         try:
             system = build_relations(case, N, couplings)
         except (ValueError, errors.UnsupportedCoupling) as exc:

@@ -16,7 +16,7 @@ from typing import Callable
 from .correlations import EquilibriumContext, covariance, triple_covariance, variance
 from .errors import DegenerateDenominator, HypothesisViolated
 from .sft import DepthKFunction, Sft
-from .transfer import normalize_potential, pressure, rpf
+from .transfer import RpfData, normalize_potential, pressure, rpf
 
 FIRST_DERIV_TOL = 1e-8
 
@@ -122,7 +122,13 @@ def _add(a, b):
 
 @dataclass
 class _Base:
-    pressure: float
+    """One base potential solved once: its RPF data, normalization and context.
+
+    `d1`, `d2` and `d3` return (value, stated error bound of the correlation
+    sums they computed) for any family whose base is this potential.
+    """
+
+    data: RpfData
     w_norm: DepthKFunction
     m: object
     ctx: EquilibriumContext
@@ -130,17 +136,37 @@ class _Base:
     def centered(self, g: DepthKFunction) -> DepthKFunction:
         return g - self.ctx.integrate(g)
 
+    def d1(self, family: PotentialFamily, param: int = 0):
+        return self.ctx.integrate(family.partial((param,))), 0.0
 
-def _prepare(family: PotentialFamily, depth: int | None = None) -> _Base:
-    """One RPF solve of the base potential, its normalization and its context.
+    def d2(self, family: PotentialFamily, param: int = 0):
+        _check_first_derivs_zero(self, family, [param])
+        g0 = self.centered(family.partial((param,)))
+        var = variance(g0, self.m, self.w_norm, ctx=self.ctx)
+        return var.value + self.ctx.integrate(family.partial((param, param))), var.tail_bound
+
+    def d3(self, family: PotentialFamily, param: int = 0):
+        _check_first_derivs_zero(self, family, [param])
+        g1 = self.centered(family.partial((param,)))
+        g2 = family.partial((param, param))
+        trip = triple_covariance(g1, g1, g1, self.m, self.w_norm, ctx=self.ctx)
+        cov = covariance(g1, g2, self.m, self.w_norm, ctx=self.ctx)
+        third = self.ctx.integrate(family.partial((param, param, param)))
+        return (trip.value + 3.0 * cov.value + third,
+                trip.tail_bound + 3.0 * cov.tail_bound)
+
+
+def _prepare(f0: DepthKFunction, depth: int, data: RpfData | None = None) -> _Base:
+    """One RPF solve of the base potential f0 (skipped when `data` is given),
+    its normalization and its context at `depth`.
 
     The normalized potential, hence the context, does not change when a
     constant is added to f0, so no caller needs to shift the base first.
     """
-    data = rpf(family.sft, family.f0)
-    w_norm = normalize_potential(family.sft, family.f0, data)
-    ctx = EquilibriumContext(family.sft, w_norm, depth=depth)
-    return _Base(pressure=data.pressure, w_norm=w_norm, m=ctx.measure(), ctx=ctx)
+    data = data or rpf(f0.sft, f0)
+    w_norm = normalize_potential(f0.sft, f0, data)
+    ctx = EquilibriumContext(f0.sft, w_norm, depth=depth)
+    return _Base(data=data, w_norm=w_norm, m=ctx.measure(), ctx=ctx)
 
 
 def _ctx_depth(family: PotentialFamily) -> int:
@@ -149,10 +175,13 @@ def _ctx_depth(family: PotentialFamily) -> int:
     return max(depths)
 
 
+def _family_base(family: PotentialFamily) -> _Base:
+    return _prepare(family.f0, _ctx_depth(family))
+
+
 def pressure_d1(family: PotentialFamily, param: int = 0) -> float:
     """dP/ds at 0 = integral of d_s f_0 against the equilibrium state."""
-    base = _prepare(family, depth=_ctx_depth(family))
-    return base.ctx.integrate(family.partial((param,)))
+    return _family_base(family).d1(family, param)[0]
 
 
 def _check_first_derivs_zero(base: _Base, family: PotentialFamily, params):
@@ -164,16 +193,12 @@ def _check_first_derivs_zero(base: _Base, family: PotentialFamily, params):
 
 def pressure_d2(family: PotentialFamily, param: int = 0) -> float:
     """Var(d_s f_0) + int d_ss f_0 dm; requires the first derivative to vanish."""
-    base = _prepare(family, depth=_ctx_depth(family))
-    _check_first_derivs_zero(base, family, [param])
-    g0 = base.centered(family.partial((param,)))
-    var = variance(g0, base.m, base.w_norm, ctx=base.ctx)
-    return var.value + base.ctx.integrate(family.partial((param, param)))
+    return _family_base(family).d2(family, param)[0]
 
 
 def pressure_d2_mixed(family: PotentialFamily, params=(0, 1)) -> float:
     """Cov(P d_s f, P d_t f) + int d_st f dm for a two-parameter family."""
-    base = _prepare(family, depth=_ctx_depth(family))
+    base = _family_base(family)
     _check_first_derivs_zero(base, family, params)
     i, j = params
     gi = base.centered(family.partial((i,)))
@@ -187,19 +212,12 @@ def pressure_d3(family: PotentialFamily, param: int = 0) -> float:
     A constant added to the base changes neither the equilibrium state nor any
     derivative; the vanishing of the first derivative is enforced.
     """
-    base = _prepare(family, depth=_ctx_depth(family))
-    _check_first_derivs_zero(base, family, [param])
-    g1 = base.centered(family.partial((param,)))
-    g2 = family.partial((param, param))
-    trip = triple_covariance(g1, g1, g1, base.m, base.w_norm, ctx=base.ctx)
-    cov = covariance(g1, g2, base.m, base.w_norm, ctx=base.ctx)
-    third = base.ctx.integrate(family.partial((param, param, param)))
-    return trip.value + 3.0 * cov.value + third
+    return _family_base(family).d3(family, param)[0]
 
 
 def pressure_d3_mixed(family: PotentialFamily, params=(0, 1, 2)) -> float:
     """Five-term third mixed derivative for a three-parameter family."""
-    base = _prepare(family, depth=_ctx_depth(family))
+    base = _family_base(family)
     _check_first_derivs_zero(base, family, params)
     u, v, w = params
     gu, gv, gw = (base.centered(family.partial((p,))) for p in params)
@@ -214,22 +232,27 @@ def pressure_d3_mixed(family: PotentialFamily, params=(0, 1, 2)) -> float:
 _FD_STEPS = {1: 1e-4, 2: 5e-3, 3: 1e-2}
 
 
+def _central_difference(f: Callable, order: int, h: float | None = None) -> float:
+    """order-th derivative of f at 0 by the 2-, 3- or 5-point central stencil."""
+    h = h if h is not None else _FD_STEPS[order]
+    if order == 1:
+        return (f(h) - f(-h)) / (2 * h)
+    if order == 2:
+        return (f(h) - 2 * f(0.0) + f(-h)) / h ** 2
+    return (f(2 * h) - 2 * f(h) + 2 * f(-h) - f(-2 * h)) / (2 * h ** 3)
+
+
 def fd_oracle(family: PotentialFamily, order: int, h: float | None = None,
               param: int = 0) -> float:
     """Central finite difference of s -> P(f_s) at 0 (2-/3-/5-point stencils)."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
-    h = h if h is not None else _FD_STEPS[order]
 
     def P(s):
         params = tuple(s if i == param else 0.0 for i in range(family.nparams))
         return pressure(family.sft, family.at(params))
 
-    if order == 1:
-        return (P(h) - P(-h)) / (2 * h)
-    if order == 2:
-        return (P(h) - 2 * P(0.0) + P(-h)) / h ** 2
-    return (P(2 * h) - 2 * P(h) + 2 * P(-h) - P(-2 * h)) / (2 * h ** 3)
+    return _central_difference(P, order, h)
 
 
 def measure_derivative(w_family: PotentialFamily, f_family: PotentialFamily) -> float:
@@ -237,8 +260,7 @@ def measure_derivative(w_family: PotentialFamily, f_family: PotentialFamily) -> 
 
     Adding constants to the f-family does not change its equilibrium states.
     """
-    depth = max(_ctx_depth(f_family), _ctx_depth(w_family))
-    base = _prepare(f_family, depth=depth)
+    base = _prepare(f_family.f0, max(_ctx_depth(f_family), _ctx_depth(w_family)))
     df = base.centered(f_family.partial((0,)))
     cov = covariance(base.centered(w_family.f0), df, base.m, base.w_norm, ctx=base.ctx)
     return cov.value + base.ctx.integrate(w_family.partial((0,)))
@@ -246,7 +268,7 @@ def measure_derivative(w_family: PotentialFamily, f_family: PotentialFamily) -> 
 
 def pressure_metric(family: PotentialFamily, params=(0, 1)) -> float:
     """-Cov(d_u F, d_v F, m_F) / int F dm_F for a pressure-zero base."""
-    base = _prepare(family, depth=_ctx_depth(family))
+    base = _family_base(family)
     denom = base.ctx.integrate(family.f0)
     if abs(denom) < 1e-12:
         raise DegenerateDenominator(f"int F dm = {denom}")
@@ -285,9 +307,9 @@ def pressure_metric_d1(family: PotentialFamily, params=(0, 1, 2)) -> float:
     The three-term display is divided by -int F dm; with the normalization
     int F dm = -1 this is the display itself.
     """
-    base = _prepare(family, depth=_ctx_depth(family))
-    if abs(base.pressure) > FIRST_DERIV_TOL:
-        raise HypothesisViolated("base pressure", base.pressure)
+    base = _family_base(family)
+    if abs(base.data.pressure) > FIRST_DERIV_TOL:
+        raise HypothesisViolated("base pressure", base.data.pressure)
     _check_first_derivs_zero(base, family, params)
     f0_centered = family.f0 - base.ctx.integrate(family.f0)
     if f0_centered.sup_norm() > 1e-9:

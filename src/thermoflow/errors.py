@@ -56,10 +56,6 @@ class DegenerateDenominator(ThermoflowError):
     pass
 
 
-class BracketingFailed(ThermoflowError):
-    pass
-
-
 class StepTooLarge(ThermoflowError):
     def __init__(self, estimate, tol):
         self.estimate = estimate

@@ -1,7 +1,11 @@
+import collections
+import functools
 import itertools
 
 import numpy as np
+import pytest
 
+from thermoflow import correlations, transfer
 from thermoflow.correlations import EquilibriumContext
 from thermoflow.derivatives import PotentialFamily
 from thermoflow.sft import random_function
@@ -12,6 +16,36 @@ def base_context(s, f0):
     data = rpf(s, f0)
     wn = normalize_potential(s, f0, data)
     return EquilibriumContext(s, wn, depth=max(f0.depth + 1, 3))
+
+
+@pytest.fixture
+def solve_counts(monkeypatch):
+    """Counts spectral solves (`transfer._perron`, also as imported by
+    `correlations`), `EquilibriumContext` constructions and factorizations."""
+    counts = collections.Counter()
+    perron = transfer._perron
+    init = EquilibriumContext.__init__
+    factor = EquilibriumContext.__dict__["_factor"].func
+
+    def counted_perron(matrix):
+        counts["solves"] += 1
+        return perron(matrix)
+
+    def counted_init(self, *args, **kwargs):
+        counts["contexts"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_factor(self):
+        counts["factors"] += 1
+        return factor(self)
+
+    cached = functools.cached_property(counted_factor)
+    cached.__set_name__(EquilibriumContext, "_factor")
+    monkeypatch.setattr(transfer, "_perron", counted_perron)
+    monkeypatch.setattr(correlations, "_perron", counted_perron)
+    monkeypatch.setattr(EquilibriumContext, "__init__", counted_init)
+    monkeypatch.setattr(EquilibriumContext, "_factor", cached)
+    return counts
 
 
 def random_family_1p(s, rng, depth=2, scale=0.3, mean_zero_d1=True,

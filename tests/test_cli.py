@@ -3,6 +3,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoflow.cli import main
 
@@ -170,6 +172,21 @@ GOLDEN_MEAN = {"transition": [[1, 1], [1, 0]]}
     {"experiment": "suspension", "sft": {"transition": [[0, 1], [1, 0]]}},
     {"experiment": "pressure", "sft": GOLDEN_MEAN,
      "derivative_families": {"count": 1, "depth": 2, "scale": "x"}},
+    {"experiment": "suspension", "sft": GOLDEN_MEAN,
+     "flow_function": {"kind": "fourier", "depth": 2}},
+    {"experiment": "suspension", "sft": GOLDEN_MEAN,
+     "flow_function": {"kind": "random_fourier", "modes": "x"}},
+    {"experiment": "suspension", "sft": GOLDEN_MEAN, "flow_function": {"kind": "constant"}},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "potential": {"kind": "values", "depth": 1, "values": 0.3}},
+    {"experiment": "holonomy", "orbits": {"kind": "zero"}, "variations": False,
+     "kernel_samples": "x"},
+    {"experiment": "holonomy", "orbits": {"kind": "explicit"}, "variations": False},
+    {"experiment": "holonomy", "orbits": {"kind": "random", "count": 1, "modes": "x"},
+     "variations": False},
+    {"experiment": "holonomy", "orbits": {"kind": "random", "count": 1, "l_range": "x"},
+     "variations": False},
+    {"experiment": "diskvanish", "cases": [{"case": "AB", "N": 8, "couplings": 5}]},
 ])
 def test_bad_field_values_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
@@ -244,3 +261,82 @@ def test_suspension_cli(tmp_path):
     report = json.loads((tmp_path / "suspension_report.json").read_text())
     assert abs(report["flow_pressure"] - math.log(2) / 2) < 1e-10
     assert report["root_residual"] < 1e-11
+
+
+def test_flow_pressure_newton_stall_exit_3(tmp_path, capsys, monkeypatch):
+    from thermoflow import suspension
+
+    monkeypatch.setattr(suspension, "_NEWTON_STEPS", 1)
+    assert _run(["suspension", "--config", CONFIGS / "suspension_basic.json",
+                 "--out", tmp_path]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_suspension_cli_solve_budget(tmp_path, solve_counts):
+    assert _run(["suspension", "--config", CONFIGS / "suspension_basic.json",
+                 "--out", tmp_path]) == 0
+    assert solve_counts["solves"] <= 80
+
+
+def test_pressure_cli_solves_one_base(tmp_path, solve_counts):
+    assert _run(["pressure", "--config", CONFIGS / "pressure_golden_mean.json",
+                 "--out", tmp_path]) == 0
+    assert solve_counts["solves"] <= 21
+    assert solve_counts["contexts"] == 1
+    assert solve_counts["factors"] == 1
+
+
+_MISSING = object()
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 0), st.floats(-5.0, 0.0),
+                  st.sampled_from([math.nan, math.inf, "x", "", [], [1.0], {}]))
+_GOLDEN_WORDS = {1: ["0", "1"], 2: ["00", "01", "10"]}
+
+
+@st.composite
+def _mostly(draw, valid):
+    """A valid draw two times in three, else junk or (as _MISSING) nothing."""
+    return draw({0: st.just(_MISSING), 1: _JUNK}.get(draw(st.integers(0, 5)), valid))
+
+
+@st.composite
+def _spec(draw, kind, **fields):
+    """{"kind": kind} plus each field drawn valid, as junk, or left out."""
+    spec = {"kind": kind}
+    for key, valid in fields.items():
+        value = draw(_mostly(valid))
+        if value is not _MISSING:
+            spec[key] = value
+    return spec
+
+
+def _cylinders(depth):
+    coefs = st.lists(st.floats(-1.0, 1.0), max_size=2)
+    cylinder = st.fixed_dictionaries(
+        {}, optional={"const": st.floats(-1.0, 1.0), "cos": coefs, "sin": coefs})
+    return st.fixed_dictionaries({w: _mostly(cylinder) for w in _GOLDEN_WORDS[depth]}).map(
+        lambda table: {w: c for w, c in table.items() if c is not _MISSING})
+
+
+_ROOFS = st.one_of(
+    _spec("constant", value=st.floats(0.2, 3.0), depth=st.integers(1, 3)),
+    _spec("random_positive", depth=st.integers(1, 3), base=st.floats(0.5, 2.0),
+          scale=st.floats(0.0, 0.3)),
+    _spec("spiral"), _JUNK)
+_FLOW_FUNCTIONS = st.one_of(
+    st.integers(1, 2).flatmap(
+        lambda d: _spec("fourier", depth=st.just(d), cylinders=_cylinders(d))),
+    _spec("random_fourier", depth=st.integers(1, 3), modes=st.integers(0, 3),
+          scale=st.floats(0.0, 0.5)),
+    _spec("constant", value=st.floats(-2.0, 2.0)),
+    _spec("spiral"), _JUNK)
+
+
+@settings(max_examples=60, deadline=None)
+@given(roof=_ROOFS, flow_function=_FLOW_FUNCTIONS)
+def test_suspension_config_fields_never_raise(tmp_path_factory, roof, flow_function):
+    out = tmp_path_factory.mktemp("suspension")
+    cfg = out / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "suspension",
+                               "sft": GOLDEN_MEAN, "roof": roof,
+                               "flow_function": flow_function}))
+    assert _run(["suspension", "--config", cfg, "--out", out]) in (0, 2, 3)

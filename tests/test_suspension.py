@@ -38,7 +38,7 @@ def test_hat_of_linear_fiber():
     s = full_shift(2)
     R = 1.7
     flow = _flow(s, constant_function(s, R))
-    F = FlowFunction(depth=1, evaluate=lambda w, t: t)
+    F = FlowFunction(depth=1, evaluate_rel=lambda w, tau: R * tau)
     hat = hat_function(flow, F)
     for v in hat.values.values():
         assert v == pytest.approx(R * R / 2, abs=1e-12)
@@ -94,6 +94,18 @@ def test_flow_pressure_constant_shift():
     c0 = flow_pressure(flow, None)
     ck = flow_pressure(flow, FlowFunction.constant(kappa))
     assert ck == pytest.approx(c0 + kappa, abs=1e-10)
+
+
+@pytest.mark.parametrize("value", [50.0, -50.0])
+def test_flow_pressure_constant_shift_far_root(value):
+    """On roof 1 a constant F shifts the root to exactly h_top + F."""
+    s = golden_mean_shift()
+    flow = _flow(s)
+    F = FlowFunction.constant(value)
+    c = flow_pressure(flow, F)
+    hat = hat_function(flow, F)
+    assert abs(pressure(s, hat - flow.roof * c)) < 1e-11
+    assert c == pytest.approx(math.log((1 + math.sqrt(5)) / 2) + value, abs=1e-10)
 
 
 def test_flow_pressure_residual():
@@ -158,6 +170,21 @@ def _random_flow_function(s, depth, rng, scale=0.3, modes=2):
                   "cos": list(rng.normal(0, scale, size=modes)),
                   "sin": list(rng.normal(0, scale, size=modes))}
     return FlowFunction.from_fourier(depth, cyl)
+
+
+def test_flow_pressure_solve_budget(solve_counts):
+    """Monotone Newton needs no bracket: a handful of RPF solves per root."""
+    rng = np.random.default_rng(9)
+    for s in (golden_mean_shift(), full_shift(2), full_shift(3)):
+        for _ in range(4):
+            roof = random_function(s, 2, rng, scale=0.3) + 1.3
+            flow = _flow(s, roof)
+            F = _random_flow_function(s, 2, rng)
+            solve_counts.clear()
+            c = flow_pressure(flow, F)
+            assert solve_counts["solves"] <= 6
+            hat = hat_function(flow, F)
+            assert abs(pressure(s, hat - roof * c)) < 1e-11
 
 
 def test_shift_to_flow_triple_identity():
