@@ -1,0 +1,176 @@
+"""Time checkouts of thermoflow end to end and write the medians to a JSON file.
+
+    python3 scripts/bench.py --out BENCH.json --checkout parent=../parent --checkout change=.
+
+For every checkout this runs, from that checkout's root and with its own
+`src/` on the path:
+
+- each workload that its `BENCHMARK.json` gates, through `perfbench/run.py`
+  with `--trace 0`, the same `--seed` on every checkout and the run length
+  that `BENCHMARK.json` sets;
+- every bundled config, `thermoflow <experiment> --config configs/<name>.json`,
+  timed as one process from start to exit;
+- the Tier-1 suite, `python -m pytest -q`, timed the same way.
+
+Each part runs `--repeats` times, and each repeat runs the checkouts in turn,
+alternating which goes first. The file holds every run, each metric's median
+and quartiles, the Python, numpy and scipy versions and `nproc`. With more
+than one checkout it also compares each later checkout with the first: the
+number of repeats it won on each metric, and the gap between the medians
+against the first checkout's quartile spread.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy
+import scipy
+
+
+def _env(root: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(root / "src"))
+
+
+def _timed(cmd: list, root: Path) -> tuple:
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True, text=True)
+    return time.perf_counter() - t0, proc
+
+
+def run_workload(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run: its end-to-end metrics plus the failure counts."""
+    _, proc = _timed([sys.executable, "perfbench/run.py", "--workload", workload,
+                      "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"], root)
+    if proc.returncode != 0:
+        raise RuntimeError(f"perfbench {workload} in {root} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    values.update(failed=result["failed"], attempted=result["attempted"],
+                  correct=result["correct"])
+    return values
+
+
+def run_config(root: Path, config: Path) -> dict:
+    experiment = json.loads(config.read_text())["experiment"]
+    with tempfile.TemporaryDirectory() as out:
+        wall, proc = _timed([sys.executable, "-m", "thermoflow.cli", experiment,
+                             "--config", str(config), "--out", out], root)
+    return {"wall_s": wall, "exit_code": proc.returncode}
+
+
+def run_tier1(root: Path) -> dict:
+    wall, proc = _timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                         "--continue-on-collection-errors"], root)
+    counts = {kind: int(n) for n, kind in
+              re.findall(r"(\d+) (passed|failed|xfailed|xpassed|errors?)", proc.stdout)}
+    return {"wall_s": wall, "exit_code": proc.returncode, **counts}
+
+
+def _commit(root: Path) -> str | None:
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _summary(runs: list) -> dict:
+    """Median and quartiles of every numeric field over the runs."""
+    out = {}
+    for key in runs[0]:
+        values = [run[key] for run in runs]
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                         if len(values) > 1 else (values[0],) * 3)
+            out[key] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+    return out
+
+
+def _compare(base: list, other: list, lower_is_better: set) -> dict:
+    """Per metric: repeats won by `other` (paired by repeat), the median gap
+    and the base's quartile spread."""
+    out = {}
+    for key in lower_is_better:
+        if key not in base[0]:
+            continue
+        b = [run[key] for run in base]
+        o = [run[key] for run in other]
+        base_sum = _summary([{key: v} for v in b])[key]
+        out[key] = {"wins": sum(y < x for x, y in zip(b, o)), "pairs": len(b),
+                    "median_gap": base_sum["median"] - statistics.median(o),
+                    "base_quartile_spread": base_sum["q3"] - base_sum["q1"]}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--checkout", action="append", default=[],
+                        help="NAME=PATH of a checkout to time (repeatable; default change=.)")
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    checkouts = {}
+    for item in args.checkout or ["change=."]:
+        name, _, path = item.partition("=")
+        checkouts[name] = Path(path).resolve()
+
+    first = next(iter(checkouts.values()))
+    spec = json.loads((first / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    lower = {m["name"] for m in spec["end_to_end"] if m["better"] == "lower"}
+    configs = sorted(p.name for p in (first / "configs").glob("*.json"))
+
+    runs = {name: {"workloads": {w: [] for w in workloads},
+                   "cli": {c: [] for c in configs}, "tier1": []} for name in checkouts}
+    for rep in range(args.repeats):
+        order = list(checkouts.items())
+        if rep % 2:
+            order.reverse()
+        for name, root in order:
+            print(f"repeat {rep + 1}/{args.repeats}: {name}", file=sys.stderr, flush=True)
+            for w in workloads:
+                runs[name]["workloads"][w].append(run_workload(root, w, args.seed, seconds))
+            for c in configs:
+                runs[name]["cli"][c].append(run_config(root, root / "configs" / c))
+            runs[name]["tier1"].append(run_tier1(root))
+
+    env = {"python": platform.python_version(), "numpy": numpy.__version__,
+           "scipy": scipy.__version__, "nproc": len(os.sched_getaffinity(0)),
+           "machine": platform.machine()}
+    result = {"environment": env,
+              "settings": {"seed": args.seed, "seconds": seconds, "repeats": args.repeats},
+              "checkouts": {}}
+    for name, root in checkouts.items():
+        r = runs[name]
+        result["checkouts"][name] = {
+            "commit": _commit(root),
+            "workloads": {w: {"median": _summary(v), "runs": v}
+                          for w, v in r["workloads"].items()},
+            "cli": {c: {"median": _summary(v), "runs": v} for c, v in r["cli"].items()},
+            "tier1": {"median": _summary(r["tier1"]), "runs": r["tier1"]}}
+    names = list(checkouts)
+    if len(names) > 1:
+        base = runs[names[0]]["workloads"]
+        result["comparison"] = {
+            f"{other} vs {names[0]}": {w: _compare(base[w], runs[other]["workloads"][w], lower)
+                                       for w in workloads}
+            for other in names[1:]}
+    Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -105,12 +105,13 @@ def _potential_from(config: dict, s: Sft, rng) -> DepthKFunction:
         if kind == "zero":
             return constant_function(s, 0.0, depth=spec.get("depth", 1))
         if kind == "constant":
-            return constant_function(s, float(spec["value"]), depth=spec.get("depth", 1))
+            value = _number(spec.get("value"), "constant potential value", lo=None)
+            return constant_function(s, value, depth=spec.get("depth", 1))
         if kind == "random":
             return random_function(s, spec.get("depth", 2), rng, scale=spec.get("scale", 0.3))
         if kind == "values":
             depth = spec["depth"]
-            vals = {tuple(int(ch) for ch in key): float(v)
+            vals = {tuple(int(ch) for ch in key): _number(v, f"potential value {key}", lo=None)
                     for key, v in _section(spec, "values", None).items()}
             return DepthKFunction(s, depth, vals)
     except (KeyError, TypeError, ValueError, errors.DepthMismatch) as exc:

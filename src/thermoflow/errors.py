@@ -33,6 +33,10 @@ class NonPositiveEigenfunction(ThermoflowError):
     pass
 
 
+class PotentialOverflow(ThermoflowError):
+    """A potential value is too large for e^w to be a float."""
+
+
 class NotNormalized(ThermoflowError):
     """Potential does not satisfy the transfer-operator row-sum normalization."""
 
@@ -81,3 +85,7 @@ class DegreeMismatch(ThermoflowError):
 
 class ConfigError(ThermoflowError):
     pass
+
+
+class NoKernelCertificate(ThermoflowError):
+    """No prime of the fixed list certified the kernel of a relation system."""

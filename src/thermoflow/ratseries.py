@@ -1,115 +1,104 @@
-"""Exact rational power series, plus series with linear-form coefficients.
+"""Exact integer power series, plus series with linear-form coefficients.
 
-The vanishing arguments for the disk recursions are algebraic: every rank
-decision is made over Q, so all series composition and substitution here is
-done with Fraction arithmetic. Floating point appears only in quadrature
+The vanishing arguments for the disk recursions are algebraic, and every
+series the relation builders make has integer coefficients: T, (2W)^n,
+(1 - W)^{-k}, (1 - T^2)^k and tanh(m t) in T = tanh t. `Series` therefore
+holds Python ints and rejects anything else, so all series arithmetic is
+exact without rational arithmetic. Rank decisions over Q are made from these
+integer rows in `recursions`. Floating point appears only in quadrature
 oracles elsewhere.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+
+
+def _integer(c) -> int:
+    """c as an int; ValueError unless c is a rational number with denominator 1."""
+    if getattr(c, "denominator", None) != 1:
+        raise ValueError(f"series coefficients must be integers, got {c!r}")
+    return int(c)
 
 
 class Series:
-    """Truncated power series sum_{n < order} c_n T^n over Q."""
+    """Truncated power series sum_{n < order} c_n T^n over Z."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_integer(c) for c in coeffs]
         if order is not None:
-            cs = cs[:order] + [Fraction(0)] * max(0, order - len(cs))
+            cs = cs[:order] + [0] * max(0, order - len(cs))
         self.coeffs = cs
+
+    @classmethod
+    def _of(cls, ints: list) -> "Series":
+        """A series over a list of ints made here, without re-checking them."""
+        out = object.__new__(cls)
+        out.coeffs = ints
+        return out
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Fraction(0)
-
-    @staticmethod
-    def zero(order: int) -> "Series":
-        return Series([0] * order)
+    def __getitem__(self, n: int) -> int:
+        return self.coeffs[n] if 0 <= n < len(self.coeffs) else 0
 
     @staticmethod
     def one(order: int) -> "Series":
-        return Series([1] + [0] * (order - 1))
-
-    @staticmethod
-    def x(order: int) -> "Series":
-        return Series([0, 1], order)
+        return Series._of([1] + [0] * (order - 1))
 
     def __add__(self, other: "Series") -> "Series":
         n = max(self.order, other.order)
-        return Series([self[i] + other[i] for i in range(n)])
+        return Series._of([a + b for a, b in zip(self.truncate(n).coeffs,
+                                                 other.truncate(n).coeffs)])
 
     def __sub__(self, other: "Series") -> "Series":
-        n = max(self.order, other.order)
-        return Series([self[i] - other[i] for i in range(n)])
-
-    def __neg__(self) -> "Series":
-        return Series([-c for c in self.coeffs])
+        return self + other.scale(-1)
 
     def scale(self, c) -> "Series":
-        c = Fraction(c)
-        return Series([c * x for x in self.coeffs])
+        c = _integer(c)
+        return Series._of([c * x for x in self.coeffs])
 
     def __mul__(self, other: "Series") -> "Series":
+        """Product truncated to the larger of the two orders."""
         n = max(self.order, other.order)
-        out = [Fraction(0)] * n
+        out = [0] * n
+        b = other.coeffs
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            top = min(n - i, other.order)
-            for j in range(top):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(out)
+            if a:
+                for j in range(min(n - i, len(b))):
+                    out[i + j] += a * b[j]
+        return Series._of(out)
 
     def shift(self, k: int) -> "Series":
         """Multiply by T^k (k >= 0) keeping the order."""
-        return Series([Fraction(0)] * k + self.coeffs[: max(0, self.order - k)])
+        return Series._of([0] * min(k, self.order) + self.coeffs[: max(0, self.order - k)])
 
     def truncate(self, order: int) -> "Series":
-        return Series(self.coeffs, order)
+        return Series._of(self.coeffs[:order] + [0] * max(0, order - self.order))
 
     def inverse(self, order: int | None = None) -> "Series":
+        """1 / self over Z; the constant term must be 1 or -1."""
         n = order or self.order
-        if self[0] == 0:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv = [Fraction(0)] * n
-        inv[0] = 1 / self[0]
+        c0 = self[0]
+        if c0 not in (1, -1):
+            raise ValueError(f"an integer series inverse needs constant term +-1, got {c0}")
+        a = self.truncate(n).coeffs
+        inv = [0] * n
+        inv[0] = c0
         for k in range(1, n):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += self[j] * inv[k - j]
-            inv[k] = -acc / self[0]
-        return Series(inv)
+            inv[k] = -c0 * sum(a[j] * inv[k - j] for j in range(1, k + 1))
+        return Series._of(inv)
 
-    def pow(self, m: int, order: int | None = None) -> "Series":
-        n = order or self.order
-        out = Series.one(n)
-        base = self.truncate(n)
-        e = m
-        while e > 0:
-            if e & 1:
-                out = (out * base).truncate(n)
-            base = (base * base).truncate(n)
-            e >>= 1
-        return out
-
-    def compose(self, inner: "Series") -> "Series":
-        """self(inner(T)) for inner with zero constant term (Horner)."""
-        if inner[0] != 0:
-            raise ValueError("composition needs zero constant term")
-        n = max(self.order, inner.order)
-        out = Series.zero(n)
-        for c in reversed(self.coeffs):
-            out = (out * inner).truncate(n)
-            out.coeffs[0] += Fraction(c)
+    def pow(self, m: int) -> "Series":
+        out, base = Series.one(self.order), self
+        while m:
+            if m & 1:
+                out = out * base
+            base = base * base
+            m >>= 1
         return out
 
     def __eq__(self, other) -> bool:
@@ -120,39 +109,20 @@ class Series:
         return "Series(" + ", ".join(str(c) for c in self.coeffs[:8]) + ", ...)"
 
 
-def binomial_one_plus(order: int, m: int, sign: int = 1) -> Series:
-    """(1 + sign*T)^m as a polynomial series."""
-    return Series([comb(m, k) * (sign ** k) for k in range(min(m + 1, order))], order)
-
-
 def tanh_multiple(m: int, order: int) -> Series:
     """S(m)(T) = ((1+T)^m - (1-T)^m) / ((1+T)^m + (1-T)^m).
 
     With T = tanh(t), this is tanh(m t); it is odd with leading term m T.
+    Numerator and denominator are halved to the odd and even parts of
+    (1 + T)^m; the even part has constant term 1, so the quotient is integral.
     """
-    plus = binomial_one_plus(order, m, +1)
-    minus = binomial_one_plus(order, m, -1)
-    num = plus - minus
-    den = plus + minus
-    return (num * den.inverse(order)).truncate(order)
+    odd = [comb(m, k) if k % 2 else 0 for k in range(min(m + 1, order))]
+    even = [0 if k % 2 else comb(m, k) for k in range(min(m + 1, order))]
+    return Series(odd, order) * Series(even, order).inverse(order)
 
 
 class LinForm(dict):
-    """Linear form over named unknowns: {unknown: Fraction}."""
-
-    def __add__(self, other):
-        out = LinForm(self)
-        for k, v in other.items():
-            out[k] = out.get(k, Fraction(0)) + v
-            if out[k] == 0:
-                del out[k]
-        return out
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return LinForm()
-        return LinForm({k: c * v for k, v in self.items()})
+    """Linear form over named unknowns: {unknown: int or Fraction}."""
 
     def normalized(self):
         """Primitive integer form with positive leading coefficient.
@@ -163,42 +133,27 @@ class LinForm(dict):
         if not self:
             return LinForm()
         items = sorted(self.items())
-        dens = 1
-        for _, v in items:
-            dens = dens * v.denominator // _gcd(dens, v.denominator)
-        ints = [(k, v * dens) for k, v in items]
-        g = 0
-        for _, v in ints:
-            g = _gcd(g, abs(int(v)))
-        lead = ints[0][1]
-        sign = -1 if lead < 0 else 1
-        return LinForm({k: Fraction(sign * int(v) // g) for k, v in ints})
+        # lists, not generators: tuple(generator) reallocates as it grows, and
+        # on forms of ~60 entries that ratchets the heap up call after call
+        den = lcm(*[v.denominator for _, v in items])
+        ints = [(k, v.numerator * (den // v.denominator)) for k, v in items]
+        g = gcd(*[v for _, v in ints]) or 1
+        if ints[0][1] < 0:
+            g = -g
+        return LinForm({k: v // g for k, v in ints})
 
 
-def _gcd(a, b):
-    a, b = int(a), int(b)
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+def lin_series(order: int) -> list:
+    """A power series whose coefficients are linear forms: a list of LinForm."""
+    return [LinForm() for _ in range(order)]
 
 
-class LinSeries:
-    """Power series whose coefficients are linear forms in the unknowns."""
-
-    def __init__(self, order: int):
-        self.order = order
-        self.coeffs = [LinForm() for _ in range(order)]
-
-    def __add__(self, other: "LinSeries") -> "LinSeries":
-        out = LinSeries(max(self.order, other.order))
-        for n in range(out.order):
-            a = self.coeffs[n] if n < self.order else LinForm()
-            b = other.coeffs[n] if n < other.order else LinForm()
-            out.coeffs[n] = a + b
-        return out
-
-    def add_term(self, unknown, scalar_series: Series):
-        for n in range(min(self.order, scalar_series.order)):
-            c = scalar_series[n]
-            if c:
-                self.coeffs[n] = self.coeffs[n] + LinForm({unknown: c})
+def add_term(forms: list, unknown, series: Series):
+    """forms[n] += series[n] * unknown for every n, in place."""
+    for form, c in zip(forms, series.coeffs):
+        if c:
+            total = form.get(unknown, 0) + c
+            if total:
+                form[unknown] = total
+            else:
+                del form[unknown]

@@ -7,16 +7,25 @@ s = m t) plus the rotation-by-pi sign rule give exact linear relations among
 the unknowns after matching powers; a trivial kernel over the interior
 indices forces the unknowns to vanish.
 
-All series arithmetic is exact over Q: rank decisions never touch floats.
+Every series involved has integer coefficients (`ratseries.Series`), so each
+relation row is an integer linear form. Kernels are computed modulo 31-bit
+primes and certified exactly: the kernel vectors lifted from the residues are
+checked in integers, and rank_p <= rank_Q makes them span the kernel over Q.
+Verdicts are therefore exact over Q; no float and no rational elimination is
+involved.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, gcd, isqrt, lcm
 
-from .errors import UnsupportedCoupling
-from .ratseries import LinForm, LinSeries, Series, tanh_multiple
+import numpy as np
+
+from .errors import NoKernelCertificate, UnsupportedCoupling
+from .ratseries import LinForm, Series, add_term, lin_series, tanh_multiple
 
 _CASES = {
     "AB": ("A", "B"),
@@ -55,68 +64,56 @@ class RecursionSystem:
         return [rel.form.normalized() for rel in self.relations]
 
     def to_json(self) -> str:
-        rows = []
-        for rel in self.relations:
-            rows.append({
-                "coupling": rel.coupling,
-                "power": rel.power,
-                "coeffs": {f"{fam}{idx}": str(c)
-                           for (fam, idx), c in sorted(rel.form.items())},
-            })
+        rows = [{"coupling": rel.coupling, "power": rel.power,
+                 "coeffs": {f"{fam}{i}": str(c) for (fam, i), c in sorted(rel.form.items())}}
+                for rel in self.relations]
         return json.dumps({"case": self.case, "N": self.N,
                            "couplings": list(self.couplings), "rows": rows},
                           sort_keys=True, indent=1)
 
 
 def _parse_mt(coupling: str) -> int | None:
-    if coupling.startswith("s=") and coupling.endswith("t") and coupling not in ("s=t",):
-        body = coupling[2:-1]
-        if body.isdigit():
-            return int(body)
-    return None
+    body = coupling[2:-1] if coupling.startswith("s=") and coupling.endswith("t") else ""
+    return int(body) if body.isdigit() else None
 
 
 def _inv_pow_one_minus(order: int, power: int) -> Series:
-    return Series([1, -1], order).inverse(order).pow(power, order)
+    """(1 - W)^{-power} = sum_n C(n + power - 1, n) W^n."""
+    return Series([comb(n + power - 1, n) for n in range(order)])
 
 
-def _sq3(series: Series, order: int) -> Series:
-    return (Series.one(order) - (series * series).truncate(order)).pow(3, order)
+def _powers_times(base: Series, factor: Series, count: int) -> list:
+    """[base^j * factor for j < count], each from the one before."""
+    out = [factor]
+    for _ in range(count - 1):
+        out.append(out[-1] * base)
+    return out
 
 
-def _sq2(series: Series, order: int) -> Series:
-    return (Series.one(order) - (series * series).truncate(order)).pow(2, order)
-
-
-def _rows_from(linser: LinSeries, coupling: str, powers) -> list:
-    rows = []
-    for p in powers:
-        if p < linser.order and linser.coeffs[p]:
-            rows.append(Relation(coupling=coupling, power=p,
-                                 form=LinForm(linser.coeffs[p])))
-    return rows
+def _rows_from(forms: list, coupling: str, powers) -> list:
+    return [Relation(coupling=coupling, power=p, form=forms[p]) for p in powers if forms[p]]
 
 
 def _ab_rows(coupling: str, N: int) -> list:
     if coupling == "s=t":
         # sum (A_n + B_n) T^{2n} + B_0 (1 - T^2)^{-3} = 0
         order = 2 * N + 1
-        ls = LinSeries(order)
+        one = Series.one(order)
+        ls = lin_series(order)
         for n in range(N + 1):
-            mono = Series.x(order).pow(2 * n, order)
-            ls.add_term(("A", n), mono)
-            ls.add_term(("B", n), mono)
-        ls.add_term(("B", 0), _inv_pow_one_minus(order, 3))
+            add_term(ls, ("A", n), one.shift(2 * n))
+            add_term(ls, ("B", n), one.shift(2 * n))
+        add_term(ls, ("B", 0), _inv_pow_one_minus(order, 3))
         return _rows_from(ls, coupling, range(0, 2 * N + 1, 2))
     if coupling == "s=t/2":
         # sum (A_n (1-W)^{-3} + 8 B_n) (2W)^n = 0
         order = N + 1
-        ls = LinSeries(order)
+        one = Series.one(order)
+        ls = lin_series(order)
         inv3 = _inv_pow_one_minus(order, 3)
         for n in range(N + 1):
-            two_w_n = Series.x(order).pow(n, order).scale(Fraction(2) ** n)
-            ls.add_term(("A", n), (two_w_n * inv3).truncate(order))
-            ls.add_term(("B", n), two_w_n.scale(8))
+            add_term(ls, ("A", n), inv3.shift(n).scale(2 ** n))
+            add_term(ls, ("B", n), one.shift(n).scale(8 * 2 ** n))
         return _rows_from(ls, coupling, range(N + 1))
     raise UnsupportedCoupling(f"AB does not use {coupling}")
 
@@ -125,64 +122,63 @@ def _ef_rows(coupling: str, N: int) -> list:
     if coupling == "s=t":
         # sum (E_n T^{2n} + F_n T^{2n+2}) + F_0 T^2 (1 - T^2)^{-3} = 0
         order = 2 * N + 1
-        ls = LinSeries(order)
+        one = Series.one(order)
+        ls = lin_series(order)
         for n in range(N + 1):
-            ls.add_term(("E", n), Series.x(order).pow(2 * n, order))
-            ls.add_term(("F", n), Series.x(order).pow(2 * n + 2, order))
-        ls.add_term(("F", 0), _inv_pow_one_minus(order, 3).shift(2))
+            add_term(ls, ("E", n), one.shift(2 * n))
+            add_term(ls, ("F", n), one.shift(2 * n + 2))
+        add_term(ls, ("F", 0), _inv_pow_one_minus(order, 3).shift(2))
         return _rows_from(ls, coupling, range(0, 2 * N + 1, 2))
     if coupling == "s=t/2":
         # sum (E_n (1-W)^{-2} + 8 F_n W) (2W)^n = 0
         order = N + 1
-        ls = LinSeries(order)
+        one = Series.one(order)
+        ls = lin_series(order)
         inv2 = _inv_pow_one_minus(order, 2)
         for n in range(N + 1):
-            two_w_n = Series.x(order).pow(n, order).scale(Fraction(2) ** n)
-            ls.add_term(("E", n), (two_w_n * inv2).truncate(order))
-            ls.add_term(("F", n), two_w_n.shift(1).scale(8))
+            add_term(ls, ("E", n), inv2.shift(n).scale(2 ** n))
+            add_term(ls, ("F", n), one.shift(n + 1).scale(8 * 2 ** n))
         return _rows_from(ls, coupling, range(N + 1))
     raise UnsupportedCoupling(f"EF does not use {coupling}")
 
 
-def _gh_rows(coupling: str, N: int) -> list:
+def _tanh_pair(coupling: str, order: int, accepts, usage: str) -> tuple:
+    """S(m) and S(m - 1) for the coupling s = m t, where accepts(m) holds."""
     m = _parse_mt(coupling)
-    if m is None or m < 2:
-        raise UnsupportedCoupling(f"GH uses s=mt with integer m >= 2, not {coupling}")
+    if m is None or not accepts(m):
+        raise UnsupportedCoupling(f"{usage}, not {coupling}")
+    return tanh_multiple(m, order), tanh_multiple(m - 1, order)
+
+
+def _gh_rows(coupling: str, N: int) -> list:
     order = 2 * N + 2
-    Sm = tanh_multiple(m, order)
-    Sm1 = tanh_multiple(m - 1, order)
-    sig3m, sig3m1 = _sq3(Sm, order), _sq3(Sm1, order)
-    T = Series.x(order)
-    ls = LinSeries(order)
+    Sm, Sm1 = _tanh_pair(coupling, order, lambda m: m >= 2,
+                          "GH uses s=mt with integer m >= 2")
+    one = Series.one(order)
+    # a[j] = Sm^j (1 - Sm^2)^3, b[j] = Sm1^j (1 - Sm1^2)^3
+    a = _powers_times(Sm, (one - Sm * Sm).pow(3), N + 2)
+    b = _powers_times(Sm1, (one - Sm1 * Sm1).pow(3), N + 2)
+    ls = lin_series(order)
     for n in range(N + 1):
         sgn = (-1) ** n
-        g_ker = (Sm.pow(n + 1, order) * sig3m
-                 + Sm1.pow(n + 1, order).scale(sgn) * sig3m1).truncate(order)
-        ls.add_term(("G", n), (T.pow(n, order) * g_ker).truncate(order))
-        h_ker = (Sm.pow(n, order) * sig3m
-                 - Sm1.pow(n, order).scale(sgn) * sig3m1).truncate(order)
-        ls.add_term(("H", n), (T.pow(n + 3, order) * h_ker).truncate(order))
+        add_term(ls, ("G", n), (a[n + 1] + b[n + 1].scale(sgn)).shift(n))
+        add_term(ls, ("H", n), (a[n] - b[n].scale(sgn)).shift(n + 3))
     return _rows_from(ls, coupling, range(1, 2 * N + 2, 2))
 
 
 def _ij_rows(coupling: str, N: int) -> list:
-    m = _parse_mt(coupling)
-    if m is None or m < 2:
-        raise UnsupportedCoupling(f"IJ uses s=mt with integer m >= 2, not {coupling}")
     order = 2 * N + 3
-    Sm = tanh_multiple(m, order)
-    Sm1 = tanh_multiple(m - 1, order)
-    sig2m, sig2m1 = _sq2(Sm, order), _sq2(Sm1, order)
-    T = Series.x(order)
-    ls = LinSeries(order)
+    Sm, Sm1 = _tanh_pair(coupling, order, lambda m: m >= 2,
+                          "IJ uses s=mt with integer m >= 2")
+    one = Series.one(order)
+    # a[j] = Sm^j (1 - Sm^2)^2, b[j] = Sm1^j (1 - Sm1^2)^2
+    a = _powers_times(Sm, (one - Sm * Sm).pow(2), N + 5)
+    b = _powers_times(Sm1, (one - Sm1 * Sm1).pow(2), N + 5)
+    ls = lin_series(order)
     for n in range(N + 1):
         sgn = (-1) ** n
-        i_ker = (Sm.pow(n + 4, order) * sig2m
-                 - Sm1.pow(n + 4, order).scale(sgn) * sig2m1).truncate(order)
-        ls.add_term(("I", n), (T.pow(n, order) * i_ker).truncate(order))
-        j_ker = (Sm.pow(n, order) * sig2m
-                 - Sm1.pow(n, order).scale(sgn) * sig2m1).truncate(order)
-        ls.add_term(("J", n), (T.pow(n + 2, order) * j_ker).truncate(order))
+        add_term(ls, ("I", n), (a[n + 4] - b[n + 4].scale(sgn)).shift(n))
+        add_term(ls, ("J", n), (a[n] - b[n].scale(sgn)).shift(n + 2))
     return _rows_from(ls, coupling, range(2, 2 * N + 3, 2))
 
 
@@ -190,32 +186,26 @@ def _cd_rows(coupling: str, N: int) -> list:
     if coupling == "s=t":
         # 2 sum C_n T^{2n} (1-T^2)^4 - D_0 T^2 = 0   (after / T^2 (1-T^2)^2)
         order = 2 * N + 1
-        ls = LinSeries(order)
-        one_minus4 = Series([1, 0, -1], order).pow(4, order)
+        ls = lin_series(order)
+        twice_one_minus4 = Series([1, 0, -1], order).pow(4).scale(2)
         for n in range(N + 1):
-            ker = (Series.x(order).pow(2 * n, order) * one_minus4).truncate(order)
-            ls.add_term(("C", n), ker.scale(2))
-        ls.add_term(("D", 0), Series.x(order).pow(2, order).scale(-1))
+            add_term(ls, ("C", n), twice_one_minus4.shift(2 * n))
+        add_term(ls, ("D", 0), Series.one(order).shift(2).scale(-1))
         return _rows_from(ls, coupling, range(0, 2 * N + 1, 2))
-    m = _parse_mt(coupling)
-    if m is None or m not in (2, 3):
-        raise UnsupportedCoupling(f"CD uses s=t, s=2t, s=3t, not {coupling}")
     order = 2 * N + 3
-    Sm = tanh_multiple(m, order)
-    Sm1 = tanh_multiple(m - 1, order)
-    sig3m, sig3m1 = _sq3(Sm, order), _sq3(Sm1, order)
-    T = Series.x(order)
-    cub2 = Series([1, 0, -1], order).pow(2, order)   # (1 - T^2)^2
-    cub3 = Series([1, 0, -1], order).pow(3, order)   # (1 - T^2)^3
-    ls = LinSeries(order)
+    Sm, Sm1 = _tanh_pair(coupling, order, lambda m: m in (2, 3),
+                          "CD uses s=t, s=2t, s=3t")
+    one = Series.one(order)
+    one_minus = Series([1, 0, -1], order)
+    # a[j] = Sm^j (1 - T^2)^3 (1 - Sm^2)^3, b[j] = Sm1^j (1 - T^2)^2 (1 - Sm1^2)^3
+    a = _powers_times(Sm, one_minus.pow(3) * (one - Sm * Sm).pow(3), N + 3)
+    b = _powers_times(Sm1, one_minus.pow(2) * (one - Sm1 * Sm1).pow(3), N + 3)
+    ls = lin_series(order)
     for n in range(N + 1):
-        sym = (T.pow(n, order) * Sm.pow(n + 2, order)
-               + T.pow(n + 2, order) * Sm.pow(n, order)).truncate(order)
-        ls.add_term(("C", n), (sym * cub3 * sig3m).truncate(order))
-        p_ker = (T.pow(n, order) * Sm1.pow(n + 2, order) * cub2 * sig3m1).truncate(order)
-        ls.add_term(("P", n), p_ker.scale((-1) ** (n + 1)))
-        d_ker = (T.pow(n + 4, order) * Sm1.pow(n, order) * cub2 * sig3m1).truncate(order)
-        ls.add_term(("D", n), d_ker.scale((-1) ** (n + 1)))
+        sgn = (-1) ** (n + 1)
+        add_term(ls, ("C", n), a[n + 2].shift(n) + a[n].shift(n + 2))
+        add_term(ls, ("P", n), b[n + 2].shift(n).scale(sgn))
+        add_term(ls, ("D", n), b[n].shift(n + 4).scale(sgn))
     return _rows_from(ls, coupling, range(2, 2 * N + 3, 2))
 
 
@@ -233,44 +223,111 @@ def build_relations(case: str, N: int, couplings) -> RecursionSystem:
         raise ValueError("N must be >= 2")
     relations = []
     for coupling in couplings:
+        if not isinstance(coupling, str):
+            raise UnsupportedCoupling(f"a coupling is a string like 's=2t', not {coupling!r}")
         relations.extend(_BUILDERS[case](coupling, N))
     unknowns = tuple((fam, n) for fam in _CASES[case] for n in range(N + 1))
     return RecursionSystem(case=case, N=N, couplings=tuple(couplings),
                            relations=tuple(relations), unknowns=unknowns)
 
 
-def kernel_basis(rows, unknowns):
-    """Exact kernel of the relation matrix over Q (reduced row echelon form)."""
-    ncols = len(unknowns)
-    mat = [[row.get(u, Fraction(0)) for u in unknowns] for row in rows]
+# The 64 largest primes below 2^31, as 2^31 - d. Residues fit numpy int64
+# products, and 2^61 - 1, the benchmark oracle's modulus, is not among them.
+# Together (CRT) they lift kernel entries of up to about 990 bits.
+PRIMES = tuple(2 ** 31 - d for d in (
+    1, 19, 61, 69, 85, 99, 105, 151, 159, 171, 225, 249, 295, 325, 379, 399, 411, 469,
+    477, 511, 525, 571, 579, 589, 595, 615, 619, 697, 699, 705, 711, 727, 771, 775, 781,
+    789, 829, 831, 837, 847, 885, 909, 951, 955, 967, 985, 987, 1027, 1057, 1065, 1071,
+    1141, 1147, 1167, 1231, 1239, 1281, 1287, 1299, 1305, 1321, 1357, 1375, 1411))
+
+
+def _rref_mod(rows, ncols: int, p: int) -> tuple:
+    """(pivot columns, reduced pivot rows) of the integer rows modulo p."""
+    a = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            a[i, j] = c % p
     pivots = []
-    r = 0
     for c in range(ncols):
-        p = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if p is None:
-            continue
-        mat[r], mat[p] = mat[p], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    pivot_set = set(pivots)
+        r = len(pivots)
+        hit = np.flatnonzero(a[r:, c])
+        if hit.size:
+            a[[r, r + hit[0]]] = a[[r + hit[0], r]]
+            a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+            col = a[:, c].copy()
+            col[r] = 0
+            a = (a - np.outer(col, a[r])) % p
+            pivots.append(c)
+    return pivots, a[:len(pivots)]
+
+
+def _rational(u: int, modulus: int):
+    """(a, b) with a = b u mod modulus and |a|, b <= sqrt(modulus / 2), or None
+    (rational reconstruction, Wang, Guy & Davenport, SIGSAM Bull. 16(2), 1982)."""
+    bound = isqrt(modulus // 2)
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if 0 < abs(t1) <= bound and gcd(r1, t1) == 1:
+        return (r1, t1) if t1 > 0 else (-r1, -t1)
+    return None
+
+
+def _lift(rows, ncols, pivots, free, images, modulus):
+    """Kernel vectors lifted from their residues, or None unless every entry
+    reconstructs and every vector satisfies M v = 0 exactly in integers."""
     basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
+    for f, column in zip(free, images):
+        fracs = []
+        for u in column:
+            fracs.append(_rational(u, modulus))
+            if fracs[-1] is None:
+                return None
+        den = lcm(*[b for _, b in fracs])
+        w = {f: den, **{pc: a * (den // b) for pc, (a, b) in zip(pivots, fracs)}}
+        if any(sum(c * w.get(j, 0) for j, c in row.items()) for row in rows):
+            return None
         v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
+        v[f] = Fraction(1)
+        for pc, (a, b) in zip(pivots, fracs):
+            v[pc] = Fraction(a, b)
         basis.append(v)
     return basis
+
+
+def kernel_basis(rows, unknowns):
+    """Kernel of the relation matrix over Q, certified by modular ranks.
+
+    Rows (integer or rational linear forms) are normalized to primitive integer
+    rows and reduced modulo each prime of PRIMES in turn. The residues of the
+    kernel vectors are combined by CRT over consecutive primes with the same
+    pivots, lifted by rational reconstruction and checked exactly. As rank_p <=
+    rank_Q, k exact kernel vectors with rank_p = n - k, each 1 on its own free
+    column and 0 on the others, span the kernel over Q; they are nonzero only
+    on earlier pivot columns, so they are the basis read off the reduced echelon
+    form over Q. Raises NoKernelCertificate when the primes run out.
+    """
+    ncols = len(unknowns)
+    col = {u: i for i, u in enumerate(unknowns)}
+    ints = [{col[u]: c for u, c in LinForm(row).normalized().items()} for row in rows]
+    last, images, modulus = None, None, 1
+    for p in PRIMES:
+        pivots, red = _rref_mod(ints, ncols, p)
+        free = sorted(set(range(ncols)) - set(pivots))
+        residues = [[int(-x) % p for x in red[:, f]] for f in free]
+        if pivots != last:          # first prime, or one of the two was unlucky
+            last, images, modulus = pivots, residues, p
+        else:
+            step = pow(modulus, -1, p)
+            images = [[u + modulus * ((v - u) * step % p) for u, v in zip(old, new)]
+                      for old, new in zip(images, residues)]
+            modulus *= p
+        basis = _lift(ints, ncols, pivots, free, images, modulus)
+        if basis is not None:
+            return basis
+    raise NoKernelCertificate(f"{len(PRIMES)} primes did not certify the kernel of a "
+                              f"{len(ints)} x {ncols} relation system")
 
 
 @dataclass(frozen=True)
@@ -287,7 +344,7 @@ def solve_vanishing(system: RecursionSystem, margin: int = 2) -> VanishingVerdic
     """forced-zero iff every solution of the relations vanishes on all unknowns
     of index <= N - margin; boundary indices may stay undetermined and are
     reported instead of silently pinned."""
-    basis = kernel_basis(system.rows_normalized(), system.unknowns)
+    basis = kernel_basis([rel.form for rel in system.relations], system.unknowns)
     cutoff = system.N - margin
     free = set()
     for v in basis:
@@ -353,43 +410,26 @@ def _offsets(X, Y, Z, degs):
     return degs[X] + degs[Y] - degs[Z], degs[X] + degs[Z] - degs[Y]
 
 
-def _arrangement_series(X, Y, Z, degs, Ts, Ss, order, rotated, max_idx) -> LinSeries:
-    """Rotation-averaged triple series of (X at 0, Y at Ts, Z at Ss).
+def _add_arrangement(ls, X, Y, Z, degs, Ss, rotated, sign, max_idx, label_of):
+    """Add sign times the rotation-averaged triple series of (X at 0, Y at T,
+    Z at Ss) to ls.
 
     `rotated` applies the pi-rotation sign (-1)^(index + degree) to the third
-    factor. Unknowns are canonical product keys.
+    factor. Each unknown is the label of its canonical product key.
     """
     dY, dZ = degs[Y], degs[Z]
     ka, kb = _offsets(X, Y, Z, degs)
-    ls = LinSeries(order)
-    dress = ((Series.one(order) - (Ts * Ts).truncate(order)).pow(dY, order)
-             * (Series.one(order) - (Ss * Ss).truncate(order)).pow(dZ, order)
-             ).truncate(order)
+    dress = Series([1, 0, -1], len(ls)).pow(dY) * (Series.one(len(ls)) - Ss * Ss).pow(dZ)
+    d = _powers_times(Ss, dress, max_idx + 1)       # d[j] = Ss^j dress
     for n in range(max_idx + 1):
         if n + ka <= max_idx:
             key = canonical_product(((X, 0, 0), (Y, n, 0), (Z, n + ka, 1)))
-            mono = (Ts.pow(n, order) * Ss.pow(n + ka, order) * dress).truncate(order)
-            ls.add_term(key, mono.scale((-1) ** ((n + ka) + dZ) if rotated else 1))
+            rot = (-1) ** (n + ka + dZ) if rotated else 1
+            add_term(ls, label_of[key], d[n + ka].shift(n).scale(sign * rot))
         if n + kb <= max_idx:
             key = canonical_product(((X, 0, 0), (Y, n + kb, 1), (Z, n, 0)))
-            mono = (Ts.pow(n + kb, order) * Ss.pow(n, order) * dress).truncate(order)
-            ls.add_term(key, mono.scale((-1) ** (n + dZ) if rotated else 1))
-    return ls
-
-
-def _scale_linseries(ls: LinSeries, c) -> LinSeries:
-    out = LinSeries(ls.order)
-    for n, f in enumerate(ls.coeffs):
-        out.coeffs[n] = f.scale(c)
-    return out
-
-
-def _exactness_cap(arrs, degs, max_idx) -> int:
-    cap = 10 ** 9
-    for (X, Y, Z) in arrs:
-        ka, kb = _offsets(X, Y, Z, degs)
-        cap = min(cap, 2 * (max_idx + 1) - ka, 2 * (max_idx + 1) - kb)
-    return cap
+            rot = (-1) ** (n + dZ) if rotated else 1
+            add_term(ls, label_of[key], d[n].shift(n + kb).scale(sign * rot))
 
 
 def build_completed_relations(case: str, N: int, Ms=(1, 2, 3)) -> RecursionSystem:
@@ -401,7 +441,6 @@ def build_completed_relations(case: str, N: int, Ms=(1, 2, 3)) -> RecursionSyste
     matched powers, kept only below the exact truncation cap. AB/CD/EF are
     already complete with their reference couplings and are returned unchanged.
     """
-    import itertools
     if case in ("AB", "CD", "EF"):
         return build_relations(case, N, REFERENCE_COUPLINGS[case])
     if case not in _COMPLETED_LETTERS:
@@ -413,22 +452,16 @@ def build_completed_relations(case: str, N: int, Ms=(1, 2, 3)) -> RecursionSyste
             key = canonical_product(pat(n))
             label_of.setdefault(key, (fam, n))
     order = 2 * N + 6
-    T = Series.x(order)
+    tanh = {m: tanh_multiple(m, order) for m in {*Ms, *(m - 1 for m in Ms)}}
     relations = []
     for (X, Y, Z) in itertools.permutations(letters):
         sgn = (-1) ** (degs[X] + degs[Y])
         for m in Ms:
-            lhs = _arrangement_series(X, Y, Z, degs, T, tanh_multiple(m, order),
-                                      order, False, N)
-            rhs = _arrangement_series(Y, X, Z, degs, T, tanh_multiple(m - 1, order),
-                                      order, True, N)
-            comb = lhs + _scale_linseries(rhs, -sgn)
-            cap = _exactness_cap([(X, Y, Z), (Y, X, Z)], degs, N)
-            tag = f"{X}{Y}{Z}:s={m}t"
-            for p in range(min(cap, order)):
-                if comb.coeffs[p]:
-                    form = LinForm({label_of[k]: v for k, v in comb.coeffs[p].items()})
-                    relations.append(Relation(coupling=tag, power=p, form=form))
+            ls = lin_series(order)
+            _add_arrangement(ls, X, Y, Z, degs, tanh[m], False, 1, N, label_of)
+            _add_arrangement(ls, Y, X, Z, degs, tanh[m - 1], True, -sgn, N, label_of)
+            cap = 2 * (N + 1) - max(*_offsets(X, Y, Z, degs), *_offsets(Y, X, Z, degs))
+            relations += _rows_from(ls, f"{X}{Y}{Z}:s={m}t", range(min(cap, order)))
     fams = [fam for fam, _ in _COMPLETED_PATTERNS[case]]
     unknowns = tuple(sorted({u for rel in relations for u in rel.form},
                             key=lambda u: (fams.index(u[0]), u[1])))
@@ -440,9 +473,9 @@ def build_completed_relations(case: str, N: int, Ms=(1, 2, 3)) -> RecursionSyste
 def ray_kernel_description(case: str):
     """The explicit coupling-invariant ray of the letter systems (GH / IJ)."""
     if case == "GH":
-        return ("H", lambda n: Fraction((n + 1) * (n + 2), 2))
+        return ("H", lambda n: (n + 1) * (n + 2) // 2)
     if case == "IJ":
-        return ("J", lambda n: Fraction(n + 1))
+        return ("J", lambda n: n + 1)
     raise ValueError("ray is documented for GH and IJ only")
 
 
@@ -451,25 +484,23 @@ def named_relation(case: str, name: str, n: int | None = None,
     """Classical named relations of each system in normalized form, for
     testing that they occur verbatim among the generated rows."""
     if case == "AB" and name == "first_comparison":
-        return LinForm({("A", 0): Fraction(1), ("B", 0): Fraction(2)}).normalized()
+        return LinForm({("A", 0): 1, ("B", 0): 2}).normalized()
     if case == "AB" and name == "half_time_recursion":
-        form = {("B", n): Fraction(2) ** (n + 3)}
+        form = {("B", n): 2 ** (n + 4)}
         for k in range(n + 1):
-            form[("A", k)] = Fraction((n - k + 1) * (n - k + 2)) * Fraction(2) ** (k - 1)
+            form[("A", k)] = (n - k + 1) * (n - k + 2) * 2 ** k
         return LinForm(form).normalized()
     if case == "CD" and name == "c0":
-        return LinForm({("C", 0): Fraction(1)}).normalized()
+        return LinForm({("C", 0): 1}).normalized()
     if case == "CD" and name == "t2":
-        return LinForm({("C", 1): Fraction(2), ("C", 0): Fraction(-8),
-                        ("D", 0): Fraction(-1)}).normalized()
+        return LinForm({("C", 1): 2, ("C", 0): -8, ("D", 0): -1}).normalized()
     if case == "EF" and name == "e0":
-        return LinForm({("E", 0): Fraction(1)}).normalized()
+        return LinForm({("E", 0): 1}).normalized()
     if case == "EF" and name == "e1":
-        return LinForm({("E", 1): Fraction(1), ("F", 0): Fraction(2)}).normalized()
+        return LinForm({("E", 1): 1, ("F", 0): 2}).normalized()
     if case == "GH" and name == "g0":
-        return LinForm({("G", 0): Fraction(1)}).normalized()
+        return LinForm({("G", 0): 1}).normalized()
     if case == "IJ" and name == "t4":
-        return LinForm({("I", 0): Fraction(m ** 4 - (m - 1) ** 4),
-                        ("J", 1): Fraction(2 * m - 1),
-                        ("J", 0): Fraction(-(4 * m - 2))}).normalized()
+        return LinForm({("I", 0): m ** 4 - (m - 1) ** 4, ("J", 1): 2 * m - 1,
+                        ("J", 0): -(4 * m - 2)}).normalized()
     raise ValueError(f"unknown named relation {case}/{name}")

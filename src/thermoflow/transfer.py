@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .errors import (DepthMismatch, NoConvergence, NonPositiveEigenfunction, NotMixing,
-                     NotNormalized)
+                     NotNormalized, PotentialOverflow)
 from .sft import DepthKFunction, Sft, admissible_words
 
 # Largest operator solved by one dense eigendecomposition; ARPACK above it.
@@ -75,7 +75,11 @@ def ruelle_matrix(sft: Sft, w: DepthKFunction, depth: int | None = None) -> Ruel
                 continue
             rows.append(i)
             cols.append(j)
-            vals.append(math.exp(float(np.real(wk.values[v]))))
+            try:
+                vals.append(math.exp(float(np.real(wk.values[v]))))
+            except OverflowError:
+                raise PotentialOverflow(f"e^w overflows a float at word {v}: "
+                                        f"w = {wk.values[v]}") from None
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(words), len(words)))
     return RuelleMatrix(sft=sft, depth=k, words=words, index=index, matrix=mat)
 

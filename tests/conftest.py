@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,3 +147,39 @@ def series_triple(ctx, vecs, N):
                 ring += abs(t)
     r = min(max(ctx.gap, 1e-6), 1.0 - 1e-9)
     return total, (ring + 1e-300) * r / (1.0 - r)
+
+
+# Exact oracle for `recursions.kernel_basis`: the kernel read off the reduced
+# row echelon form computed in Fraction arithmetic.
+
+def fraction_kernel_basis(rows, unknowns):
+    """Kernel basis over Q: one vector per free column of the RREF, 1 there."""
+    ncols = len(unknowns)
+    mat = [[Fraction(row.get(u, 0)) for u in unknowns] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -mat[i][fc]
+        basis.append(v)
+    return basis

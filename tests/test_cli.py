@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoflow import recursions
 from thermoflow.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -187,12 +188,42 @@ GOLDEN_MEAN = {"transition": [[1, 1], [1, 0]]}
     {"experiment": "holonomy", "orbits": {"kind": "random", "count": 1, "l_range": "x"},
      "variations": False},
     {"experiment": "diskvanish", "cases": [{"case": "AB", "N": 8, "couplings": 5}]},
+    {"experiment": "diskvanish", "cases": [{"case": "GH", "N": 6, "couplings": [5]}]},
+    {"experiment": "diskvanish", "cases": [{"case": "CD", "N": 6, "couplings": [5]}]},
+    {"experiment": "diskvanish", "cases": [{"case": "IJ", "N": 6, "couplings": [None]}]},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "potential": {"kind": "constant", "value": "nan"}},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "potential": {"kind": "constant", "value": "inf"}},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "potential": {"kind": "constant", "value": math.inf}},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "potential": {"kind": "values", "depth": 1, "values": {"0": math.nan, "1": 0.0}}},
 ])
 def test_bad_field_values_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema": 1, **cfg}))
     assert _run([cfg["experiment"], "--config", path, "--out", tmp_path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("potential", [
+    {"kind": "constant", "value": 1e6},
+    {"kind": "values", "depth": 1, "values": {"0": 1e6, "1": 0.0}},
+])
+def test_overflowing_potential_exit_3(tmp_path, capsys, potential):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "experiment": "pressure", "sft": GOLDEN_MEAN,
+                                "potential": potential}))
+    assert _run(["pressure", "--config", path, "--out", tmp_path]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_diskvanish_without_kernel_certificate_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(recursions, "PRIMES", (3,))
+    assert _run(["diskvanish", "--config", CONFIGS / "diskvanish_ab_single.json",
+                 "--out", tmp_path]) == 3
+    assert "did not certify the kernel" in capsys.readouterr().err
 
 
 def test_holonomy_determinism(tmp_path):

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoflow import errors
+from conftest import fraction_kernel_basis
+from thermoflow import errors, recursions
 from thermoflow.ratseries import LinForm, Series, tanh_multiple
-from thermoflow.recursions import (REFERENCE_COUPLINGS, build_relations, kernel_basis,
-                                   named_relation, solve_vanishing)
+from thermoflow.recursions import (PRIMES, REFERENCE_COUPLINGS, build_completed_relations,
+                                   build_relations, kernel_basis, named_relation,
+                                   solve_vanishing)
 
 
 # ----------------------------------------------------------- series arithmetic
@@ -17,7 +19,7 @@ def test_series_basic_ops():
     b = Series([0, 1], 6)
     assert (a * b).coeffs[:4] == [Fraction(0), Fraction(1), Fraction(2), Fraction(3)]
     assert (a + b)[1] == 3
-    assert (a - a) == Series.zero(6)
+    assert (a - a) == Series([], 6)
 
 
 def test_series_inverse():
@@ -27,17 +29,31 @@ def test_series_inverse():
     assert (a * inv).truncate(10) == Series.one(10)
 
 
-def test_series_compose():
-    # (1/(1-x)) o (2x) = sum 2^n x^n
-    geo = Series([1, -1], 8).inverse()
-    sub = Series([0, 2], 8)
-    out = geo.compose(sub)
-    assert [int(c) for c in out.coeffs] == [2 ** n for n in range(8)]
+def test_series_rejects_non_integers():
+    with pytest.raises(ValueError):
+        Series([1, Fraction(1, 2)])
+    with pytest.raises(ValueError):
+        Series([1.0, 2.0])
+    with pytest.raises(ValueError):
+        Series([1, 2]).scale(Fraction(2, 3))
+    assert Series([Fraction(4), 2]).scale(Fraction(-3)).coeffs == [-12, -6]
+    assert all(type(c) is int for c in Series([Fraction(4), True]).coeffs)
+
+
+@pytest.mark.parametrize("c0", [0, 2, -3])
+def test_series_inverse_needs_unit_constant_term(c0):
+    with pytest.raises(ValueError):
+        Series([c0, 1], 6).inverse()
+
+
+def test_series_inverse_of_minus_one_constant_term():
+    a = Series([-1, 3, 2], 9)
+    assert (a * a.inverse()) == Series.one(9)
 
 
 def test_tanh_multiple_small_cases():
     order = 12
-    assert tanh_multiple(1, order) == Series.x(order)
+    assert tanh_multiple(1, order) == Series([0, 1], order)
     s2 = tanh_multiple(2, order)
     # 2T / (1 + T^2)
     expect = Series([0, 2], order) * Series([1, 0, 1], order).inverse(order)
@@ -185,6 +201,38 @@ def test_kernel_basis_simple():
     basis = kernel_basis(rows, (("X", 0), ("X", 1)))
     assert len(basis) == 1
     assert basis[0][0] == basis[0][1]
+
+
+def test_kernel_basis_crosses_unlucky_primes():
+    """An entry divisible by the first prime moves the pivots, or drops the
+    rank, modulo that prime; the entry -1/p then needs three more primes
+    combined by CRT to lift."""
+    p = PRIMES[0]
+    x = (("X", 0), ("X", 1))
+    rows = [LinForm({x[0]: p, x[1]: 1})]
+    assert kernel_basis(rows, x) == fraction_kernel_basis(rows, x) == [[Fraction(-1, p), 1]]
+    rows.append(LinForm({x[1]: Fraction(1, 3)}))
+    assert kernel_basis(rows, x) == fraction_kernel_basis(rows, x) == []
+
+
+def test_kernel_basis_raises_when_the_primes_run_out(monkeypatch):
+    monkeypatch.setattr(recursions, "PRIMES", (5, 7))
+    system = build_relations("AB", 6, ["s=t"])
+    with pytest.raises(errors.NoKernelCertificate):
+        kernel_basis(system.rows_normalized(), system.unknowns)
+
+
+@pytest.mark.parametrize("kind", ["reference", "single", "completed"])
+@pytest.mark.parametrize("N", [3, 6])
+@pytest.mark.parametrize("case", ["AB", "CD", "EF", "GH", "IJ"])
+def test_kernel_basis_equals_fraction_rref(case, N, kind):
+    if kind == "completed":
+        system = build_completed_relations(case, N)
+    else:
+        couplings = REFERENCE_COUPLINGS[case][:1 if kind == "single" else None]
+        system = build_relations(case, N, couplings)
+    rows = system.rows_normalized()
+    assert kernel_basis(rows, system.unknowns) == fraction_kernel_basis(rows, system.unknowns)
 
 
 def test_small_n_rejected():
