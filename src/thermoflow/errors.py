@@ -88,4 +88,4 @@ class ConfigError(ThermoflowError):
 
 
 class NoKernelCertificate(ThermoflowError):
-    """No prime of the fixed list certified the kernel of a relation system."""
+    """The primes that always suffice did not certify the kernel of a relation system."""

@@ -16,11 +16,12 @@ involved.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -142,18 +143,12 @@ def _ef_rows(coupling: str, N: int) -> list:
     raise UnsupportedCoupling(f"EF does not use {coupling}")
 
 
-def _tanh_pair(coupling: str, order: int, accepts, usage: str) -> tuple:
-    """S(m) and S(m - 1) for the coupling s = m t, where accepts(m) holds."""
-    m = _parse_mt(coupling)
-    if m is None or not accepts(m):
-        raise UnsupportedCoupling(f"{usage}, not {coupling}")
-    return tanh_multiple(m, order), tanh_multiple(m - 1, order)
-
-
 def _gh_rows(coupling: str, N: int) -> list:
+    m = _parse_mt(coupling)
+    if m is None or m < 2:
+        raise UnsupportedCoupling(f"GH uses s=mt with integer m >= 2, not {coupling}")
     order = 2 * N + 2
-    Sm, Sm1 = _tanh_pair(coupling, order, lambda m: m >= 2,
-                          "GH uses s=mt with integer m >= 2")
+    Sm, Sm1 = tanh_multiple(m, order), tanh_multiple(m - 1, order)
     one = Series.one(order)
     # a[j] = Sm^j (1 - Sm^2)^3, b[j] = Sm1^j (1 - Sm1^2)^3
     a = _powers_times(Sm, (one - Sm * Sm).pow(3), N + 2)
@@ -167,9 +162,11 @@ def _gh_rows(coupling: str, N: int) -> list:
 
 
 def _ij_rows(coupling: str, N: int) -> list:
+    m = _parse_mt(coupling)
+    if m is None or m < 2:
+        raise UnsupportedCoupling(f"IJ uses s=mt with integer m >= 2, not {coupling}")
     order = 2 * N + 3
-    Sm, Sm1 = _tanh_pair(coupling, order, lambda m: m >= 2,
-                          "IJ uses s=mt with integer m >= 2")
+    Sm, Sm1 = tanh_multiple(m, order), tanh_multiple(m - 1, order)
     one = Series.one(order)
     # a[j] = Sm^j (1 - Sm^2)^2, b[j] = Sm1^j (1 - Sm1^2)^2
     a = _powers_times(Sm, (one - Sm * Sm).pow(2), N + 5)
@@ -192,9 +189,11 @@ def _cd_rows(coupling: str, N: int) -> list:
             add_term(ls, ("C", n), twice_one_minus4.shift(2 * n))
         add_term(ls, ("D", 0), Series.one(order).shift(2).scale(-1))
         return _rows_from(ls, coupling, range(0, 2 * N + 1, 2))
+    m = _parse_mt(coupling)
+    if m not in (2, 3):
+        raise UnsupportedCoupling(f"CD uses s=t, s=2t, s=3t, not {coupling}")
     order = 2 * N + 3
-    Sm, Sm1 = _tanh_pair(coupling, order, lambda m: m in (2, 3),
-                          "CD uses s=t, s=2t, s=3t")
+    Sm, Sm1 = tanh_multiple(m, order), tanh_multiple(m - 1, order)
     one = Series.one(order)
     one_minus = Series([1, 0, -1], order)
     # a[j] = Sm^j (1 - T^2)^3 (1 - Sm^2)^3, b[j] = Sm1^j (1 - T^2)^2 (1 - Sm1^2)^3
@@ -231,14 +230,22 @@ def build_relations(case: str, N: int, couplings) -> RecursionSystem:
                            relations=tuple(relations), unknowns=unknowns)
 
 
-# The 64 largest primes below 2^31, as 2^31 - d. Residues fit numpy int64
-# products, and 2^61 - 1, the benchmark oracle's modulus, is not among them.
-# Together (CRT) they lift kernel entries of up to about 990 bits.
-PRIMES = tuple(2 ** 31 - d for d in (
-    1, 19, 61, 69, 85, 99, 105, 151, 159, 171, 225, 249, 295, 325, 379, 399, 411, 469,
-    477, 511, 525, 571, 579, 589, 595, 615, 619, 697, 699, 705, 711, 727, 771, 775, 781,
-    789, 829, 831, 837, 847, 885, 909, 951, 955, 967, 985, 987, 1027, 1057, 1065, 1071,
-    1141, 1147, 1167, 1231, 1239, 1281, 1287, 1299, 1305, 1321, 1357, 1375, 1411))
+@functools.cache
+def _is_prime(n: int) -> bool:
+    """Strong probable-prime test to the bases 2, 7 and 61, which is exact for
+    every odd n with 61 < n < 2^32 (Jaeschke, Math. Comp. 61, 1993)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1          # n - 1 = d 2^s with d odd
+    for a in (2, 7, 61):
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in [pow(x, 2 ** i, n) for i in range(s)]:
+            return False
+    return True
+
+
+def _primes():
+    """The primes between 2^30 and 2^31, largest first. Residue products fit
+    numpy int64, and 2^61 - 1, the benchmark oracle's modulus, is never one."""
+    return filter(_is_prime, range(2 ** 31 - 1, 2 ** 30, -2))
 
 
 def _rref_mod(rows, ncols: int, p: int) -> tuple:
@@ -274,23 +281,19 @@ def _rational(u: int, modulus: int):
     return None
 
 
-def _lift(rows, ncols, pivots, free, images, modulus):
-    """Kernel vectors lifted from their residues, or None unless every entry
-    reconstructs and every vector satisfies M v = 0 exactly in integers."""
+def _lift(rows, ncols, pivots, free, fracs):
+    """Kernel vectors, 1 on their own free column and a / b on each pivot from
+    fracs (one list of (a, b) per free column), or None unless each satisfies
+    M v = 0 exactly in integers."""
     basis = []
-    for f, column in zip(free, images):
-        fracs = []
-        for u in column:
-            fracs.append(_rational(u, modulus))
-            if fracs[-1] is None:
-                return None
-        den = lcm(*[b for _, b in fracs])
-        w = {f: den, **{pc: a * (den // b) for pc, (a, b) in zip(pivots, fracs)}}
+    for f, column in zip(free, fracs):
+        den = lcm(*[b for _, b in column])
+        w = {f: den, **{pc: a * (den // b) for pc, (a, b) in zip(pivots, column)}}
         if any(sum(c * w.get(j, 0) for j, c in row.items()) for row in rows):
             return None
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for pc, (a, b) in zip(pivots, fracs):
+        for pc, (a, b) in zip(pivots, column):
             v[pc] = Fraction(a, b)
         basis.append(v)
     return basis
@@ -300,33 +303,59 @@ def kernel_basis(rows, unknowns):
     """Kernel of the relation matrix over Q, certified by modular ranks.
 
     Rows (integer or rational linear forms) are normalized to primitive integer
-    rows and reduced modulo each prime of PRIMES in turn. The residues of the
-    kernel vectors are combined by CRT over consecutive primes with the same
-    pivots, lifted by rational reconstruction and checked exactly. As rank_p <=
-    rank_Q, k exact kernel vectors with rank_p = n - k, each 1 on its own free
-    column and 0 on the others, span the kernel over Q; they are nonzero only
-    on earlier pivot columns, so they are the basis read off the reduced echelon
-    form over Q. Raises NoKernelCertificate when the primes run out.
+    rows and reduced modulo one prime of _primes() after another. Modulo p the
+    rank is at most rank_Q, and the pivots are those over Q unless p divides a
+    fixed minor; so the best pivots seen (fewest free columns, then earliest
+    pivots) are kept, the kernel residues of the primes that give them are
+    combined by CRT, and worse primes are skipped. The images are lifted by
+    rational reconstruction and checked exactly. As rank_p <= rank_Q, k exact
+    kernel vectors with rank_p = n - k, each 1 on its own free column and 0 on
+    the others, span the kernel over Q; they are nonzero only on earlier pivot
+    columns, so they are the basis read off the reduced echelon form over Q.
+    A number of primes fixed by a Hadamard bound always suffices, so
+    NoKernelCertificate after them means a fault, not a hard system.
     """
     ncols = len(unknowns)
     col = {u: i for i, u in enumerate(unknowns)}
     ints = [{col[u]: c for u, c in LinForm(row).normalized().items()} for row in rows]
-    last, images, modulus = None, None, 1
-    for p in PRIMES:
+    # Every numerator and denominator of the reduced echelon form is a minor,
+    # at most H = the product of the min(rows, ncols) largest row norms
+    # (Hadamard). Reconstruction needs a modulus above 2 H^2, and only the at
+    # most bits(H) / 30 primes above 2^30 that divide one fixed minor can move
+    # the pivots, so this many primes always certify the kernel.
+    sq = sorted(max(1, sum(c * c for c in row.values())) for row in ints)
+    bits = prod(sq[len(sq) - min(len(sq), ncols):]).bit_length()   # H^2 < 2^bits
+    budget = -(-(bits + 1) // 30) + bits // 60
+    best = None
+    for p in itertools.islice(_primes(), budget):
         pivots, red = _rref_mod(ints, ncols, p)
+        key = (-len(pivots), pivots)
         free = sorted(set(range(ncols)) - set(pivots))
-        residues = [[int(-x) % p for x in red[:, f]] for f in free]
-        if pivots != last:          # first prime, or one of the two was unlucky
-            last, images, modulus = pivots, residues, p
+        residues = [int(-x) % p for x in red[:, free].T.ravel()]   # by free column
+        if best is None or key < best:      # the first prime, or better pivots
+            best, images, modulus = key, residues, p
+            fracs = [None] * len(images)
+        elif key > best:                    # an unlucky prime
+            continue
         else:
             step = pow(modulus, -1, p)
-            images = [[u + modulus * ((v - u) * step % p) for u, v in zip(old, new)]
-                      for old, new in zip(images, residues)]
+            images = [u + modulus * ((v - u) * step % p) for u, v in zip(images, residues)]
             modulus *= p
-        basis = _lift(ints, ncols, pivots, free, images, modulus)
-        if basis is not None:
-            return basis
-    raise NoKernelCertificate(f"{len(PRIMES)} primes did not certify the kernel of a "
+            # a lifted entry a / b stays only while the new residue agrees
+            fracs = [q if q is None or (q[0] - q[1] * v) % p == 0 else None
+                     for q, v in zip(fracs, residues)]
+        for i, u in enumerate(images):      # up to the first entry that fails
+            if fracs[i] is None:
+                fracs[i] = _rational(u, modulus)
+                if fracs[i] is None:
+                    break
+        else:
+            r = len(pivots)
+            basis = _lift(ints, ncols, pivots, free,
+                          [fracs[i * r:(i + 1) * r] for i in range(len(free))])
+            if basis is not None:
+                return basis
+    raise NoKernelCertificate(f"{budget} primes did not certify the kernel of a "
                               f"{len(ints)} x {ncols} relation system")
 
 

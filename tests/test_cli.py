@@ -220,10 +220,21 @@ def test_overflowing_potential_exit_3(tmp_path, capsys, potential):
 
 
 def test_diskvanish_without_kernel_certificate_exit_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(recursions, "PRIMES", (3,))
+    monkeypatch.setattr(recursions, "_primes", lambda: iter((3,)))
     assert _run(["diskvanish", "--config", CONFIGS / "diskvanish_ab_single.json",
                  "--out", tmp_path]) == 3
     assert "did not certify the kernel" in capsys.readouterr().err
+
+
+def test_diskvanish_kernel_entries_past_a_thousand_bits(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "experiment": "diskvanish",
+        "cases": [{"case": "IJ", "N": 30, "couplings": ["s=4t"],
+                   "expect": "undetermined"}]}))
+    assert _run(["diskvanish", "--config", cfg, "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "diskvanish_report.json").read_text())
+    assert report["cases"][0]["kernel_dim"] == 32
 
 
 def test_holonomy_determinism(tmp_path):

@@ -1,5 +1,8 @@
+import itertools
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import fraction_kernel_basis
 from thermoflow import errors, recursions
 from thermoflow.ratseries import LinForm, Series, tanh_multiple
-from thermoflow.recursions import (PRIMES, REFERENCE_COUPLINGS, build_completed_relations,
+from thermoflow.recursions import (REFERENCE_COUPLINGS, build_completed_relations,
                                    build_relations, kernel_basis, named_relation,
                                    solve_vanishing)
 
@@ -207,7 +210,7 @@ def test_kernel_basis_crosses_unlucky_primes():
     """An entry divisible by the first prime moves the pivots, or drops the
     rank, modulo that prime; the entry -1/p then needs three more primes
     combined by CRT to lift."""
-    p = PRIMES[0]
+    p = next(recursions._primes())
     x = (("X", 0), ("X", 1))
     rows = [LinForm({x[0]: p, x[1]: 1})]
     assert kernel_basis(rows, x) == fraction_kernel_basis(rows, x) == [[Fraction(-1, p), 1]]
@@ -215,8 +218,32 @@ def test_kernel_basis_crosses_unlucky_primes():
     assert kernel_basis(rows, x) == fraction_kernel_basis(rows, x) == []
 
 
+def test_primes_are_the_primes_below_2_31():
+    """_primes() against a sieve of the 2^14 numbers below 2^31 by every d
+    below sqrt(2^31), and the primality test against trial division."""
+    lo = 2 ** 31 - 2 ** 14
+    sieve = np.ones(2 ** 14, dtype=bool)
+    for d in range(2, 46341):
+        sieve[-lo % d::d] = False
+    expect = [lo + int(i) for i in np.flatnonzero(sieve)[::-1]]
+    assert list(itertools.takewhile(lambda p: p > lo, recursions._primes())) == expect
+    assert expect[:4] == [2 ** 31 - 1, 2 ** 31 - 19, 2 ** 31 - 61, 2 ** 31 - 69]
+    for n in range(63, 5000, 2):
+        assert recursions._is_prime(n) == all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+
+def test_kernel_basis_lifts_entries_of_a_thousand_bits():
+    """A single s=4t coupling at N = 30 leaves a 32-dimensional kernel whose
+    entries have up to 1,006 bits: more than any fixed short prime list lifts."""
+    system = build_relations("IJ", 30, ["s=4t"])
+    rows = system.rows_normalized()
+    basis = kernel_basis(rows, system.unknowns)
+    assert basis == fraction_kernel_basis(rows, system.unknowns)
+    assert max(x.denominator.bit_length() for v in basis for x in v) > 990
+
+
 def test_kernel_basis_raises_when_the_primes_run_out(monkeypatch):
-    monkeypatch.setattr(recursions, "PRIMES", (5, 7))
+    monkeypatch.setattr(recursions, "_primes", lambda: iter((5, 7)))
     system = build_relations("AB", 6, ["s=t"])
     with pytest.raises(errors.NoKernelCertificate):
         kernel_basis(system.rows_normalized(), system.unknowns)
