@@ -4,7 +4,7 @@ At the hyperbolic base point the connection along a unit-speed closed geodesic
 reduces to the constant matrix M below; its eigenframe (growth rates e^l, 1,
 e^{-l}) carries all the holonomy data. Cubic/quadratic deformation directions
 drive first variations (trace formula) and second variations (inhomogeneous
-ODE systems with explicit kernel solutions).
+ODE systems, solved exactly mode by mode in that eigenframe).
 """
 from __future__ import annotations
 
@@ -29,6 +29,9 @@ M_CONN = np.array([[0.0, 0.5, 0.0],
 
 # Hermitian pairing of the frame on the geodesic (conjugate-linear first slot).
 H_METRIC = np.diag([2.0, 1.0, 0.5])
+
+# M_CONN e_k(0) = MU_k e_k(0); the monodromy eigenvalues are e^{-MU_k l}.
+MU = np.array([-1.0, 0.0, 1.0])
 
 PI0 = 0.5 * np.array([[0.5, -0.5, 0.25],
                       [-1.0, 1.0, -0.5],
@@ -214,15 +217,11 @@ def _sampled(A: Callable, ts: np.ndarray) -> np.ndarray:
 
 
 def parallel_transport(A: Callable, V0: np.ndarray, T: float,
-                       steps: int | None = None, richardson_tol: float | None = 1e-8):
-    """Solve V' = -A(t) V by RK4; one step-halving Richardson check by default.
+                       steps: int = 2048, richardson_tol: float = 1e-8):
+    """Solve V' = -A(t) V by RK4 with one step-halving Richardson check.
 
     The check samples A once at the fine nodes; every other one is a coarse node.
     """
-    steps = steps or 2048
-    if richardson_tol is None:
-        ts, h = _nodes(0.0, T, steps)
-        return _propagator(_sampled(A, ts), h) @ V0
     ts, h = _nodes(0.0, T, 2 * steps)
     a = _sampled(A, ts)
     coarse = _propagator(a[0::2], 2 * h) @ V0
@@ -352,67 +351,57 @@ def _moment(q: FourierSampler, rho: float, a: float, b, anchor=0.0):
     return sign * np.exp(rho * (start - anchor)) * modes
 
 
-class _KernelExpr:
-    """Value sum_j c_j e^{mu_j t} I_j with I_j local (int_0^t) or global (int_0^l)
-    integrals of e^{a s} g(s), g = Re q or Im q; every I_j is an exact moment of q,
-    so values and t-derivatives come from one vectorized evaluation.
+@dataclass
+class VariationSolution:
+    """One eigenvector variation path with its ODE/boundary metadata.
+
+    In the base eigenframe y = sum_k c_k e_k(0), and c_k' + MU_k c_k = e^{r t}
+    (A_k q + B_k conj q) with (A_k, B_k) = gains[:, k].
     """
 
-    def __init__(self, q: FourierSampler, l: float, loc, glob):
-        self.q = q
-        self.loc = loc  # (coef, mu, a, part) with part np.real or np.imag
-        self.glob = [(coef * float(part(_moment(q, a, 0.0, l))), mu)
-                     for coef, mu, a, part in glob]
+    l: float
+    index: int
+    direction: str
+    forcing: Callable
+    boundary_kappa: complex
+    eigenvalue: float
+    q: FourierSampler
+    rate: float
+    gains: np.ndarray
 
     def _evaluate(self, t):
-        """(values, t-derivatives) at a time or an array of times; g(t) is sampled
-        the way the forcing samples it, so ode_residual compares like with like."""
-        qt = self.q(t)
-        ts = np.asarray(t, dtype=float)
-        val = np.zeros(ts.shape, dtype=complex)
-        der = np.zeros(ts.shape, dtype=complex)
-        for coef, mu, a, part in self.loc:
-            # e^{mu t} I = e^{(mu + a) t} J with J = int_0^t e^{a (s - t)} g, J' = g - a J
-            J = part(_moment(self.q, a, 0.0, ts, ts))
-            scale = coef * np.exp((mu + a) * ts)
-            val += scale * J
-            der += scale * (mu * J + part(qt))
-        for coef, mu in self.glob:
-            term = coef * np.exp(mu * ts)
-            val += term
-            der += mu * term
-        return val, der
+        """(y, y') at a time or an array of times, components on the last axis.
 
-    def value(self, t: float) -> complex:
+        c_k = e^{r t} (A_k S_k + B_k conj S_k), where S_k takes each mode c_n e^{i w_n t}
+        of q to c_n e^{i w_n t} / (rho_k + i w_n), rho_k = MU_k + r: the l-periodic
+        solution of S' + rho_k S = q, so c_k(l) = e^{r l} c_k(0). Only k = i meets
+        rho_k + i w_n = 0 (at n = 0); there S_i integrates q from S_i(0) = 0, which keeps
+        y(0) H-orthogonal to e_i(0). Values and t-derivatives come from the same modes.
+        """
+        ts = np.asarray(t, dtype=float)[..., None, None]
+        w = np.array([2 * math.pi * k / self.q.l for k in self.q.modes])
+        c = np.array(list(self.q.modes.values()), dtype=complex)
+        z = (MU + self.rate)[:, None] + 1j * w
+        resonant = z == 0
+        z = np.where(resonant, 1.0, z)
+        wave = np.exp(1j * w * ts)
+        start = (np.arange(1, 4) == self.index)[:, None]
+        S = np.sum(c * np.where(resonant, ts, (wave - start) / z), axis=-1)
+        dS = np.sum(c * np.where(resonant, 1.0, 1j * w * wave / z), axis=-1)
+        A, B = self.gains
+        d, dd = A * S + B * np.conj(S), A * dS + B * np.conj(dS)
+        grow = np.exp(self.rate * ts[..., 0])
+        E0 = BaseFrame.e_matrix(0.0)
+        return (grow * d) @ E0, (grow * (self.rate * d + dd)) @ E0
+
+    def value(self, t: float) -> np.ndarray:
         return self.values_on_grid([t])[0]
 
     def values_on_grid(self, ts) -> np.ndarray:
         return self._evaluate(ts)[0]
 
-    def derivative(self, t: float) -> complex:
-        return complex(self._evaluate(t)[1])
-
-
-@dataclass
-class VariationSolution:
-    """One eigenvector variation path with its ODE/boundary metadata."""
-
-    l: float
-    index: int
-    direction: str
-    components: tuple
-    forcing: Callable
-    boundary_kappa: complex
-    eigenvalue: float
-
-    def value(self, t: float) -> np.ndarray:
-        return np.array([c.value(t) for c in self.components])
-
-    def values_on_grid(self, ts) -> np.ndarray:
-        return np.column_stack([c.values_on_grid(ts) for c in self.components])
-
     def derivative(self, t: float) -> np.ndarray:
-        return np.array([c.derivative(t) for c in self.components])
+        return self._evaluate(t)[1]
 
     def ode_residual(self, t: float) -> float:
         res = self.derivative(t) + M_CONN @ self.value(t) - self.forcing(t)
@@ -460,71 +449,19 @@ def _forcing_for(i: int, direction: str, orbit: OrbitData):
 
 
 def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> VariationSolution:
-    """Explicit kernel solution of d_t y + M y = -dD(t) e_i(t) with the
-    holonomy boundary conditions (H-orthogonality at 0, monodromy at l).
+    """Exact solution of d_t y + M y = -dD(t) e_i(t) with the holonomy boundary
+    conditions (H-orthogonality at 0, monodromy at l), for every key of _FORCINGS.
 
-    Cubic forcing covers i = 1, 2, 3; quadratic forcing covers i = 1.
+    The forcing's components are real-linear in q, so their values at q = 1 and
+    q = i give the q and conj q parts; a_matrix(0) takes both to the eigenframe.
     """
-    l = orbit.l
-    re, im = np.real, np.imag
-    if direction == "cubic":
-        q = orbit.sampler("q_beta")
-        if i == 1:
-            c2p = 1.0 / (math.exp(2 * l) - 1.0)
-            c1p = 1.0 / (math.exp(l) - 1.0)
-            spec = [
-                # (loc terms, glob terms) per component
-                ([(-SQ2 / 4, 1, 0, re), (-SQ2 / 4, -1, 2, re), (-SQ2 / 2 * 1j, 0, 1, im)],
-                 [(-SQ2 / 4 * c2p, -1, 2, re), (-SQ2 / 2 * 1j * c1p, 0, 1, im)]),
-                ([(SQ2 / 2, 1, 0, re), (-SQ2 / 2, -1, 2, re)],
-                 [(-SQ2 / 2 * c2p, -1, 2, re)]),
-                ([(-SQ2 / 2, 1, 0, re), (-SQ2 / 2, -1, 2, re), (SQ2 * 1j, 0, 1, im)],
-                 [(-SQ2 / 2 * c2p, -1, 2, re), (SQ2 * 1j * c1p, 0, 1, im)]),
-            ]
-        elif i == 2:
-            d1p = math.exp(l) / (1.0 - math.exp(l))
-            d1m = math.exp(-l) / (1.0 - math.exp(-l))
-            spec = [
-                ([(-1.0, 0, 0, re), (-0.5j, 1, -1, im), (-0.5j, -1, 1, im)],
-                 [(-0.5j * d1p, 1, -1, im), (-0.5j * d1m, -1, 1, im)]),
-                ([(1j, 1, -1, im), (-1j, -1, 1, im)],
-                 [(1j * d1p, 1, -1, im), (-1j * d1m, -1, 1, im)]),
-                ([(2.0, 0, 0, re), (-1j, 1, -1, im), (-1j, -1, 1, im)],
-                 [(-1j * d1p, 1, -1, im), (-1j * d1m, -1, 1, im)]),
-            ]
-        elif i == 3:
-            c2m = 1.0 / (math.exp(-2 * l) - 1.0)
-            c1m = 1.0 / (math.exp(-l) - 1.0)
-            spec = [
-                ([(-SQ2 / 4, 1, -2, re), (-SQ2 / 4, -1, 0, re), (-SQ2 / 2 * 1j, 0, -1, im)],
-                 [(-SQ2 / 4 * c2m, 1, -2, re), (-SQ2 / 2 * 1j * c1m, 0, -1, im)]),
-                ([(SQ2 / 2, 1, -2, re), (-SQ2 / 2, -1, 0, re)],
-                 [(SQ2 / 2 * c2m, 1, -2, re)]),
-                ([(-SQ2 / 2, 1, -2, re), (-SQ2 / 2, -1, 0, re), (SQ2 * 1j, 0, -1, im)],
-                 [(-SQ2 / 2 * c2m, 1, -2, re), (SQ2 * 1j * c1m, 0, -1, im)]),
-            ]
-        else:
-            raise UnsupportedCase("cubic direction supports i in {1, 2, 3}")
-    elif direction == "quadratic":
-        if i != 1:
-            raise UnsupportedCase("quadratic closed form is available for i = 1 only")
-        q = orbit.sampler("q_i")
-        e1p = 1.0 / (math.exp(l) - 1.0)
-        spec = [
-            ([(SQ2 / 2, 1, 0, re), (SQ2 / 2 * 1j, 0, 1, im)],
-             [(SQ2 / 2 * 1j * e1p, 0, 1, im)]),
-            ([(-SQ2, 1, 0, re)], []),
-            ([(SQ2, 1, 0, re), (-SQ2 * 1j, 0, 1, im)],
-             [(-SQ2 * 1j * e1p, 0, 1, im)]),
-        ]
-    else:
-        raise UnsupportedCase("direction must be 'cubic' or 'quadratic'")
-
-    components = tuple(_KernelExpr(q, l, loc, glob) for loc, glob in spec)
     forcing, kappa, lam = _forcing_for(i, direction, orbit)
-    return VariationSolution(l=l, index=i, direction=direction,
-                             components=components, forcing=forcing,
-                             boundary_kappa=kappa, eigenvalue=lam)
+    name, rate, comps, _ = _FORCINGS[i, direction]
+    one, imag = (np.array(comps(z), dtype=complex) @ BaseFrame.a_matrix(0.0)
+                 for z in (1 + 0j, 1j))
+    return VariationSolution(l=orbit.l, index=i, direction=direction, forcing=forcing,
+                             boundary_kappa=kappa, eigenvalue=lam, q=orbit.sampler(name),
+                             rate=rate, gains=np.array([one - 1j * imag, one + 1j * imag]) / 2)
 
 
 # --------------------------------------------------------------------------
@@ -663,9 +600,9 @@ def reassemble_trace_cc(orbit: OrbitData, t: float, paths=None) -> float:
 
 
 def reassemble_trace_cq(orbit: OrbitData, t: float, paths=None) -> float:
-    """Same assembly with quadratic-direction variation paths (shooting)."""
+    """Same assembly with quadratic-direction variation paths."""
     if paths is None:
-        paths = [ShootingSolution(i, "quadratic", orbit) for i in (1, 2, 3)]
+        paths = [variation_ode_closed_form(i, orbit, "quadratic") for i in (1, 2, 3)]
     return _reassemble(orbit, t, paths, "q_alpha")
 
 

@@ -235,16 +235,18 @@ def test_cubic_closed_form_ode_and_boundary(i):
 
 def test_quadratic_closed_form_ode_and_boundary():
     orbit = _orbit(8, l=1.2)
-    sol = variation_ode_closed_form(1, orbit, "quadratic")
-    for t in np.linspace(0.1, orbit.l - 0.1, 5):
-        assert sol.ode_residual(float(t)) < 1e-8
-    assert sol.boundary_residual() < 1e-8
+    for i in (1, 2, 3):
+        sol = variation_ode_closed_form(i, orbit, "quadratic")
+        for t in np.linspace(0.1, orbit.l - 0.1, 5):
+            assert sol.ode_residual(float(t)) < 1e-8
+        assert sol.boundary_residual() < 1e-8
 
 
 def test_quadratic_closed_form_other_indices_unsupported():
     orbit = _orbit(8)
-    with pytest.raises(errors.UnsupportedCase):
-        variation_ode_closed_form(2, orbit, "quadratic")
+    for i, direction in ((4, "quadratic"), (0, "cubic"), (1, "linear")):
+        with pytest.raises(errors.UnsupportedCase):
+            variation_ode_closed_form(i, orbit, direction)
 
 
 def test_zero_forcing_gives_zero_variation():
@@ -257,7 +259,8 @@ def test_zero_forcing_gives_zero_variation():
 
 
 @pytest.mark.parametrize("i,direction", [(1, "cubic"), (2, "cubic"), (3, "cubic"),
-                                         (1, "quadratic")])
+                                         (1, "quadratic"), (2, "quadratic"),
+                                         (3, "quadratic")])
 def test_closed_forms_match_shooting(i, direction):
     orbit = _orbit(11, l=1.8, modes=3)
     closed = variation_ode_closed_form(i, orbit, direction)
@@ -333,11 +336,12 @@ def test_trace_cc_reassembles_from_variation_paths():
 
 def test_trace_cq_reassembles_from_shooting_paths():
     orbit = _orbit(17, l=1.3)
-    paths = [ShootingSolution(i, "quadratic", orbit) for i in (1, 2, 3)]
-    for t in (0.0, 0.5, 1.1):
-        kernel = -second_variation_trace_cq(orbit, t)  # y21 = 0 -> minus the kernel
-        assembled = reassemble_trace_cq(orbit, t, paths)
-        assert abs(kernel - assembled) < 1e-8
+    shooting = [ShootingSolution(i, "quadratic", orbit) for i in (1, 2, 3)]
+    for paths in (shooting, None):  # None: the closed-form default
+        for t in (0.0, 0.5, 1.1):
+            kernel = -second_variation_trace_cq(orbit, t)  # y21 = 0 -> minus the kernel
+            assembled = reassemble_trace_cq(orbit, t, paths)
+            assert abs(kernel - assembled) < 1e-8
 
 
 def test_trace_cq_y21_term():
