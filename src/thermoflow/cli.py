@@ -108,7 +108,9 @@ def _potential_from(config: dict, s: Sft, rng) -> DepthKFunction:
             value = _number(spec.get("value"), "constant potential value", lo=None)
             return constant_function(s, value, depth=spec.get("depth", 1))
         if kind == "random":
-            return random_function(s, spec.get("depth", 2), rng, scale=spec.get("scale", 0.3))
+            depth = _integer(spec.get("depth", 2), "random potential depth", lo=1)
+            scale = _number(spec.get("scale", 0.3), "random potential scale")
+            return random_function(s, depth, rng, scale=scale)
         if kind == "values":
             depth = spec["depth"]
             vals = {tuple(int(ch) for ch in key): _number(v, f"potential value {key}", lo=None)
@@ -391,6 +393,10 @@ def run_diskvanish(config: dict, out_dir: Path, seed: int) -> dict:
             raise errors.ConfigError(f"unknown diskvanish case {case}")
         N = _integer(item.get("N", 20), f"{case} N")
         margin = _integer(item.get("margin", 2), f"{case} margin")
+        expected = item.get("expect")
+        if expected not in (None, "forced-zero", "undetermined"):
+            raise errors.ConfigError(
+                f"{case} expect must be 'forced-zero' or 'undetermined', got {expected!r}")
         couplings = item.get("couplings", list(REFERENCE_COUPLINGS[case]))
         if not isinstance(couplings, list):
             raise errors.ConfigError(f"{case} couplings must be a list, got {couplings!r}")
@@ -410,7 +416,6 @@ def run_diskvanish(config: dict, out_dir: Path, seed: int) -> dict:
             comp = solve_vanishing(build_completed_relations(case, N), margin=margin)
             entry["completed_verdict"] = comp.verdict
             entry["completed_kernel_dim"] = comp.kernel_dim
-        expected = item.get("expect")
         if expected is not None:
             effective = entry.get("completed_verdict", verdict.verdict) \
                 if expected == "forced-zero" and item.get("completed") else verdict.verdict

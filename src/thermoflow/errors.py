@@ -34,7 +34,8 @@ class NonPositiveEigenfunction(ThermoflowError):
 
 
 class PotentialOverflow(ThermoflowError):
-    """A potential value is too large for e^w to be a float."""
+    """A potential value is too large for e^w to be a float, or so negative that
+    e^w is zero."""
 
 
 class NotNormalized(ThermoflowError):

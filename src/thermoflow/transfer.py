@@ -76,10 +76,14 @@ def ruelle_matrix(sft: Sft, w: DepthKFunction, depth: int | None = None) -> Ruel
             rows.append(i)
             cols.append(j)
             try:
-                vals.append(math.exp(float(np.real(wk.values[v]))))
+                weight = math.exp(float(np.real(wk.values[v])))
             except OverflowError:
                 raise PotentialOverflow(f"e^w overflows a float at word {v}: "
                                         f"w = {wk.values[v]}") from None
+            if weight == 0.0:  # a zero weight would drop the transition
+                raise PotentialOverflow(f"e^w underflows to zero at word {v}: "
+                                        f"w = {wk.values[v]}")
+            vals.append(weight)
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(words), len(words)))
     return RuelleMatrix(sft=sft, depth=k, words=words, index=index, matrix=mat)
 

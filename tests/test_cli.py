@@ -199,6 +199,9 @@ GOLDEN_MEAN = {"transition": [[1, 1], [1, 0]]}
      "potential": {"kind": "constant", "value": math.inf}},
     {"experiment": "pressure", "sft": GOLDEN_MEAN,
      "potential": {"kind": "values", "depth": 1, "values": {"0": math.nan, "1": 0.0}}},
+    {"experiment": "diskvanish", "cases": [{"case": "AB", "N": 6, "expect": "forced_zero"}]},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "potential": {"kind": "random", "scale": math.nan}},
 ])
 def test_bad_field_values_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
@@ -382,3 +385,24 @@ def test_suspension_config_fields_never_raise(tmp_path_factory, roof, flow_funct
                                "sft": GOLDEN_MEAN, "roof": roof,
                                "flow_function": flow_function}))
     assert _run(["suspension", "--config", cfg, "--out", out]) in (0, 2, 3)
+
+
+_POTENTIALS = st.one_of(  # st.floats() also draws nan, infinities and huge values
+    _spec("zero", depth=st.integers(1, 3)),
+    _spec("constant", value=st.floats(), depth=st.integers(1, 3)),
+    _spec("random", depth=st.integers(1, 3), scale=st.floats()),
+    st.integers(1, 2).flatmap(lambda d: _spec(
+        "values", depth=st.just(d),
+        values=st.fixed_dictionaries({w: st.floats() for w in _GOLDEN_WORDS[d]}))),
+    _JUNK)
+
+
+@settings(max_examples=60, deadline=None)
+@given(potential=_POTENTIALS)
+def test_pressure_potential_fields_never_raise(tmp_path_factory, potential):
+    out = tmp_path_factory.mktemp("pressure")
+    cfg = out / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "pressure", "sft": GOLDEN_MEAN,
+                               "potential": potential, "orders": [1],
+                               "derivative_families": {"count": 1, "depth": 1}}))
+    assert _run(["pressure", "--config", cfg, "--out", out]) in (0, 2, 3)
