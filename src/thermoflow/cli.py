@@ -103,16 +103,18 @@ def _potential_from(config: dict, s: Sft, rng) -> DepthKFunction:
     kind = spec.get("kind", "zero")
     try:
         if kind == "zero":
-            return constant_function(s, 0.0, depth=spec.get("depth", 1))
+            depth = _integer(spec.get("depth", 1), "zero potential depth", lo=1)
+            return constant_function(s, 0.0, depth=depth)
         if kind == "constant":
             value = _number(spec.get("value"), "constant potential value", lo=None)
-            return constant_function(s, value, depth=spec.get("depth", 1))
+            depth = _integer(spec.get("depth", 1), "constant potential depth", lo=1)
+            return constant_function(s, value, depth=depth)
         if kind == "random":
             depth = _integer(spec.get("depth", 2), "random potential depth", lo=1)
             scale = _number(spec.get("scale", 0.3), "random potential scale")
             return random_function(s, depth, rng, scale=scale)
         if kind == "values":
-            depth = spec["depth"]
+            depth = _integer(spec.get("depth"), "values potential depth", lo=1)
             vals = {tuple(int(ch) for ch in key): _number(v, f"potential value {key}", lo=None)
                     for key, v in _section(spec, "values", None).items()}
             return DepthKFunction(s, depth, vals)

@@ -52,17 +52,14 @@ class EquilibriumContext:
     def apply_L(self, v: np.ndarray) -> np.ndarray:
         return self.rm.apply(v)
 
-    def measure(self) -> MarkovMeasure:
-        return MarkovMeasure(self.sft, self.depth,
-                             {w: float(self.m[i]) for i, w in enumerate(self.rm.words)})
-
     @functools.cached_property
     def _factor(self):
-        """(A, solve, ||A^-1||_1) for the fundamental system, built on first use.
+        """(A, solve, ||A^-1[:n, :n]||_1) for the fundamental system, built on first use.
 
-        Up to DENSE_WORDS words A = I - L + 1 m^T with a dense LU; above, A is
-        the bordered [[I - L, 1], [m^T, 0]] with a sparse LU. The bordered
-        matrix is nonsingular because 1 is a simple eigenvalue of L.
+        For n <= DENSE_WORDS words A = I - L + 1 m^T with a dense LU; above, A
+        is the bordered [[I - L, 1], [m^T, 0]] with a sparse LU, and the norm is
+        that of its top-left n x n block. The bordered matrix is nonsingular
+        because 1 is a simple eigenvalue of L.
         """
         n = len(self.m)
         ones = np.ones(n)
@@ -75,24 +72,79 @@ class EquilibriumContext:
         a = sp.bmat([[sp.identity(n) - self.rm.matrix, ones[:, None]],
                      [self.m[None, :], None]], format="csc")
         lu = splu(a)
-        inverse = LinearOperator(a.shape, matvec=lu.solve, dtype=float,
-                                 rmatvec=lambda y: lu.solve(y, trans="T"))
-        return a, lu.solve, onenormest(inverse)
+        block = LinearOperator((n, n), dtype=float,
+                               matvec=lambda y: lu.solve(np.append(y, 0.0))[:n],
+                               rmatvec=lambda y: lu.solve(np.append(y, 0.0), trans="T")[:n])
+        return a, lu.solve, onenormest(block)
 
     def sums(self, vecs: np.ndarray, lo=0, err_in=0.0):
         """Columns sum_{j>=lo} L^j (v - m(v)) over the columns v of `vecs`.
 
         Also returns, per column, a bound on the 1-norm of its error up to a
-        multiple of 1 (which pairs to zero with a mean-zero vector): ||A^-1||_1
-        times the solve residual, plus the input error `err_in` carried
-        through the solve. `lo` and `err_in` may vary by column.
+        multiple of 1 (which pairs to zero with a mean-zero vector): the block
+        norm of `_factor` times the residual of the n word rows, plus the input
+        error `err_in` carried through the solve. A residual r[n] in the
+        bordered constraint row moves x by exactly r[n] * 1, hence n |r[n]|.
+        `lo` and `err_in` may vary by column.
         """
         a, solve, inv_norm = self._factor
+        n = len(self.m)
         b = vecs - self.m @ vecs
-        rhs = np.vstack([b, np.zeros((a.shape[0] - len(b), b.shape[1]))])
+        rhs = np.vstack([b, np.zeros((a.shape[0] - n, b.shape[1]))])
         x = solve(rhs)
-        resid = np.abs(rhs - a @ x).sum(axis=0)
-        return x[:len(b)] - lo * b, inv_norm * (err_in + resid) + lo * err_in
+        resid = np.abs(rhs - a @ x)
+        err = inv_norm * (err_in + resid[:n].sum(axis=0)) + n * resid[n:].sum(axis=0)
+        return x[:n] - lo * b, err + lo * err_in
+
+    def _mean_zero_vector(self, g: DepthKFunction) -> np.ndarray:
+        v = self.vector(g)
+        mean = self.integrate_vec(v)
+        if abs(mean) > MEAN_ZERO_TOL * (1.0 + float(np.max(np.abs(v)))):
+            raise NotMeanZero(mean)
+        return v
+
+    def _report(self, value: float, weights: np.ndarray, err: np.ndarray) -> CorrelationReport:
+        """Report whose bound pairs the error of each solved column with the
+        max |m * v| of the column v it is integrated against."""
+        bound = float(np.abs(self.m[:, None] * weights).max(axis=0) @ err)
+        return CorrelationReport(value, truncation=0, tail_bound=bound, gap=self.gap)
+
+    def variance(self, g: DepthKFunction) -> CorrelationReport:
+        """Green-Kubo sum m(g^2) + 2 sum_{j>=1} m(g * g o sigma^j) of a mean-zero g."""
+        v = self._mean_zero_vector(g)
+        s1, err = self.sums(v[:, None], lo=1)
+        value = self.integrate_vec(v * v) + 2.0 * self.integrate_vec(v * s1[:, 0])
+        return self._report(value, v[:, None], 2.0 * err)
+
+    def covariance(self, g1: DepthKFunction, g2: DepthKFunction) -> CorrelationReport:
+        """Symmetric bilinear correlation sum; g2 is projected mean-zero first.
+
+        Cov(g1, g2) = Cov(g1, P_m g2) holds because the cross terms average out,
+        so only g1 needs to be mean zero on input.
+        """
+        v1 = self._mean_zero_vector(g1)
+        v2 = self.vector(g2)
+        v2 = v2 - self.integrate_vec(v2)
+        s1, err = self.sums(np.column_stack([v1, v2]), lo=1)
+        value = self.integrate_vec(v1 * v2 + s1[:, 0] * v2 + s1[:, 1] * v1)
+        return self._report(value, np.column_stack([v2, v1]), err)
+
+    def triple(self, g1: DepthKFunction, g2: DepthKFunction,
+               g3: DepthKFunction) -> CorrelationReport:
+        """Double correlation sum over all n, m of m(g1 * g2 o sigma^n * g3 o sigma^m).
+
+        This is the discrete form of the third-moment limit (1/n) int (S_n)^3.
+        Each index pair is one ordering (i, j, k) of the factors by shift, ties
+        broken by index, with gaps p, c >= 0; the ordering's share is
+        m(S_c(S_p(h_i) * h_j) * h_k) with lower limits p >= [i > j], c >= [j > k].
+        """
+        h = np.column_stack([self._mean_zero_vector(g) for g in (g1, g2, g3)])
+        i, j, k = np.array(list(itertools.permutations(range(3)))).T
+        inner, err = self.sums(h[:, i], lo=i > j)
+        outer, err = self.sums(inner * h[:, j], lo=j > k,
+                               err_in=np.abs(h[:, j]).max(axis=0) * err)
+        value = self.integrate_vec((outer * h[:, k]).sum(axis=1))
+        return self._report(value, h[:, k], err)
 
 
 @dataclass(frozen=True)
@@ -113,71 +165,26 @@ def project_mean_zero(g: DepthKFunction, m: MarkovMeasure) -> DepthKFunction:
     return g - m.integrate(g)
 
 
-def _require_mean_zero(ctx: EquilibriumContext, vec: np.ndarray):
-    mean = ctx.integrate_vec(vec)
-    scale = 1.0 + float(np.max(np.abs(vec)))
-    if abs(mean) > MEAN_ZERO_TOL * scale:
-        raise NotMeanZero(mean)
-
-
-def _weight(ctx: EquilibriumContext, cols: np.ndarray) -> np.ndarray:
-    """max |m * v| per column v: turns a 1-norm error of x into one of m(v * x)."""
-    return np.abs(ctx.m[:, None] * cols).max(axis=0)
+def _context(gs, m: MarkovMeasure, w: DepthKFunction,
+             ctx: EquilibriumContext | None) -> EquilibriumContext:
+    """`ctx`, or a new context for w deep enough for m and every g in `gs`."""
+    return ctx or EquilibriumContext(gs[0].sft, w, depth=max(m.depth, *(g.depth for g in gs)))
 
 
 def variance(g: DepthKFunction, m: MarkovMeasure, w: DepthKFunction,
              ctx: EquilibriumContext | None = None) -> CorrelationReport:
-    """Green-Kubo sum m(g^2) + 2 sum_{j>=1} m(g * g o sigma^j)."""
-    ctx = ctx or EquilibriumContext(g.sft, w, depth=max(g.depth, m.depth))
-    v = ctx.vector(g)
-    _require_mean_zero(ctx, v)
-    s1, err = ctx.sums(v[:, None], lo=1)
-    value = ctx.integrate_vec(v * v) + 2.0 * ctx.integrate_vec(v * s1[:, 0])
-    bound = 2.0 * float(_weight(ctx, v[:, None]) @ err)
-    return CorrelationReport(value, truncation=0, tail_bound=bound, gap=ctx.gap)
+    return _context((g,), m, w, ctx).variance(g)
 
 
 def covariance(g1: DepthKFunction, g2: DepthKFunction, m: MarkovMeasure,
                w: DepthKFunction, ctx: EquilibriumContext | None = None) -> CorrelationReport:
-    """Symmetric bilinear correlation sum; g2 is projected mean-zero first.
-
-    Cov(g1, g2) = Cov(g1, P_m g2) holds because the cross terms average out,
-    so only g1 needs to be mean zero on input.
-    """
-    depth = max(g1.depth, g2.depth, m.depth)
-    ctx = ctx or EquilibriumContext(g1.sft, w, depth=depth)
-    v1 = ctx.vector(g1)
-    _require_mean_zero(ctx, v1)
-    v2 = ctx.vector(g2)
-    v2 = v2 - ctx.integrate_vec(v2)
-    s1, err = ctx.sums(np.column_stack([v1, v2]), lo=1)
-    value = ctx.integrate_vec(v1 * v2 + s1[:, 0] * v2 + s1[:, 1] * v1)
-    bound = float(_weight(ctx, np.column_stack([v2, v1])) @ err)
-    return CorrelationReport(value, truncation=0, tail_bound=bound, gap=ctx.gap)
+    return _context((g1, g2), m, w, ctx).covariance(g1, g2)
 
 
 def triple_covariance(g1: DepthKFunction, g2: DepthKFunction, g3: DepthKFunction,
                       m: MarkovMeasure, w: DepthKFunction,
                       ctx: EquilibriumContext | None = None) -> CorrelationReport:
-    """Double correlation sum over all n, m of m(g1 * g2 o sigma^n * g3 o sigma^m).
-
-    This is the discrete form of the third-moment limit (1/n) int (S_n)^3.
-    Each index pair is one ordering (i, j, k) of the factors by shift, ties
-    broken by index, with gaps p, c >= 0; the ordering's share is
-    m(S_c(S_p(h_i) * h_j) * h_k) with lower limits p >= [i > j], c >= [j > k].
-    """
-    depth = max(g1.depth, g2.depth, g3.depth, m.depth)
-    ctx = ctx or EquilibriumContext(g1.sft, w, depth=depth)
-    h = np.column_stack([ctx.vector(g) for g in (g1, g2, g3)])
-    for v in h.T:
-        _require_mean_zero(ctx, v)
-    i, j, k = np.array(list(itertools.permutations(range(3)))).T
-    inner, err = ctx.sums(h[:, i], lo=i > j)
-    outer, err = ctx.sums(inner * h[:, j], lo=j > k,
-                          err_in=np.abs(h[:, j]).max(axis=0) * err)
-    value = ctx.integrate_vec((outer * h[:, k]).sum(axis=1))
-    bound = float(_weight(ctx, h[:, k]) @ err)
-    return CorrelationReport(value, truncation=0, tail_bound=bound, gap=ctx.gap)
+    return _context((g1, g2, g3), m, w, ctx).triple(g1, g2, g3)
 
 
 def birkhoff_moment(ctx: EquilibriumContext, gs, n: int) -> float:

@@ -3,9 +3,9 @@
 First derivative: integral of the parameter derivative against the equilibrium
 state. Second: variance plus the second-parameter integral (valid once the
 first derivative vanishes). Third: triple covariance + 3 cov(d1, d2) + the
-third-parameter integral. Mixed versions assemble the corresponding
-multi-parameter displays. Every formula is cross-checkable against central
-finite differences of the pressure (fd_oracle).
+third-parameter integral. Each display is written once over a multi-index
+(`_Base.d2`, `_Base.d3`), so pure and mixed derivatives share it. Every formula
+is cross-checkable against central finite differences of the pressure (fd_oracle).
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .correlations import EquilibriumContext, covariance, triple_covariance, variance
+from .correlations import EquilibriumContext
 from .errors import DegenerateDenominator, HypothesisViolated
 from .sft import DepthKFunction, Sft
 from .transfer import RpfData, normalize_potential, pressure, rpf
@@ -125,35 +125,49 @@ class _Base:
     """One base potential solved once: its RPF data, normalization and context.
 
     `d1`, `d2` and `d3` return (value, stated error bound of the correlation
-    sums they computed) for any family whose base is this potential.
+    sums they computed) for any family whose base is this potential; each
+    takes the multi-index of the derivative, so a pure and a mixed derivative
+    of one order share one display.
     """
 
     data: RpfData
-    w_norm: DepthKFunction
-    m: object
     ctx: EquilibriumContext
 
     def centered(self, g: DepthKFunction) -> DepthKFunction:
         return g - self.ctx.integrate(g)
 
-    def d1(self, family: PotentialFamily, param: int = 0):
-        return self.ctx.integrate(family.partial((param,))), 0.0
+    def require_first_derivs_zero(self, family: PotentialFamily, params):
+        for p in sorted(set(params)):
+            val = self.ctx.integrate(family.partial((p,)))
+            if abs(val) > FIRST_DERIV_TOL:
+                raise HypothesisViolated(f"first derivative in parameter {p}", val)
 
-    def d2(self, family: PotentialFamily, param: int = 0):
-        _check_first_derivs_zero(self, family, [param])
-        g0 = self.centered(family.partial((param,)))
-        var = variance(g0, self.m, self.w_norm, ctx=self.ctx)
-        return var.value + self.ctx.integrate(family.partial((param, param))), var.tail_bound
+    def d1(self, family: PotentialFamily, params=(0,)):
+        return self.ctx.integrate(family.partial(params)), 0.0
 
-    def d3(self, family: PotentialFamily, param: int = 0):
-        _check_first_derivs_zero(self, family, [param])
-        g1 = self.centered(family.partial((param,)))
-        g2 = family.partial((param, param))
-        trip = triple_covariance(g1, g1, g1, self.m, self.w_norm, ctx=self.ctx)
-        cov = covariance(g1, g2, self.m, self.w_norm, ctx=self.ctx)
-        third = self.ctx.integrate(family.partial((param, param, param)))
-        return (trip.value + 3.0 * cov.value + third,
-                trip.tail_bound + 3.0 * cov.tail_bound)
+    def d2(self, family: PotentialFamily, params=(0, 0)):
+        """Cov(P d_i f, P d_j f) + int d_ij f dm, with the variance when i == j."""
+        self.require_first_derivs_zero(family, params)
+        i, j = params
+        gi = self.centered(family.partial((i,)))
+        corr = (self.ctx.variance(gi) if i == j
+                else self.ctx.covariance(gi, family.partial((j,))))
+        return corr.value + self.ctx.integrate(family.partial(params)), corr.tail_bound
+
+    def d3(self, family: PotentialFamily, params=(0, 0, 0)):
+        """Triple(P d_u f, P d_v f, P d_w f) + the three Cov(P d_a f, d_bc f)
+        + int d_uvw f dm. Each distinct covariance is solved once, so a pure
+        d3 makes one: its three equal terms sum to exactly 3 times it."""
+        self.require_first_derivs_zero(family, params)
+        g = {p: self.centered(family.partial((p,))) for p in params}
+        trip = self.ctx.triple(*(g[p] for p in params))
+        splits = [(params[a], tuple(sorted(params[:a] + params[a + 1:]))) for a in range(3)]
+        cov = {k: self.ctx.covariance(g[k[0]], family.partial(k[1]))
+               for k in dict.fromkeys(splits)}
+        value = sum(cov[k].value for k in splits)
+        bound = sum(cov[k].tail_bound for k in splits)
+        third = self.ctx.integrate(family.partial(params))
+        return trip.value + value + third, trip.tail_bound + bound
 
 
 def _prepare(f0: DepthKFunction, depth: int, data: RpfData | None = None) -> _Base:
@@ -165,45 +179,30 @@ def _prepare(f0: DepthKFunction, depth: int, data: RpfData | None = None) -> _Ba
     """
     data = data or rpf(f0.sft, f0)
     w_norm = normalize_potential(f0.sft, f0, data)
-    ctx = EquilibriumContext(f0.sft, w_norm, depth=depth)
-    return _Base(data=data, w_norm=w_norm, m=ctx.measure(), ctx=ctx)
+    return _Base(data=data, ctx=EquilibriumContext(f0.sft, w_norm, depth=depth))
 
 
-def _ctx_depth(family: PotentialFamily) -> int:
-    depths = [family.f0.depth + 1]
-    depths += [g.depth for g in family.partials.values()]
-    return max(depths)
-
-
-def _family_base(family: PotentialFamily) -> _Base:
-    return _prepare(family.f0, _ctx_depth(family))
+def _family_base(*families: PotentialFamily) -> _Base:
+    """The base of the first family, deep enough for every f0 (plus one) and
+    every partial of `families`."""
+    depth = max([f.f0.depth + 1 for f in families]
+                + [g.depth for f in families for g in f.partials.values()])
+    return _prepare(families[0].f0, depth)
 
 
 def pressure_d1(family: PotentialFamily, param: int = 0) -> float:
     """dP/ds at 0 = integral of d_s f_0 against the equilibrium state."""
-    return _family_base(family).d1(family, param)[0]
-
-
-def _check_first_derivs_zero(base: _Base, family: PotentialFamily, params):
-    for p in params:
-        val = base.ctx.integrate(family.partial((p,)))
-        if abs(val) > FIRST_DERIV_TOL:
-            raise HypothesisViolated(f"first derivative in parameter {p}", val)
+    return _family_base(family).d1(family, (param,))[0]
 
 
 def pressure_d2(family: PotentialFamily, param: int = 0) -> float:
     """Var(d_s f_0) + int d_ss f_0 dm; requires the first derivative to vanish."""
-    return _family_base(family).d2(family, param)[0]
+    return _family_base(family).d2(family, (param, param))[0]
 
 
 def pressure_d2_mixed(family: PotentialFamily, params=(0, 1)) -> float:
     """Cov(P d_s f, P d_t f) + int d_st f dm for a two-parameter family."""
-    base = _family_base(family)
-    _check_first_derivs_zero(base, family, params)
-    i, j = params
-    gi = base.centered(family.partial((i,)))
-    cov = covariance(gi, family.partial((j,)), base.m, base.w_norm, ctx=base.ctx)
-    return cov.value + base.ctx.integrate(family.partial((i, j)))
+    return _family_base(family).d2(family, params)[0]
 
 
 def pressure_d3(family: PotentialFamily, param: int = 0) -> float:
@@ -212,21 +211,12 @@ def pressure_d3(family: PotentialFamily, param: int = 0) -> float:
     A constant added to the base changes neither the equilibrium state nor any
     derivative; the vanishing of the first derivative is enforced.
     """
-    return _family_base(family).d3(family, param)[0]
+    return _family_base(family).d3(family, (param,) * 3)[0]
 
 
 def pressure_d3_mixed(family: PotentialFamily, params=(0, 1, 2)) -> float:
     """Five-term third mixed derivative for a three-parameter family."""
-    base = _family_base(family)
-    _check_first_derivs_zero(base, family, params)
-    u, v, w = params
-    gu, gv, gw = (base.centered(family.partial((p,))) for p in params)
-    trip = triple_covariance(gu, gv, gw, base.m, base.w_norm, ctx=base.ctx)
-    c1 = covariance(gu, family.partial((v, w)), base.m, base.w_norm, ctx=base.ctx)
-    c2 = covariance(gv, family.partial((u, w)), base.m, base.w_norm, ctx=base.ctx)
-    c3 = covariance(gw, family.partial((u, v)), base.m, base.w_norm, ctx=base.ctx)
-    third = base.ctx.integrate(family.partial((u, v, w)))
-    return trip.value + c1.value + c2.value + c3.value + third
+    return _family_base(family).d3(family, params)[0]
 
 
 _FD_STEPS = {1: 1e-4, 2: 5e-3, 3: 1e-2}
@@ -260,9 +250,9 @@ def measure_derivative(w_family: PotentialFamily, f_family: PotentialFamily) -> 
 
     Adding constants to the f-family does not change its equilibrium states.
     """
-    base = _prepare(f_family.f0, max(_ctx_depth(f_family), _ctx_depth(w_family)))
+    base = _family_base(f_family, w_family)
     df = base.centered(f_family.partial((0,)))
-    cov = covariance(base.centered(w_family.f0), df, base.m, base.w_norm, ctx=base.ctx)
+    cov = base.ctx.covariance(base.centered(w_family.f0), df)
     return cov.value + base.ctx.integrate(w_family.partial((0,)))
 
 
@@ -274,8 +264,7 @@ def pressure_metric(family: PotentialFamily, params=(0, 1)) -> float:
         raise DegenerateDenominator(f"int F dm = {denom}")
     i, j = params
     gi = base.centered(family.partial((i,)))
-    cov = covariance(gi, family.partial((j,)), base.m, base.w_norm, ctx=base.ctx)
-    return -cov.value / denom
+    return -base.ctx.covariance(gi, family.partial((j,))).value / denom
 
 
 def pressure_metric_d1_terms(du: DepthKFunction, dv: DepthKFunction, dw: DepthKFunction,
@@ -285,18 +274,14 @@ def pressure_metric_d1_terms(du: DepthKFunction, dv: DepthKFunction, dw: DepthKF
     """Three-term first variation of the metric numerator.
 
     triple(du, dv, dw) + cov(du, dwv) + cov(dv, dwu); depends only on the
-    Livsic class of each component.
+    Livsic class of each component. The sums are taken against the measure of
+    `w_norm` (or `ctx`), so `m` is not read.
     """
-    depth = max(du.depth, dv.depth, dw.depth, dwv.depth, dwu.depth,
-                w_norm.depth)
+    depth = max(g.depth for g in (du, dv, dw, dwv, dwu, w_norm))
     ctx = ctx or EquilibriumContext(du.sft, w_norm, depth=depth)
-    du = du - ctx.integrate(du)
-    dv = dv - ctx.integrate(dv)
-    dw = dw - ctx.integrate(dw)
-    trip = triple_covariance(du, dv, dw, m, w_norm, ctx=ctx)
-    c1 = covariance(du, dwv, m, w_norm, ctx=ctx)
-    c2 = covariance(dv, dwu, m, w_norm, ctx=ctx)
-    return trip.value + c1.value + c2.value
+    du, dv, dw = (g - ctx.integrate(g) for g in (du, dv, dw))
+    return (ctx.triple(du, dv, dw).value + ctx.covariance(du, dwv).value
+            + ctx.covariance(dv, dwu).value)
 
 
 def pressure_metric_d1(family: PotentialFamily, params=(0, 1, 2)) -> float:
@@ -310,7 +295,7 @@ def pressure_metric_d1(family: PotentialFamily, params=(0, 1, 2)) -> float:
     base = _family_base(family)
     if abs(base.data.pressure) > FIRST_DERIV_TOL:
         raise HypothesisViolated("base pressure", base.data.pressure)
-    _check_first_derivs_zero(base, family, params)
+    base.require_first_derivs_zero(family, params)
     f0_centered = family.f0 - base.ctx.integrate(family.f0)
     if f0_centered.sup_norm() > 1e-9:
         raise HypothesisViolated("base function must be constant", f0_centered.sup_norm())
@@ -320,6 +305,5 @@ def pressure_metric_d1(family: PotentialFamily, params=(0, 1, 2)) -> float:
     u, v, w = params
     s3 = pressure_metric_d1_terms(
         family.partial((u,)), family.partial((v,)), family.partial((w,)),
-        family.partial((v, w)), family.partial((u, w)),
-        base.m, base.w_norm, ctx=base.ctx)
+        family.partial((v, w)), family.partial((u, w)), None, base.ctx.w, ctx=base.ctx)
     return s3 / (-denom)

@@ -22,11 +22,13 @@ def base_context(s, f0):
 @pytest.fixture
 def solve_counts(monkeypatch):
     """Counts spectral solves (`transfer._perron`, also as imported by
-    `correlations`), `EquilibriumContext` constructions and factorizations."""
+    `correlations`), `EquilibriumContext` constructions, factorizations and
+    `EquilibriumContext.sums` calls."""
     counts = collections.Counter()
     perron = transfer._perron
     init = EquilibriumContext.__init__
     factor = EquilibriumContext.__dict__["_factor"].func
+    sums = EquilibriumContext.sums
 
     def counted_perron(matrix):
         counts["solves"] += 1
@@ -40,12 +42,17 @@ def solve_counts(monkeypatch):
         counts["factors"] += 1
         return factor(self)
 
+    def counted_sums(self, *args, **kwargs):
+        counts["sums"] += 1
+        return sums(self, *args, **kwargs)
+
     cached = functools.cached_property(counted_factor)
     cached.__set_name__(EquilibriumContext, "_factor")
     monkeypatch.setattr(transfer, "_perron", counted_perron)
     monkeypatch.setattr(correlations, "_perron", counted_perron)
     monkeypatch.setattr(EquilibriumContext, "__init__", counted_init)
     monkeypatch.setattr(EquilibriumContext, "_factor", cached)
+    monkeypatch.setattr(EquilibriumContext, "sums", counted_sums)
     return counts
 
 

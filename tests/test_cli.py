@@ -202,6 +202,16 @@ GOLDEN_MEAN = {"transition": [[1, 1], [1, 0]]}
     {"experiment": "diskvanish", "cases": [{"case": "AB", "N": 6, "expect": "forced_zero"}]},
     {"experiment": "pressure", "sft": GOLDEN_MEAN,
      "potential": {"kind": "random", "scale": math.nan}},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN, "potential": {"kind": "zero", "depth": True}},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN, "potential": {"kind": "zero", "depth": 1.5}},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "potential": {"kind": "constant", "value": 0.1, "depth": True}},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "potential": {"kind": "constant", "value": 0.1, "depth": 1.5}},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "potential": {"kind": "values", "depth": True, "values": {"0": 0.1, "1": 0.2}}},
+    {"experiment": "pressure", "sft": GOLDEN_MEAN,
+     "potential": {"kind": "values", "depth": 1.5, "values": {"0": 0.1, "1": 0.2}}},
 ])
 def test_bad_field_values_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"

@@ -283,6 +283,9 @@ def test_exact_sums_match_truncated_series(case, monkeypatch):
              (triple_covariance(*gs, m, wn, ctx=ctx), series_triple(ctx, vecs, N))]
     if branch is not None:
         assert isinstance(ctx._factor[0], np.ndarray) == (branch == "dense")
+    if branch == "sparse":
+        # the bordered inverse maps the constraint row to 1, so its full norm is >= n
+        assert ctx._factor[2] < len(ctx.m) / 2
     for rep, (series, tail) in pairs:
         assert rep.truncation == 0
         assert math.isfinite(rep.tail_bound) and rep.tail_bound >= 0.0

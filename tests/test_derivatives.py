@@ -77,6 +77,16 @@ def test_d2_mixed_diagonal_consistency():
     assert pressure_d2_mixed(fam2) == pytest.approx(pressure_d2(fam1), abs=1e-9)
 
 
+def test_mixed_derivatives_on_the_diagonal_are_the_pure_ones(solve_counts):
+    fam = random_family_1p(golden_mean_shift(), np.random.default_rng(25))
+    assert pressure_d2_mixed(fam, (0, 0)) == pressure_d2(fam)
+    assert pressure_d3_mixed(fam, (0, 0, 0)) == pressure_d3(fam)
+    solve_counts.clear()
+    pressure_d3(fam)
+    # two solves for the triple, one for the single distinct covariance
+    assert solve_counts["sums"] == 3
+
+
 def test_d3_pure_cubic_constant():
     s = golden_mean_shift()
     rng = np.random.default_rng(5)
