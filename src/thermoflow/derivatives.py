@@ -269,13 +269,13 @@ def pressure_metric(family: PotentialFamily, params=(0, 1)) -> float:
 
 def pressure_metric_d1_terms(du: DepthKFunction, dv: DepthKFunction, dw: DepthKFunction,
                              dwv: DepthKFunction, dwu: DepthKFunction,
-                             m, w_norm: DepthKFunction,
+                             w_norm: DepthKFunction,
                              ctx: EquilibriumContext | None = None) -> float:
     """Three-term first variation of the metric numerator.
 
     triple(du, dv, dw) + cov(du, dwv) + cov(dv, dwu); depends only on the
     Livsic class of each component. The sums are taken against the measure of
-    `w_norm` (or `ctx`), so `m` is not read.
+    `w_norm` (or `ctx`).
     """
     depth = max(g.depth for g in (du, dv, dw, dwv, dwu, w_norm))
     ctx = ctx or EquilibriumContext(du.sft, w_norm, depth=depth)
@@ -305,5 +305,5 @@ def pressure_metric_d1(family: PotentialFamily, params=(0, 1, 2)) -> float:
     u, v, w = params
     s3 = pressure_metric_d1_terms(
         family.partial((u,)), family.partial((v,)), family.partial((w,)),
-        family.partial((v, w)), family.partial((u, w)), None, base.ctx.w, ctx=base.ctx)
+        family.partial((v, w)), family.partial((u, w)), base.ctx.w, ctx=base.ctx)
     return s3 / (-denom)

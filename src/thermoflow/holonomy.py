@@ -3,8 +3,9 @@
 At the hyperbolic base point the connection along a unit-speed closed geodesic
 reduces to the constant matrix M below; its eigenframe (growth rates e^l, 1,
 e^{-l}) carries all the holonomy data. Cubic/quadratic deformation directions
-drive first variations (trace formula) and second variations (inhomogeneous
-ODE systems, solved exactly mode by mode in that eigenframe).
+drive first variations (the trace formula, integrated by a periodic trapezoid
+rule) and second variations (inhomogeneous ODE systems, solved exactly mode by
+mode in that eigenframe).
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.linalg import expm
 
 from .errors import DegenerateSpectrum, StepTooLarge, UnsupportedCase
 
@@ -283,21 +282,44 @@ def _check_base_spectrum(l: float):
         raise DegenerateSpectrum(f"top eigenvalue moduli too close at l = {l}")
 
 
-def trace_derivative(family: ConnectionFamily, T: float | None = None,
-                     n_panels: int = 2048) -> complex:
-    """-int_0^l Tr(dD(t) pi(t)) dt by composite Simpson.
+# Trace-formula quadrature: the first level's nodes, the node cap, the relative
+# agreement asked of two levels, and the confirming grid's offset in steps.
+_TRACE_NODES, _TRACE_CAP, _TRACE_TOL = 16, 4096, 1e-10
+_TRACE_SHIFT = SQ2 - 1.0
+
+
+def _trace_integrand(dD: Callable, ts: np.ndarray) -> np.ndarray:
+    return np.einsum("nij,ji->n", _sampled(dD, ts), PI0)
+
+
+def trace_derivative(family: ConnectionFamily) -> complex:
+    """-int_0^l Tr(dD(t) pi0) dt by the periodic trapezoid rule, l times the node mean.
 
     Equals d/ds log(top holonomy eigenvalue) at s = 0 and is invariant under
-    infinitesimal gauge transformations of the family.
+    infinitesimal gauge transformations of the family. The integrand is l-periodic,
+    so n equispaced nodes integrate every Fourier mode that n does not divide
+    exactly. Each level adds the midpoints of the last; two levels that agree within
+    _TRACE_TOL of the mean modulus are confirmed on the coarser grid shifted by
+    _TRACE_SHIFT steps, since a mode that both grids divide moves the two means
+    alike but not the shifted one. Past _TRACE_CAP nodes it raises StepTooLarge.
     """
-    T = T if T is not None else family.l
-    _check_base_spectrum(T)
-    if n_panels % 2:
-        n_panels += 1
-    ts = np.linspace(0.0, T, n_panels + 1)
-    vals = np.einsum("nij,ji->n", _sampled(family.dD, ts), BaseFrame.pi0)
-    integral = integrate.simpson(vals, x=ts)
-    return -complex(integral)
+    l = family.l
+    _check_base_spectrum(l)
+    n = _TRACE_NODES
+    vals = _trace_integrand(family.dD, (l / n) * np.arange(n))
+    coarse = vals.mean()
+    while 2 * n <= _TRACE_CAP:
+        mids = _trace_integrand(family.dD, (l / n) * (np.arange(n) + 0.5))
+        vals = np.concatenate([vals, mids])
+        fine, scale = vals.mean(), np.abs(vals).mean()
+        diff = abs(fine - coarse)
+        if diff <= _TRACE_TOL * scale:
+            shifted = _trace_integrand(family.dD, (l / n) * (np.arange(n) + _TRACE_SHIFT))
+            diff = abs(shifted.mean() - fine)
+            if diff <= _TRACE_TOL * scale:
+                return -complex(l * fine)
+        coarse, n = fine, 2 * n
+    raise StepTooLarge(diff / scale, _TRACE_TOL)
 
 
 def monodromy(A: Callable, T: float, steps: int = 2048) -> np.ndarray:
@@ -314,14 +336,13 @@ def top_eigenvalue(mat: np.ndarray) -> complex:
     return complex(lam[0])
 
 
-def eigenvalue_derivative_fd(family: ConnectionFamily, T: float | None = None,
-                             h_s: float = 1e-4, steps: int = 2048) -> complex:
+def eigenvalue_derivative_fd(family: ConnectionFamily, h_s: float = 1e-4,
+                             steps: int = 2048) -> complex:
     """Central finite difference of s -> log(top eigenvalue of the monodromy).
 
     dD is sampled once; the s = +h_s and s = -h_s monodromies share the samples.
     """
-    T = T if T is not None else family.l
-    ts, h = _nodes(0.0, T, steps)
+    ts, h = _nodes(0.0, family.l, steps)
     a = np.array([h_s, -h_s])[:, None, None, None] * _sampled(family.dD, ts)
     a += M_CONN
     mono_p, mono_m = _propagator(a, h)
@@ -488,7 +509,8 @@ class ShootingSolution:
         l = orbit.l
         self.l, self.i, self.steps, self.forcing = l, i, steps, forcing
         yp_l = _forced_transport(forcing, np.zeros(3, dtype=complex), 0.0, l, steps)
-        Phi = expm(-M_CONN * l)
+        # expm(-M l): M = E0^T diag(MU) A0^T, with A0^T the inverse of E0^T
+        Phi = BaseFrame.e_matrix(0.0).T @ np.diag(np.exp(-MU * l)) @ BaseFrame.a_matrix(0.0).T
         rhs = kappa * BaseFrame.e(i, 0.0).astype(complex) - yp_l
         A = Phi - lam * np.eye(3)
         y0, *_ = np.linalg.lstsq(A, rhs, rcond=None)

@@ -99,11 +99,11 @@ def test_criterion_3_livsic_invariance():
         args = list(comps[:3])
         args[idx] = args[idx] + cb()
         worst = max(worst, abs(triple_covariance(*args, m, wn, ctx=ctx).value - t0))
-    d0 = pressure_metric_d1_terms(*comps, m, wn, ctx=ctx)
+    d0 = pressure_metric_d1_terms(*comps, wn, ctx=ctx)
     for idx in range(5):
         args = list(comps)
         args[idx] = args[idx] + cb()
-        worst = max(worst, abs(pressure_metric_d1_terms(*args, m, wn, ctx=ctx) - d0))
+        worst = max(worst, abs(pressure_metric_d1_terms(*args, wn, ctx=ctx) - d0))
     ok = worst < 1e-6
     _report(3, "Livsic invariance of correlation functionals", ok, f"worst={worst:.2e}")
 

@@ -250,9 +250,8 @@ def test_pressure_metric_d1_all_coboundaries_zero():
     f0 = constant_function(s, 0.0)
     data = rpf(s, f0)
     wn = normalize_potential(s, f0, data)
-    m = equilibrium_measure(s, f0, data)
     cbs = [coboundary(random_function(s, 2, rng)) for _ in range(5)]
-    val = pressure_metric_d1_terms(cbs[0], cbs[1], cbs[2], cbs[3], cbs[4], m, wn)
+    val = pressure_metric_d1_terms(cbs[0], cbs[1], cbs[2], cbs[3], cbs[4], wn)
     assert abs(val) < 1e-7
 
 
@@ -307,16 +306,15 @@ def test_pressure_metric_d1_livsic_replacement_invariance():
     f0 = random_function(s, 2, rng, scale=0.2)
     data = rpf(s, f0)
     wn = normalize_potential(s, f0, data)
-    m = equilibrium_measure(s, f0, data)
     from thermoflow.correlations import EquilibriumContext
     ctx = EquilibriumContext(s, wn, depth=3)
     comps = []
     for _ in range(5):
         g = random_function(s, 2, rng)
         comps.append(g - ctx.integrate(g))
-    base_val = pressure_metric_d1_terms(*comps, m, wn, ctx=ctx)
+    base_val = pressure_metric_d1_terms(*comps, wn, ctx=ctx)
     for idx in range(5):
         shifted = list(comps)
         shifted[idx] = shifted[idx] + coboundary(random_function(s, 2, rng, scale=0.5))
-        val = pressure_metric_d1_terms(*shifted, m, wn, ctx=ctx)
+        val = pressure_metric_d1_terms(*shifted, wn, ctx=ctx)
         assert abs(val - base_val) < 1e-6

@@ -1,11 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.linalg import expm
 
-from thermoflow import errors
+import thermoflow
+from thermoflow import cli, errors
 from thermoflow.holonomy import (BaseFrame, ConnectionFamily, FourierSampler,
                                  M_CONN, OrbitData, ShootingSolution, _moment,
                                  cubic_direction, eigenvalue_derivative_fd, eta_cc,
@@ -187,6 +193,50 @@ def test_trace_derivative_zero_perturbation():
     fam = ConnectionFamily(l=1.5, dD=lambda t: np.zeros((3, 3)))
     assert abs(trace_derivative(fam)) < 1e-14
     assert abs(eigenvalue_derivative_fd(fam)) < 1e-9
+
+
+def test_trace_derivative_rejects_an_aliased_mode():
+    """Mode 256 falls on every dyadic grid from 16 to 256 nodes, so those levels
+    all agree on 3l; only the shifted confirming grid tells them from 2l."""
+    l = 1.7
+    fam = ConnectionFamily(l=l, dD=quadratic_direction(FourierSampler(l, {0: 1.0, 256: 0.5})))
+    val = trace_derivative(fam)
+    assert abs(val - 2 * l) < 1e-10
+
+
+def test_trace_derivative_non_periodic_family_does_not_converge():
+    fam = ConnectionFamily(l=1.7, dD=lambda t: t * np.eye(3))
+    with pytest.raises(errors.StepTooLarge):
+        trace_derivative(fam)
+
+
+def test_cli_trace_quadrature_failure_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cubic_direction", lambda q: (lambda t: t * np.eye(3)))
+    config = tmp_path / "holonomy.json"
+    config.write_text(json.dumps({"schema": 1, "experiment": "holonomy",
+                                  "orbits": {"kind": "zero", "l": 1.7}}))
+    assert cli.main(["holonomy", "--config", str(config), "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_mode_on_every_dyadic_grid_exit_3(tmp_path):
+    """A mode that every grid up to the node cap divides cannot be resolved."""
+    modes = [[0, 1.0, 0.0], [4096, 0.5, 0.0]]
+    config = tmp_path / "holonomy.json"
+    config.write_text(json.dumps({
+        "schema": 1, "experiment": "holonomy",
+        "orbits": {"kind": "explicit", "items": [
+            {"l": 1.7, "samplers": {name: modes for name in
+                                    ("q_alpha", "q_beta", "q_i", "q_j")}}]}}))
+    assert cli.main(["holonomy", "--config", str(config), "--out", str(tmp_path)]) == 3
+
+
+def test_import_does_not_load_scipy_integrate():
+    code = "import sys, thermoflow, thermoflow.cli; print('scipy.integrate' in sys.modules)"
+    src = str(Path(thermoflow.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _random_periodic_matrix(l, rng, scale=0.3):
