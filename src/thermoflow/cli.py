@@ -323,8 +323,17 @@ def _orbits_from(config: dict, rng) -> list:
 
 
 def run_holonomy(config: dict, out_dir: Path, seed: int) -> dict:
+    variations = config.get("variations", True)
+    if not isinstance(variations, bool):
+        raise errors.ConfigError(f"variations must be true or false, got {variations!r}")
     rng = np.random.default_rng(seed)
     orbits = _orbits_from(config, rng)
+    # the trace rows read q_alpha (cubic) and q_i (quadratic); the variations q_beta
+    needed = ("q_alpha", "q_i") + (("q_beta",) if variations else ())
+    for idx, orbit in enumerate(orbits):
+        for name in needed:
+            if getattr(orbit, name) is None:
+                raise errors.ConfigError(f"orbit {idx} has no sampler {name}")
     trace_rows = []
     for idx, orbit in enumerate(orbits):
         for direction, sampler in (("cubic", orbit.q_alpha), ("quadratic", orbit.q_i)):
@@ -342,7 +351,7 @@ def run_holonomy(config: dict, out_dir: Path, seed: int) -> dict:
                 "fd_re", "fd_im", "abs_err", "lambda1", "lambda2", "lambda3"],
                trace_rows)
     var_rows = []
-    if config.get("variations", True):
+    if variations:
         for idx, orbit in enumerate(orbits):
             cases = [(i, "cubic") for i in (1, 2, 3)] + [(1, "quadratic")]
             for i, direction in cases:

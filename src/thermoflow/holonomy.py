@@ -101,8 +101,8 @@ class FourierSampler:
             return out
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t, dtype=complex)
-        for k, c in self.modes.items():
-            out = out + c * np.exp(2j * math.pi * k * t / self.l)
+        for w, c in self._freqs:
+            out += c * np.exp(w * t)
         return out if out.shape else complex(out)
 
     def periodicity_defect(self, n: int = 16) -> float:
@@ -185,18 +185,36 @@ def _nodes(t0: float, t1: float, steps: int):
     return t0 + (h / 2) * np.arange(2 * steps + 1), h
 
 
+def _real_form(a: np.ndarray) -> np.ndarray:
+    """The real stack [[Re a, -Im a], [Im a, Re a]] of a complex d x d stack: it acts
+    on (Re v, Im v) as a acts on v, and products of real forms are real forms."""
+    d = a.shape[-1]
+    out = np.empty(a.shape[:-2] + (2 * d, 2 * d))
+    out[..., :d, :d] = out[..., d:, d:] = a.real
+    out[..., d:, :d] = a.imag
+    out[..., :d, d:] = -a.imag
+    return out
+
+
 def _propagator(a: np.ndarray, h: float) -> np.ndarray:
     """RK4 propagator of V' = -A(t) V, the product of the step maps of size h.
 
     a stacks A at the 2 steps + 1 nodes of _nodes on axis -3 (leading axes batch
     systems). A forcing f rides in the generator [[A, -f], [0, 0]], whose RK4 step
-    is the affine step of y' = -A y + f.
+    is the affine step of y' = -A y + f. A complex stack runs in real arithmetic,
+    each block as its _real_form (a real matmul of twice the size costs less than a
+    complex one); P is read back from the left column of blocks. Real input stays
+    real.
     """
     steps = (a.shape[-3] - 1) // 2
-    eye = np.eye(a.shape[-1])
+    d = a.shape[-1]
+    embed = np.iscomplexobj(a)
+    eye = np.eye(2 * d if embed else d)
     P = None
     for k0 in range(0, steps, _BLOCK):
         blk = a[..., 2 * k0:2 * min(k0 + _BLOCK, steps) + 1, :, :]
+        if embed:
+            blk = _real_form(blk)
         a0, am, a1 = blk[..., 0:-1:2, :, :], blk[..., 1::2, :, :], blk[..., 2::2, :, :]
         s1 = -a0
         s2 = -am @ (eye + (h / 2) * s1)
@@ -204,11 +222,18 @@ def _propagator(a: np.ndarray, h: float) -> np.ndarray:
         s4 = -a1 @ (eye + h * s3)
         block = _ordered_product(eye + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4))
         P = block if P is None else block @ P
-    return P
+    return P[..., :d, :d] + 1j * P[..., d:, :d] if embed else P
 
 
 def _sampled(A: Callable, ts: np.ndarray) -> np.ndarray:
-    """A scalar matrix-valued callable stacked over an array of times, each called once."""
+    """A matrix-valued callable stacked over an array of times.
+
+    A Direction (cubic_direction, quadratic_direction) is called once on the whole
+    array. Any other callable, such as a gauge-shifted family's dD or a user
+    connection, takes one time per call and is called once per node.
+    """
+    if isinstance(A, Direction):
+        return A(ts)
     times = ts.tolist()
     first = np.asarray(A(times[0]), dtype=complex)
     return np.fromiter(itertools.chain([first], map(A, times[1:])),
@@ -220,6 +245,8 @@ def parallel_transport(A: Callable, V0: np.ndarray, T: float,
     """Solve V' = -A(t) V by RK4 with one step-halving Richardson check.
 
     The check samples A once at the fine nodes; every other one is a coarse node.
+    A Direction is sampled in one call on the node array, any other callable once
+    per node (see _sampled).
     """
     ts, h = _nodes(0.0, T, 2 * steps)
     a = _sampled(A, ts)
@@ -235,36 +262,48 @@ def parallel_transport(A: Callable, V0: np.ndarray, T: float,
 # connection families and the trace formula for eigenvalue derivatives
 # --------------------------------------------------------------------------
 
-def cubic_direction(q: FourierSampler) -> Callable:
+@dataclass(frozen=True)
+class Direction:
+    """dD/ds of a deformation with sampled values q(t): q at the entries q_at and
+    k conj q at the entries conj_at, each a (rows, cols) pair of index tuples.
+
+    Takes a time or an array of times and returns one 3x3 matrix per time.
+    """
+
+    q: FourierSampler
+    q_at: tuple
+    conj_at: tuple
+    k: float
+
+    def __call__(self, t) -> np.ndarray:
+        qt = np.asarray(self.q(t))[..., None]
+        out = np.zeros(qt.shape[:-1] + (3, 3), dtype=complex)
+        out[(...,) + self.q_at] = qt
+        out[(...,) + self.conj_at] = self.k * np.conj(qt)
+        return out
+
+
+def cubic_direction(q: FourierSampler) -> Direction:
     """dD/ds for a cubic deformation with sampled values q(t)."""
-
-    def dD(t):
-        qt = complex(q(t))
-        return np.array([[0.0, 0.0, qt],
-                         [0.0, 0.0, 0.0],
-                         [4 * np.conj(qt), 0.0, 0.0]])
-
-    return dD
+    return Direction(q, q_at=((0,), (2,)), conj_at=((2,), (0,)), k=4.0)
 
 
-def quadratic_direction(q: FourierSampler) -> Callable:
+def quadratic_direction(q: FourierSampler) -> Direction:
     """dD/ds for a quadratic deformation with sampled values q(t)."""
-
-    def dD(t):
-        qt = complex(q(t))
-        return np.array([[0.0, qt, 0.0],
-                         [2 * np.conj(qt), 0.0, qt],
-                         [0.0, 2 * np.conj(qt), 0.0]])
-
-    return dD
+    return Direction(q, q_at=((0, 1), (1, 2)), conj_at=((1, 2), (0, 1)), k=2.0)
 
 
 @dataclass
 class ConnectionFamily:
-    """s-family of connection coefficients along an orbit, D(s, t)."""
+    """s-family of connection coefficients along an orbit, D(s, t).
+
+    dD is t -> the 3x3 derivative at s = 0. A Direction (cubic_direction,
+    quadratic_direction) is sampled in one call on a whole node array; any other
+    callable, gauge_shifted's included, once per node.
+    """
 
     l: float
-    dD: Callable  # t -> 3x3 derivative at s = 0
+    dD: Callable
 
     def gauge_shifted(self, gdot: Callable, gdot_prime: Callable) -> "ConnectionFamily":
         """dD -> dD + d(gdot)/dt + [A0, gdot] for a periodic section gdot."""

@@ -156,6 +156,30 @@ def series_triple(ctx, vecs, N):
     return total, (ring + 1e-300) * r / (1.0 - r)
 
 
+# Complex-arithmetic oracle for `holonomy._propagator`: every RK4 step map and
+# every product in complex d x d matrices, composed in blocks of 256 steps.
+
+def complex_propagator(a, h, block=256):
+    """Product of the RK4 step maps of V' = -A(t) V over a node stack of A."""
+    steps = (a.shape[-3] - 1) // 2
+    eye = np.eye(a.shape[-1])
+    P = None
+    for k0 in range(0, steps, block):
+        blk = a[..., 2 * k0:2 * min(k0 + block, steps) + 1, :, :]
+        a0, am, a1 = blk[..., 0:-1:2, :, :], blk[..., 1::2, :, :], blk[..., 2::2, :, :]
+        s1 = -a0
+        s2 = -am @ (eye + (h / 2) * s1)
+        s3 = -am @ (eye + (h / 2) * s2)
+        s4 = -a1 @ (eye + h * s3)
+        R = eye + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4)
+        while R.shape[-3] > 1:
+            m = R.shape[-3] - R.shape[-3] % 2
+            R = np.concatenate([R[..., 1:m:2, :, :] @ R[..., 0:m:2, :, :],
+                                R[..., m:, :, :]], axis=-3)
+        P = R[..., 0, :, :] if P is None else R[..., 0, :, :] @ P
+    return P
+
+
 # Exact oracle for `recursions.kernel_basis`: the kernel read off the reduced
 # row echelon form computed in Fraction arithmetic.
 

@@ -143,6 +143,44 @@ def test_holonomy_bad_orbit_length_exit_2(tmp_path, orbits):
     assert _run(["holonomy", "--config", cfg, "--out", tmp_path]) == 2
 
 
+def _explicit_orbit(names):
+    return {"kind": "explicit", "items": [
+        {"l": 1.5, "samplers": {name: [[0, 0.3, 0.1], [1, 0.2, 0.0]] for name in names}}]}
+
+
+@pytest.mark.parametrize("names,variations,missing", [
+    (("q_alpha",), True, "q_i"),
+    (("q_alpha",), False, "q_i"),
+    (("q_i", "q_beta"), True, "q_alpha"),
+    (("q_alpha", "q_i"), True, "q_beta"),
+])
+def test_holonomy_explicit_orbit_missing_sampler_exit_2(tmp_path, capsys, names, variations,
+                                                        missing):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "holonomy",
+                               "orbits": _explicit_orbit(names), "variations": variations}))
+    assert _run(["holonomy", "--config", cfg, "--out", tmp_path]) == 2
+    assert f"no sampler {missing}" in capsys.readouterr().err
+
+
+def test_holonomy_explicit_orbit_without_q_beta_runs_without_variations(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "holonomy",
+                               "orbits": _explicit_orbit(("q_alpha", "q_i")),
+                               "variations": False}))
+    assert _run(["holonomy", "--config", cfg, "--out", tmp_path]) == 0
+    assert not (tmp_path / "holonomy_variations.csv").exists()
+
+
+@pytest.mark.parametrize("variations", ["false", "true", 0, 1, None, [False]])
+def test_holonomy_variations_must_be_a_bool(tmp_path, capsys, variations):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "holonomy",
+                               "orbits": {"kind": "zero"}, "variations": variations}))
+    assert _run(["holonomy", "--config", cfg, "--out", tmp_path]) == 2
+    assert "variations" in capsys.readouterr().err
+
+
 GOLDEN_MEAN = {"transition": [[1, 1], [1, 0]]}
 
 

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -13,13 +14,16 @@ from scipy.linalg import expm
 import thermoflow
 from thermoflow import cli, errors
 from thermoflow.holonomy import (BaseFrame, ConnectionFamily, FourierSampler,
-                                 M_CONN, OrbitData, ShootingSolution, _moment,
+                                 M_CONN, OrbitData, ShootingSolution, _forcing_for,
+                                 _moment, _nodes, _propagator,
                                  cubic_direction, eigenvalue_derivative_fd, eta_cc,
                                  hermitian, monodromy, parallel_transport, psi_cc, psi_cq,
                                  quadratic_direction,
                                  reassemble_trace_cc, reassemble_trace_cq,
                                  second_variation_trace_cc, second_variation_trace_cq,
-                                 trace_derivative, variation_ode_closed_form)
+                                 top_eigenvalue, trace_derivative, variation_ode_closed_form)
+
+from conftest import complex_propagator
 
 L = 2.0
 
@@ -145,6 +149,115 @@ def test_transport_samples_each_fine_node_once():
     parallel_transport(A, BaseFrame.e(1, 0.0), 1.3, steps=512)
     assert len(calls) == 4 * 512 + 1
     assert len(set(calls)) == len(calls)
+
+
+def _rel_dev(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+def _complex_stack(rng, shape, scale=0.5):
+    return M_CONN + scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("steps", [7, 256, 600])
+def test_propagator_matches_complex_oracle(steps):
+    # 600 steps end in a partial block
+    rng = np.random.default_rng(steps)
+    a, h = _complex_stack(rng, (2 * steps + 1, 3, 3)), 1.7 / steps
+    assert _rel_dev(_propagator(a, h), complex_propagator(a, h)) < 1e-13
+
+
+def test_propagator_batched_leading_axis():
+    rng = np.random.default_rng(1)
+    a, h = _complex_stack(rng, (2, 2 * 300 + 1, 3, 3)), 2.1 / 300
+    P = _propagator(a, h)
+    assert P.shape == (2, 3, 3)
+    assert _rel_dev(P, complex_propagator(a, h)) < 1e-13
+
+
+def test_propagator_augmented_forcing_generator():
+    orbit = _orbit(4, l=1.9)
+    forcing, _, _ = _forcing_for(1, "quadratic", orbit)
+    ts, h = _nodes(0.0, orbit.l, 1000)
+    a = np.zeros((len(ts), 4, 4), dtype=complex)
+    a[:, :3, :3], a[:, :3, 3] = M_CONN, -forcing(ts)
+    assert _rel_dev(_propagator(a, h), complex_propagator(a, h)) < 1e-13
+
+
+def test_propagator_keeps_real_input_real():
+    rng = np.random.default_rng(2)
+    a, h = M_CONN + 0.5 * rng.normal(size=(2 * 300 + 1, 3, 3)), 1.3 / 300
+    P = _propagator(a, h)
+    assert P.dtype == np.float64
+    assert _rel_dev(P, complex_propagator(a, h)) < 1e-13
+
+
+class _CountingSampler(FourierSampler):
+    def __init__(self, l, modes):
+        super().__init__(l, modes)
+        self.shapes = []
+
+    def __call__(self, t):
+        self.shapes.append(np.shape(t))
+        return super().__call__(t)
+
+
+@pytest.mark.parametrize("direction", [cubic_direction, quadratic_direction])
+def test_fd_samples_a_direction_in_one_array_call(direction):
+    q = _CountingSampler(1.9, {-1: 0.3, 0: 0.5 - 0.2j, 2: 0.1j})
+    eigenvalue_derivative_fd(ConnectionFamily(l=1.9, dD=direction(q)), steps=2048)
+    assert q.shapes == [(2 * 2048 + 1,)]
+
+
+def test_directions_place_q_and_its_conjugate():
+    q = FourierSampler(1.3, {0: 0.4 - 0.7j, 1: 0.2j})
+    ts = np.array([0.0, 0.35, 1.0])
+    for make, expected in ((cubic_direction, lambda z: [[0, 0, z], [0, 0, 0],
+                                                         [4 * np.conj(z), 0, 0]]),
+                           (quadratic_direction, lambda z: [[0, z, 0],
+                                                            [2 * np.conj(z), 0, z],
+                                                            [0, 2 * np.conj(z), 0]])):
+        stack = make(q)(ts)
+        assert stack.shape == (3, 3, 3)
+        for t, m in zip(ts, stack):
+            one = make(q)(float(t))
+            assert np.array_equal(one, expected(q(float(t))))
+            assert np.max(np.abs(m - one)) < 1e-15
+
+
+def test_per_node_callables_keep_their_parent_values():
+    """A gauge-shifted family and a constant lambda are sampled node by node and
+    give the complex-arithmetic propagator's values."""
+    rng = np.random.default_rng(11)
+    orbit = _orbit(11, l=1.6)
+    g, gp = _random_periodic_matrix(orbit.l, rng, scale=0.2)
+    shifted = ConnectionFamily(l=orbit.l,
+                               dD=cubic_direction(orbit.q_alpha)).gauge_shifted(g, gp)
+    ts, h = _nodes(0.0, orbit.l, 2048)
+    d = np.array([shifted.dD(float(t)) for t in ts])
+    h_s = 1e-4
+    lam_p, lam_m = (top_eigenvalue(complex_propagator(M_CONN + s * d, h))
+                    for s in (h_s, -h_s))
+    expected = (cmath.log(lam_p) - cmath.log(lam_m)) / (2 * h_s)
+    assert abs(eigenvalue_derivative_fd(shifted) - expected) < 1e-10
+    assert _rel_dev(monodromy(lambda t: M_CONN + 0.1 * shifted.dD(t), orbit.l),
+                    complex_propagator(M_CONN + 0.1 * d, h)) < 1e-13
+    a = M_CONN + 0.1 * d[0]
+    v0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+    ts, h = _nodes(0.0, orbit.l, 2 * 2048)
+    exact = complex_propagator(np.broadcast_to(a, (len(ts), 3, 3)), h) @ v0
+    assert _rel_dev(parallel_transport(lambda t: a, v0, orbit.l), exact) < 1e-13
+
+
+@pytest.mark.parametrize("modes", [{3: 0.2 - 0.1j, -2: 1.5j, 0: -0.7, 1: 0.3 + 0.3j},
+                                   "random"])
+def test_sampler_array_branch_matches_scalar_branch(modes):
+    l = 2.7
+    q = (FourierSampler.random(l, np.random.default_rng(6), 5, 0.5) if modes == "random"
+         else FourierSampler(l, modes))
+    ts, _ = _nodes(0.0, l, 512)
+    bound = 1e-15 * sum(abs(c) for c in q.modes.values())
+    assert max(abs(v - q(float(t))) for v, t in zip(q(ts), ts)) <= bound
 
 
 # -------------------------------------------------------------- trace formula
