@@ -179,9 +179,16 @@ def _ordered_product(R: np.ndarray) -> np.ndarray:
     return R[..., 0, :, :]
 
 
+def _checked_steps(steps) -> int:
+    """steps itself if it is a positive int (not a bool), else ValueError."""
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"RK4 steps must be a positive integer, got {steps!r}")
+    return steps
+
+
 def _nodes(t0: float, t1: float, steps: int):
     """The 2 steps + 1 RK4 node times t0 + j h / 2 and the step h = (t1 - t0) / steps."""
-    h = (t1 - t0) / steps
+    h = (t1 - t0) / _checked_steps(steps)
     return t0 + (h / 2) * np.arange(2 * steps + 1), h
 
 
@@ -196,21 +203,22 @@ def _real_form(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagator(a: np.ndarray, h: float) -> np.ndarray:
-    """RK4 propagator of V' = -A(t) V, the product of the step maps of size h.
+def _block_ends(a: np.ndarray, h: float) -> np.ndarray:
+    """RK4 propagators of V' = -A(t) V from the first node to the end of each block.
 
     a stacks A at the 2 steps + 1 nodes of _nodes on axis -3 (leading axes batch
-    systems). A forcing f rides in the generator [[A, -f], [0, 0]], whose RK4 step
-    is the affine step of y' = -A y + f. A complex stack runs in real arithmetic,
-    each block as its _real_form (a real matmul of twice the size costs less than a
-    complex one); P is read back from the left column of blocks. Real input stays
-    real.
+    systems). Entry k on axis -3 of the result is the product of the step maps of
+    size h over steps 0 .. min((k + 1) _BLOCK, steps) - 1, so the last entry is the
+    whole propagator; the ends come free with the block-by-block product. A complex
+    stack runs in real arithmetic, each block as its _real_form (a real matmul of
+    twice the size costs less than a complex one), and is read back from the left
+    column of blocks. Real input stays real.
     """
     steps = (a.shape[-3] - 1) // 2
     d = a.shape[-1]
     embed = np.iscomplexobj(a)
     eye = np.eye(2 * d if embed else d)
-    P = None
+    P, ends = None, []
     for k0 in range(0, steps, _BLOCK):
         blk = a[..., 2 * k0:2 * min(k0 + _BLOCK, steps) + 1, :, :]
         if embed:
@@ -222,7 +230,15 @@ def _propagator(a: np.ndarray, h: float) -> np.ndarray:
         s4 = -a1 @ (eye + h * s3)
         block = _ordered_product(eye + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4))
         P = block if P is None else block @ P
+        ends.append(P)
+    P = np.stack(ends, axis=-3)
     return P[..., :d, :d] + 1j * P[..., d:, :d] if embed else P
+
+
+def _propagator(a: np.ndarray, h: float) -> np.ndarray:
+    """RK4 propagator of V' = -A(t) V, the product of the step maps of size h: the
+    last of the _block_ends."""
+    return _block_ends(a, h)[..., -1, :, :]
 
 
 def _sampled(A: Callable, ts: np.ndarray) -> np.ndarray:
@@ -248,7 +264,7 @@ def parallel_transport(A: Callable, V0: np.ndarray, T: float,
     A Direction is sampled in one call on the node array, any other callable once
     per node (see _sampled).
     """
-    ts, h = _nodes(0.0, T, 2 * steps)
+    ts, h = _nodes(0.0, T, 2 * _checked_steps(steps))
     a = _sampled(A, ts)
     coarse = _propagator(a[0::2], 2 * h) @ V0
     fine = _propagator(a, h) @ V0
@@ -528,26 +544,51 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
 # shooting oracle for the same boundary-value problems
 # --------------------------------------------------------------------------
 
+def _forced_generator(forcing: Callable, ts: np.ndarray) -> np.ndarray:
+    """The real generator [[M, -Re f, -Im f], [0, 0, 0]] of d_t y + M y = f at each time.
+
+    M is real, so Re f drives Re y and Im f drives Im y. The RK4 step of this
+    generator is the affine step of the ODE, so a propagator P of it maps y to
+    P[:3, :3] y + P[:3, 3] + i P[:3, 4] (see _affine).
+    """
+    f = forcing(ts)
+    a = np.zeros((len(ts), 5, 5))
+    a[:, :3, :3], a[:, :3, 3], a[:, :3, 4] = M_CONN, -f.real, -f.imag
+    return a
+
+
+def _affine(P: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y carried by a propagator of _forced_generator, or by a stack of them."""
+    return P[..., :3, :3] @ y + P[..., :3, 3] + 1j * P[..., :3, 4]
+
+
 def _forced_transport(forcing: Callable, y: np.ndarray, t0: float, t1: float,
                       steps: int) -> np.ndarray:
     """RK4 solution at t1 of d_t y + M y = forcing(t) from y at t0."""
-
     ts, h = _nodes(t0, t1, steps)
-    a = np.zeros((len(ts), 4, 4), dtype=complex)
-    a[:, :3, :3], a[:, :3, 3] = M_CONN, -forcing(ts)
-    P = _propagator(a, h)
-    return P[:3, :3] @ y + P[:3, 3]
+    return _affine(_propagator(_forced_generator(forcing, ts), h), y)
 
 
 class ShootingSolution:
     """BVP solution d_t y + M y = forcing with monodromy boundary conditions,
-    solved by matching the particular RK4 path against the known eigenframe."""
+    solved by matching the particular RK4 path against the known eigenframe.
+
+    The constructor makes the only full RK4 sweep: `steps` steps of h = l / steps
+    from y = 0, whose _block_ends give the particular path's propagator P_k at every
+    block end t_k = min(k _BLOCK, steps) h (with P_0 = I at t_0 = 0). The last one
+    gives y_p(l) and so y0; afterwards y(t_k) = _affine(P_k, y0) costs one 3x3
+    product, and values_on_grid starts every time from it.
+    """
 
     def __init__(self, i: int, direction: str, orbit: OrbitData, steps: int = 4096):
         forcing, kappa, lam = _forcing_for(i, direction, orbit)
         l = orbit.l
         self.l, self.i, self.steps, self.forcing = l, i, steps, forcing
-        yp_l = _forced_transport(forcing, np.zeros(3, dtype=complex), 0.0, l, steps)
+        ts, self._h = _nodes(0.0, l, steps)
+        ends = _block_ends(_forced_generator(forcing, ts), self._h)
+        self._ends = np.concatenate([np.eye(5)[None], ends])
+        self._end_times = l * (np.minimum(_BLOCK * np.arange(len(self._ends)), steps) / steps)
+        yp_l = _affine(ends[-1], np.zeros(3))
         # expm(-M l): M = E0^T diag(MU) A0^T, with A0^T the inverse of E0^T
         Phi = BaseFrame.e_matrix(0.0).T @ np.diag(np.exp(-MU * l)) @ BaseFrame.a_matrix(0.0).T
         rhs = kappa * BaseFrame.e(i, 0.0).astype(complex) - yp_l
@@ -564,15 +605,25 @@ class ShootingSolution:
         return self.values_on_grid([t])[0]
 
     def values_on_grid(self, ts) -> np.ndarray:
-        """One integration sweep through sorted nonnegative times."""
+        """y at each time of ts, in any order; each time is evaluated on its own.
+
+        A time t >= 0 starts from y(t_k) at the last block end t_k <= t and, if t > t_k,
+        runs RK4 over [t_k, t] in steps of at most h: at most one block for t <= l. A
+        time on a block end costs no RK4; every point of linspace(0, l, 5) is one when
+        steps is a multiple of 4 _BLOCK, as the default 4096 is. A time t < 0
+        integrates backward from y0 in ceil(steps |t| / l) steps, at least 8.
+        """
         out = []
-        y, prev = self.y0.copy(), 0.0
-        for t in ts:
-            if t > prev:
-                steps = max(8, int(math.ceil(self.steps * (t - prev) / self.l)))
-                y = _forced_transport(self.forcing, y, prev, t, steps)
-                prev = t
-            out.append(y.copy())
+        for t in map(float, ts):
+            if t < 0:
+                steps = max(8, math.ceil(self.steps * -t / self.l))
+                out.append(_forced_transport(self.forcing, self.y0, 0.0, t, steps))
+                continue
+            k = int(np.searchsorted(self._end_times, t, side="right")) - 1
+            y, tk = _affine(self._ends[k], self.y0), float(self._end_times[k])
+            if t > tk:
+                y = _forced_transport(self.forcing, y, tk, t, math.ceil((t - tk) / self._h))
+            out.append(y)
         return np.array(out)
 
 

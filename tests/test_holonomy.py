@@ -12,7 +12,7 @@ from scipy import integrate
 from scipy.linalg import expm
 
 import thermoflow
-from thermoflow import cli, errors
+from thermoflow import cli, errors, holonomy
 from thermoflow.holonomy import (BaseFrame, ConnectionFamily, FourierSampler,
                                  M_CONN, OrbitData, ShootingSolution, _forcing_for,
                                  _moment, _nodes, _propagator,
@@ -182,6 +182,20 @@ def test_propagator_augmented_forcing_generator():
     a = np.zeros((len(ts), 4, 4), dtype=complex)
     a[:, :3, :3], a[:, :3, 3] = M_CONN, -forcing(ts)
     assert _rel_dev(_propagator(a, h), complex_propagator(a, h)) < 1e-13
+
+
+def test_real_forced_generator_matches_complex_oracle():
+    # 1000 steps end in a partial block
+    orbit = _orbit(4, l=1.9)
+    forcing, _, _ = _forcing_for(1, "cubic", orbit)
+    ts, h = _nodes(0.0, orbit.l, 1000)
+    a = np.zeros((len(ts), 4, 4), dtype=complex)
+    a[:, :3, :3], a[:, :3, 3] = M_CONN, -forcing(ts)
+    ref = complex_propagator(a, h)[:3]
+    P = _propagator(holonomy._forced_generator(forcing, ts), h)
+    assert P.dtype == np.float64
+    real_form = np.concatenate([P[:3, :3], (P[:3, 3] + 1j * P[:3, 4])[:, None]], axis=1)
+    assert _rel_dev(real_form, ref) < 1e-13
 
 
 def test_propagator_keeps_real_input_real():
@@ -439,6 +453,68 @@ def test_shooting_value_matches_values_on_grid():
     shot = ShootingSolution(1, "quadratic", orbit)
     for t in (0.0, 0.37, 1.1, orbit.l):
         assert np.array_equal(shot.value(t), shot.values_on_grid([t])[0])
+
+
+def _count_sweeps(monkeypatch):
+    calls = {"_block_ends": 0, "_propagator": 0}
+    for name in calls:
+        original = getattr(holonomy, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(holonomy, name, counted)
+    return calls
+
+
+def test_shooting_grid_values_need_no_second_sweep(monkeypatch):
+    orbit = _orbit(12, l=1.6)
+    calls = _count_sweeps(monkeypatch)
+    shot = ShootingSolution(1, "cubic", orbit)
+    assert calls == {"_block_ends": 1, "_propagator": 0}
+    shot.values_on_grid(np.linspace(0.0, orbit.l, 5))
+    assert calls == {"_block_ends": 1, "_propagator": 0}
+    shot.value(0.3)  # off the block ends: RK4 over the rest of one block
+    assert calls == {"_block_ends": 2, "_propagator": 1}
+
+
+def test_shooting_short_last_block(monkeypatch):
+    # 1000 steps: blocks end at 256, 512, 768 and 1000 steps
+    orbit = _orbit(14, l=1.7)
+    closed = variation_ode_closed_form(2, orbit, "cubic")
+    shot = ShootingSolution(2, "cubic", orbit, steps=1000)
+    h = orbit.l / 1000
+    for t in (768.5 * h, 900.3 * h, 999.9 * h, orbit.l):
+        assert np.max(np.abs(shot.value(t) - closed.value(t))) < 1e-6
+    calls = _count_sweeps(monkeypatch)
+    yl = shot.value(orbit.l)
+    assert calls == {"_block_ends": 0, "_propagator": 0}
+    assert np.array_equal(yl, holonomy._affine(shot._ends[-1], shot.y0))
+
+
+def test_shooting_times_in_any_order_and_negative():
+    orbit = _orbit(15, l=1.8, modes=3)
+    for i, direction in [(1, "cubic"), (3, "quadratic")]:
+        closed = variation_ode_closed_form(i, orbit, direction)
+        shot = ShootingSolution(i, direction, orbit)
+        ts = [1.0, 0.5, orbit.l, 0.0, -0.5, -2.3, 0.5]
+        vals = shot.values_on_grid(ts)
+        assert np.max(np.abs(vals - closed.values_on_grid(ts))) < 1e-9
+        for t, v in zip(ts, vals):
+            assert np.array_equal(shot.value(t), v)
+
+
+@pytest.mark.parametrize("steps", [2.5, 0, -4, 64.0, True, None])
+def test_rk4_steps_must_be_a_positive_int(steps):
+    orbit = _orbit(16)
+    fam = ConnectionFamily(l=orbit.l, dD=cubic_direction(orbit.q_beta))
+    for call in (lambda: ShootingSolution(1, "cubic", orbit, steps=steps),
+                 lambda: parallel_transport(lambda t: M_CONN, np.ones(3), 1.0, steps=steps),
+                 lambda: monodromy(lambda t: M_CONN, 1.0, steps=steps),
+                 lambda: eigenvalue_derivative_fd(fam, steps=steps)):
+        with pytest.raises(ValueError, match="positive integer"):
+            call()
 
 
 def test_single_mode_forcing_against_shooting():
