@@ -12,6 +12,9 @@ For every checkout this runs, from that checkout's root and with its own
   timed as one process from start to exit;
 - the Tier-1 suite, `python -m pytest -q`, timed the same way.
 
+It also records each checkout's `src_lines`, the line count of
+`src/thermoflow/*.py` (as `cat src/thermoflow/*.py | wc -l` counts it).
+
 Each part runs `--repeats` times, and each repeat runs the checkouts in turn,
 alternating which goes first. The file holds every run, each metric's median
 and quartiles, the Python, numpy and scipy versions and `nproc`. With more
@@ -81,6 +84,10 @@ def _commit(root: Path) -> str | None:
     proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _src_lines(root: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "thermoflow").glob("*.py"))
 
 
 def _summary(runs: list) -> dict:
@@ -157,6 +164,7 @@ def main(argv=None) -> int:
         r = runs[name]
         result["checkouts"][name] = {
             "commit": _commit(root),
+            "src_lines": _src_lines(root),
             "workloads": {w: {"median": _summary(v), "runs": v}
                           for w, v in r["workloads"].items()},
             "cli": {c: {"median": _summary(v), "runs": v} for c, v in r["cli"].items()},

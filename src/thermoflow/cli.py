@@ -73,9 +73,12 @@ def _section(config: dict, key: str, default) -> dict:
     return spec
 
 
-def _integer(value, what: str, lo: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
-        raise errors.ConfigError(f"{what} must be an integer >= {lo}, got {value!r}")
+def _integer(value, what: str, lo: int | None = 0) -> int:
+    """An integer, at least `lo` unless `lo` is None."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or (lo is not None and value < lo):
+        bound = "" if lo is None else f" >= {lo}"
+        raise errors.ConfigError(f"{what} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -277,6 +280,18 @@ def _orbit_length(value, what: str) -> float:
     return l
 
 
+def _modes(value, what: str) -> dict:
+    """{k: re + i im} from a list of [k, re, im]: k an integer (negative allowed),
+    re and im finite numbers."""
+    if not isinstance(value, list) or not all(isinstance(m, list) and len(m) == 3
+                                              for m in value):
+        raise errors.ConfigError(f"{what} must be a list of [k, re, im], got {value!r}")
+    return {_integer(k, f"{what} mode index", lo=None):
+            complex(_number(re, f"{what} mode {k} re", lo=None),
+                    _number(im, f"{what} mode {k} im", lo=None))
+            for k, re, im in value}
+
+
 def _orbits_from(config: dict, rng) -> list:
     spec = _section(config, "orbits", {"kind": "random", "count": 5})
     if spec.get("kind") == "explicit":
@@ -287,11 +302,11 @@ def _orbits_from(config: dict, rng) -> list:
         out = []
         for item in items:
             l = _orbit_length(item.get("l"), "explicit orbit l")
+            samplers = {name: FourierSampler(l, _modes(modes, f"sampler {name}"))
+                        for name, modes in _section(item, "samplers", None).items()}
             try:
-                samplers = {name: FourierSampler.from_json_modes(l, modes)
-                            for name, modes in _section(item, "samplers", None).items()}
                 out.append(OrbitData(l=l, **samplers))
-            except (TypeError, ValueError) as exc:
+            except TypeError as exc:
                 raise errors.ConfigError(f"bad explicit orbit samplers: {exc}")
         return out
     if spec.get("kind") == "random":

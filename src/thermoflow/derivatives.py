@@ -232,15 +232,14 @@ def _central_difference(f: Callable, order: int, h: float | None = None) -> floa
     return (f(2 * h) - 2 * f(h) + 2 * f(-h) - f(-2 * h)) / (2 * h ** 3)
 
 
-def fd_oracle(family: PotentialFamily, order: int, h: float | None = None,
-              param: int = 0) -> float:
-    """Central finite difference of s -> P(f_s) at 0 (2-/3-/5-point stencils)."""
+def fd_oracle(family: PotentialFamily, order: int, h: float | None = None) -> float:
+    """Central finite difference of s -> P(f_s) at 0 along the first parameter
+    (2-/3-/5-point stencils)."""
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
 
     def P(s):
-        params = tuple(s if i == param else 0.0 for i in range(family.nparams))
-        return pressure(family.sft, family.at(params))
+        return pressure(family.sft, family.at((s,) + (0.0,) * (family.nparams - 1)))
 
     return _central_difference(P, order, h)
 

@@ -41,13 +41,6 @@ class DifferentialExpansion:
             raise ValueError("flow time must be nonnegative")
         return self.eval_at_radius(math.tanh(r), theta)
 
-    def rotate(self, theta0: float) -> "DifferentialExpansion":
-        """Expansion in the theta-shifted frame: c_n -> c_n e^{i (n + d) theta0}."""
-        return DifferentialExpansion(
-            self.degree,
-            tuple(c * np.exp(1j * (n + self.degree) * theta0)
-                  for n, c in enumerate(self.coeffs)))
-
     def rotate_pi_exact(self) -> "DifferentialExpansion":
         """Rotation by pi with exact signs (-1)^(n + d)."""
         return DifferentialExpansion(

@@ -32,6 +32,14 @@ H_METRIC = np.diag([2.0, 1.0, 0.5])
 # M_CONN e_k(0) = MU_k e_k(0); the monodromy eigenvalues are e^{-MU_k l}.
 MU = np.array([-1.0, 0.0, 1.0])
 
+# Rows e_k(0) of the base eigenframe, and their inverse: sum_j A0_ij E0_jk = delta_ik.
+E0 = np.array([[SQ2 / 4, -SQ2 / 2, SQ2 / 2],
+               [-0.5, 0.0, 1.0],
+               [SQ2 / 4, SQ2 / 2, SQ2 / 2]])
+A0 = np.array([[SQ2 / 2, -1.0, SQ2 / 2],
+               [-SQ2 / 2, 0.0, SQ2 / 2],
+               [SQ2 / 4, 0.5, SQ2 / 4]])
+
 PI0 = 0.5 * np.array([[0.5, -0.5, 0.25],
                       [-1.0, 1.0, -0.5],
                       [1.0, -1.0, 0.5]])
@@ -41,40 +49,37 @@ def hermitian(u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.conj(u) @ (H_METRIC @ v))
 
 
+def _growth(t: float) -> np.ndarray:
+    """e^{-MU_k t} for k = 1, 2, 3: exactly e^t, 1 and e^{-t}."""
+    return np.array([math.exp(-m * t) for m in MU])
+
+
 class BaseFrame:
-    """Eigenvector paths, change of basis, and spectral projection at the base."""
+    """Eigenvector paths e_k(t) = e^{-MU_k t} e_k(0), change of basis, and spectral
+    projection at the base."""
 
     matrix = M_CONN
     pi0 = PI0
 
     @staticmethod
     def eigenvalues(l: float) -> tuple:
-        return (math.exp(l), 1.0, math.exp(-l))
-
-    @staticmethod
-    def e(i: int, t: float) -> np.ndarray:
-        if i == 1:
-            return (SQ2 / 2) * math.exp(t) * np.array([0.5, -1.0, 1.0])
-        if i == 2:
-            return 0.5 * np.array([-1.0, 0.0, 2.0])
-        if i == 3:
-            return (SQ2 / 2) * math.exp(-t) * np.array([0.5, 1.0, 1.0])
-        raise ValueError("i must be 1, 2 or 3")
+        return tuple(_growth(l).tolist())
 
     @classmethod
-    def e_matrix(cls, t: float) -> np.ndarray:
+    def e(cls, i: int, t: float) -> np.ndarray:
+        if i not in (1, 2, 3):
+            raise ValueError("i must be 1, 2 or 3")
+        return cls.e_matrix(t)[i - 1]
+
+    @staticmethod
+    def e_matrix(t: float) -> np.ndarray:
         """Rows are the eigenvector paths e_1(t), e_2(t), e_3(t)."""
-        return np.vstack([cls.e(1, t), cls.e(2, t), cls.e(3, t)])
+        return _growth(t)[:, None] * E0
 
     @staticmethod
     def a_matrix(t: float) -> np.ndarray:
-        """Closed-form inverse of the eigenvector rows: sum_j a_ij e_jk = delta_ik."""
-        emt, ept = math.exp(-t), math.exp(t)
-        return np.array([
-            [(SQ2 / 2) * emt, -1.0, (SQ2 / 2) * ept],
-            [-(SQ2 / 2) * emt, 0.0, (SQ2 / 2) * ept],
-            [(SQ2 / 4) * emt, 0.5, (SQ2 / 4) * ept],
-        ])
+        """Inverse of the eigenvector rows: sum_j a_ij e_jk = delta_ik."""
+        return A0 * _growth(-t)
 
     @classmethod
     def pi(cls, t: float) -> np.ndarray:
@@ -85,13 +90,18 @@ class BaseFrame:
 
 
 class FourierSampler:
-    """Complex finite Fourier series with period l: sum_k c_k e^{2 pi i k t / l}."""
+    """Complex finite Fourier series with period l: sum_k c_k e^{i w_k t}, w_k = 2 pi k / l.
+
+    The mode arrays w (angular frequencies) and c (coefficients) are in increasing k.
+    """
 
     def __init__(self, l: float, modes: dict):
         self.l = float(l)
         self.modes = {int(k): complex(c) for k, c in modes.items()}
-        self._freqs = tuple((2j * math.pi * k / self.l, complex(c))
-                            for k, c in sorted(self.modes.items()))
+        ks = sorted(self.modes)
+        self.w = np.array([2 * math.pi * k / self.l for k in ks])
+        self.c = np.array([self.modes[k] for k in ks], dtype=complex)
+        self._freqs = tuple(zip((1j * self.w).tolist(), self.c.tolist()))
 
     def __call__(self, t):
         if isinstance(t, (int, float)):
@@ -391,41 +401,25 @@ def top_eigenvalue(mat: np.ndarray) -> complex:
     return complex(lam[0])
 
 
-def eigenvalue_derivative_fd(family: ConnectionFamily, h_s: float = 1e-4,
-                             steps: int = 2048) -> complex:
+_FD_STEP = 1e-4  # the s step of eigenvalue_derivative_fd
+
+
+def eigenvalue_derivative_fd(family: ConnectionFamily, steps: int = 2048) -> complex:
     """Central finite difference of s -> log(top eigenvalue of the monodromy).
 
-    dD is sampled once; the s = +h_s and s = -h_s monodromies share the samples.
+    dD is sampled once; the s = +_FD_STEP and s = -_FD_STEP monodromies share the samples.
     """
     ts, h = _nodes(0.0, family.l, steps)
-    a = np.array([h_s, -h_s])[:, None, None, None] * _sampled(family.dD, ts)
+    a = np.array([_FD_STEP, -_FD_STEP])[:, None, None, None] * _sampled(family.dD, ts)
     a += M_CONN
     mono_p, mono_m = _propagator(a, h)
     lam_p, lam_m = top_eigenvalue(mono_p), top_eigenvalue(mono_m)
-    return (cmath.log(lam_p) - cmath.log(lam_m)) / (2 * h_s)
+    return (cmath.log(lam_p) - cmath.log(lam_m)) / (2 * _FD_STEP)
 
 
 # --------------------------------------------------------------------------
 # closed-form variation solutions
 # --------------------------------------------------------------------------
-
-def _moment(q: FourierSampler, rho: float, a: float, b, anchor=0.0):
-    """int_a^b e^{rho (s - anchor)} q(s) ds, exactly, for an upper limit or an array.
-
-    Mode k gives e^{rho (a - anchor)} c_k e^{i w_k a} (e^{z_k (b - a)} - 1) / z_k with
-    z_k = rho + i w_k, or c_0 (b - a) when z_k = 0. Each mode is integrated from the
-    end of [a, b] where e^{rho s} is largest, so no intermediate exceeds the kernel
-    there. rho is real, so Re and Im of the result are the moments of Re q and Im q.
-    """
-    b = np.asarray(b, dtype=float)
-    w = np.array([2 * math.pi * k / q.l for k in q.modes]).reshape((-1,) + (1,) * b.ndim)
-    c = np.array(list(q.modes.values()), dtype=complex).reshape(w.shape)
-    z = rho + 1j * w
-    start, d, sign = (b, a - b, -1.0) if rho >= 0 else (a, b - a, 1.0)
-    frac = np.where(z == 0, d, np.expm1(z * d) / np.where(z == 0, 1.0, z))
-    modes = np.sum(c * np.exp(1j * w * start) * frac, axis=0)
-    return sign * np.exp(rho * (start - anchor)) * modes
-
 
 @dataclass
 class VariationSolution:
@@ -455,8 +449,7 @@ class VariationSolution:
         y(0) H-orthogonal to e_i(0). Values and t-derivatives come from the same modes.
         """
         ts = np.asarray(t, dtype=float)[..., None, None]
-        w = np.array([2 * math.pi * k / self.q.l for k in self.q.modes])
-        c = np.array(list(self.q.modes.values()), dtype=complex)
+        w, c = self.q.w, self.q.c
         z = (MU + self.rate)[:, None] + 1j * w
         resonant = z == 0
         z = np.where(resonant, 1.0, z)
@@ -467,7 +460,6 @@ class VariationSolution:
         A, B = self.gains
         d, dd = A * S + B * np.conj(S), A * dS + B * np.conj(dS)
         grow = np.exp(self.rate * ts[..., 0])
-        E0 = BaseFrame.e_matrix(0.0)
         return (grow * d) @ E0, (grow * (self.rate * d + dd)) @ E0
 
     def value(self, t: float) -> np.ndarray:
@@ -533,7 +525,7 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
     """
     forcing, kappa, lam = _forcing_for(i, direction, orbit)
     name, rate, comps, _ = _FORCINGS[i, direction]
-    one, imag = (np.array(comps(z), dtype=complex) @ BaseFrame.a_matrix(0.0)
+    one, imag = (np.array(comps(z), dtype=complex) @ A0
                  for z in (1 + 0j, 1j))
     return VariationSolution(l=orbit.l, index=i, direction=direction, forcing=forcing,
                              boundary_kappa=kappa, eigenvalue=lam, q=orbit.sampler(name),
@@ -590,12 +582,12 @@ class ShootingSolution:
         self._end_times = l * (np.minimum(_BLOCK * np.arange(len(self._ends)), steps) / steps)
         yp_l = _affine(ends[-1], np.zeros(3))
         # expm(-M l): M = E0^T diag(MU) A0^T, with A0^T the inverse of E0^T
-        Phi = BaseFrame.e_matrix(0.0).T @ np.diag(np.exp(-MU * l)) @ BaseFrame.a_matrix(0.0).T
-        rhs = kappa * BaseFrame.e(i, 0.0).astype(complex) - yp_l
+        Phi = E0.T @ np.diag(np.exp(-MU * l)) @ A0.T
+        ei0 = E0[i - 1].astype(complex)
+        rhs = kappa * ei0 - yp_l
         A = Phi - lam * np.eye(3)
         y0, *_ = np.linalg.lstsq(A, rhs, rcond=None)
         # fix the kernel component via H-orthogonality to e_i(0)
-        ei0 = BaseFrame.e(i, 0.0).astype(complex)
         y0 = y0 - np.conj(hermitian(y0, ei0)) * ei0
         self.y0 = y0
         self.kappa, self.lam = kappa, lam
@@ -631,14 +623,20 @@ class ShootingSolution:
 # second-variation trace kernels
 # --------------------------------------------------------------------------
 
-def _green(q: FourierSampler, rate: float, t: float, l: float) -> complex:
-    """Local plus monodromy kernels at rate r on q, exactly:
-    int_0^t (e^{r(t-s)} - e^{r(s-t)}) q
-      - int_0^l (e^{r(t-s)} + e^{r(s-t-l)}) q / (1 - e^{-r l}).
+def _green(q: FourierSampler, rate: float, t: float) -> complex:
+    """Local plus monodromy kernels at rate r on the l-periodic q:
+    -int_R e^{-r |t - s|} q(s) ds, so each mode c_k e^{i w_k t} is multiplied by
+    -2 r / (r^2 + w_k^2).
     """
-    loc = _moment(q, -rate, 0.0, t, t) - _moment(q, rate, 0.0, t, t)
-    glob = _moment(q, -rate, 0.0, l, t) + _moment(q, rate, 0.0, l, t + l)
-    return complex(loc - glob / (1.0 - math.exp(-rate * l)))
+    return complex(np.sum(q.c * np.exp(1j * q.w * t) * (-2.0 * rate / (rate ** 2 + q.w ** 2))))
+
+
+def _check_horizon(orbit: OrbitData, r: float):
+    """ValueError unless the horizon r is a whole number >= 1 of traversals."""
+    k = r / orbit.l
+    if not (math.isfinite(k) and round(k) >= 1 and abs(k - round(k)) <= 1e-9 * k):
+        raise ValueError(f"horizon {r!r} is not a whole number >= 1 of traversals "
+                         f"of length {orbit.l!r}")
 
 
 def second_variation_trace_cc(orbit: OrbitData, t: float) -> float:
@@ -646,14 +644,14 @@ def second_variation_trace_cc(orbit: OrbitData, t: float) -> float:
     and Im parts (rate 1) plus monodromy boundary terms."""
     qa, qb = orbit.sampler("q_alpha"), orbit.sampler("q_beta")
     re_a, im_a = float(np.real(qa(t))), float(np.imag(qa(t)))
-    return re_a * _green(qb, 2, t, orbit.l).real + 2.0 * im_a * _green(qb, 1, t, orbit.l).imag
+    return re_a * _green(qb, 2, t).real + 2.0 * im_a * _green(qb, 1, t).imag
 
 
 def psi_cc(orbit: OrbitData, r: float) -> float:
-    """The boundary kernel at t = 0 with horizon r (periodic samplers extended)."""
-    qa, qb = orbit.sampler("q_alpha"), orbit.sampler("q_beta")
-    re_a, im_a = float(np.real(qa(0.0))), float(np.imag(qa(0.0)))
-    return re_a * _green(qb, 2, 0.0, r).real + 2.0 * im_a * _green(qb, 1, 0.0, r).imag
+    """The boundary kernel at t = 0 with horizon r, a whole number of traversals:
+    the same for every such r, and equal to the kernel at t = 0."""
+    _check_horizon(orbit, r)
+    return second_variation_trace_cc(orbit, 0.0)
 
 
 def eta_cc(orbit: OrbitData, T: float) -> tuple:
@@ -661,12 +659,14 @@ def eta_cc(orbit: OrbitData, T: float) -> tuple:
 
     eta(x) = -Re q_a(0) (int_0^T e^{-2s} Re q_b + int_{-T}^0 e^{2s} Re q_b)
              -2 Im q_a(0) (same with e^{-|s|} kernels on Im q_b).
+    Mode k of the two integrals at rate r is c_k (1 - e^{-z T}) / z, z = r -+ i w_k.
     """
     qa, qb = orbit.sampler("q_alpha"), orbit.sampler("q_beta")
     re_a, im_a = float(np.real(qa(0.0))), float(np.imag(qa(0.0)))
 
     def two_sided(rate):
-        return complex(_moment(qb, -rate, 0.0, T) + _moment(qb, rate, -T, 0.0))
+        z = rate + 1j * np.array([[-1.0], [1.0]]) * qb.w
+        return complex(np.sum(qb.c * -np.expm1(-z * T) / z))
 
     val = -re_a * two_sided(2).real - 2.0 * im_a * two_sided(1).imag
     grid = np.linspace(0.0, orbit.l, 64, endpoint=False)
@@ -675,10 +675,10 @@ def eta_cc(orbit: OrbitData, T: float) -> tuple:
 
 
 def psi_cq(orbit: OrbitData, r: float) -> float:
-    """t = 0 boundary kernel of the mixed case with horizon r: the telescoping
-    argument makes it invariant under replacing r by multiples of the period."""
-    im_a = float(np.imag(orbit.sampler("q_alpha")(0.0)))
-    return 2.0 * im_a * _green(orbit.sampler("q_i"), 1, 0.0, r).imag
+    """The mixed case's boundary kernel at t = 0 with horizon r, a whole number of
+    traversals: the kernel at t = 0 with no y21 term, whatever the number."""
+    _check_horizon(orbit, r)
+    return second_variation_trace_cq(orbit, 0.0)
 
 
 def second_variation_trace_cq(orbit: OrbitData, t: float,
@@ -690,42 +690,31 @@ def second_variation_trace_cq(orbit: OrbitData, t: float,
     """
     im_a = float(np.imag(orbit.sampler("q_alpha")(t)))
     y_term = 0.5 * float(np.real(y21(t))) if y21 is not None else 0.0
-    return y_term + 2.0 * im_a * _green(orbit.sampler("q_i"), 1, t, orbit.l).imag
+    return y_term + 2.0 * im_a * _green(orbit.sampler("q_i"), 1, t).imag
 
 
 # --------------------------------------------------------------------------
 # trace reassembly from variation paths
 # --------------------------------------------------------------------------
 
-def _dv_a_columns(t: float, dvE_rows) -> np.ndarray:
-    """d_v a(0, t) = -a (d_v E) a for the eigenvector row matrix E."""
-    a = BaseFrame.a_matrix(t).astype(complex)
-    dvE = np.vstack(dvE_rows)
-    return -(a @ dvE @ a)
-
-
 def reassemble_trace_cc(orbit: OrbitData, t: float, paths=None) -> float:
     """Tr(dD_cubic d_v pi) rebuilt from d_v e_j paths and the frame inverse."""
-    if paths is None:
-        paths = [variation_ode_closed_form(i, orbit, "cubic") for i in (1, 2, 3)]
-    return _reassemble(orbit, t, paths, "q_alpha")
+    return _reassemble(orbit, t, paths, "cubic")
 
 
 def reassemble_trace_cq(orbit: OrbitData, t: float, paths=None) -> float:
     """Same assembly with quadratic-direction variation paths."""
+    return _reassemble(orbit, t, paths, "quadratic")
+
+
+def _reassemble(orbit: OrbitData, t: float, paths, direction: str) -> float:
+    """paths default to the closed-form variations of e_1, e_2, e_3 in direction."""
     if paths is None:
-        paths = [variation_ode_closed_form(i, orbit, "quadratic") for i in (1, 2, 3)]
-    return _reassemble(orbit, t, paths, "q_alpha")
-
-
-def _reassemble(orbit: OrbitData, t: float, paths, base_sampler: str) -> float:
-    qa = orbit.sampler(base_sampler)
-    qt = complex(qa(t))
-    dvE_rows = [p.value(t) for p in paths]
-    dva = _dv_a_columns(t, dvE_rows)
-    a = BaseFrame.a_matrix(t)
-    e1 = BaseFrame.e(1, t)
-    dve1 = dvE_rows[0]
-    total = qt * (dva[0, 0] * e1[2] + a[0, 0] * dve1[2]) \
-        + 4 * np.conj(qt) * (dva[2, 0] * e1[0] + a[2, 0] * dve1[0])
+        paths = [variation_ode_closed_form(i, orbit, direction) for i in (1, 2, 3)]
+    qt = complex(orbit.sampler("q_alpha")(t))
+    dvE = np.array([p.value(t) for p in paths])
+    a, e1 = BaseFrame.a_matrix(t), BaseFrame.e(1, t)
+    dva = -(a @ dvE @ a)  # d_v a = -a (d_v E) a for the eigenvector row matrix E
+    total = qt * (dva[0, 0] * e1[2] + a[0, 0] * dvE[0, 2]) \
+        + 4 * np.conj(qt) * (dva[2, 0] * e1[0] + a[2, 0] * dvE[0, 0])
     return float(np.real(total))

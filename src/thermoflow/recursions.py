@@ -461,10 +461,13 @@ def _add_arrangement(ls, X, Y, Z, degs, Ss, rotated, sign, max_idx, label_of):
             add_term(ls, label_of[key], d[n].shift(n + kb).scale(sign * rot))
 
 
-def build_completed_relations(case: str, N: int, Ms=(1, 2, 3)) -> RecursionSystem:
+_COMPLETION_MS = (1, 2, 3)  # the m of the couplings s = m t in a completion
+
+
+def build_completed_relations(case: str, N: int) -> RecursionSystem:
     """Multi-arrangement completion of the GH / IJ systems.
 
-    For every ordering (X, Y, Z) of the triple and every m in Ms, the identity
+    For every ordering (X, Y, Z) of the triple and every m in _COMPLETION_MS, the identity
       series(X@0, Y@t, Z@mt) = (-1)^(deg X + deg Y) series(Y@0, X@t, Z@(m-1)t rotated)
     follows from a flow shift by -t and the substitution x -> -x. Rows are
     matched powers, kept only below the exact truncation cap. AB/CD/EF are
@@ -481,11 +484,12 @@ def build_completed_relations(case: str, N: int, Ms=(1, 2, 3)) -> RecursionSyste
             key = canonical_product(pat(n))
             label_of.setdefault(key, (fam, n))
     order = 2 * N + 6
-    tanh = {m: tanh_multiple(m, order) for m in {*Ms, *(m - 1 for m in Ms)}}
+    tanh = {m: tanh_multiple(m, order)
+            for m in {*_COMPLETION_MS, *(m - 1 for m in _COMPLETION_MS)}}
     relations = []
     for (X, Y, Z) in itertools.permutations(letters):
         sgn = (-1) ** (degs[X] + degs[Y])
-        for m in Ms:
+        for m in _COMPLETION_MS:
             ls = lin_series(order)
             _add_arrangement(ls, X, Y, Z, degs, tanh[m], False, 1, N, label_of)
             _add_arrangement(ls, Y, X, Z, degs, tanh[m - 1], True, -sgn, N, label_of)
@@ -495,7 +499,8 @@ def build_completed_relations(case: str, N: int, Ms=(1, 2, 3)) -> RecursionSyste
     unknowns = tuple(sorted({u for rel in relations for u in rel.form},
                             key=lambda u: (fams.index(u[0]), u[1])))
     return RecursionSystem(case=case + "-completed", N=N,
-                           couplings=tuple(f"s={m}t(all arrangements)" for m in Ms),
+                           couplings=tuple(f"s={m}t(all arrangements)"
+                                           for m in _COMPLETION_MS),
                            relations=tuple(relations), unknowns=unknowns)
 
 

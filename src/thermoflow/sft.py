@@ -252,15 +252,9 @@ def indicator(sft: Sft, symbol: int) -> DepthKFunction:
                                    for a in range(sft.alphabet_size)})
 
 
-def random_function(sft: Sft, depth: int, rng, scale: float = 1.0,
-                    complex_valued: bool = False) -> DepthKFunction:
-    vals = {}
-    for w in admissible_words(sft, depth):
-        if complex_valued:
-            vals[w] = complex(rng.normal(0.0, scale), rng.normal(0.0, scale))
-        else:
-            vals[w] = float(rng.normal(0.0, scale))
-    return DepthKFunction(sft, depth, vals)
+def random_function(sft: Sft, depth: int, rng, scale: float = 1.0) -> DepthKFunction:
+    return DepthKFunction(sft, depth, {w: float(rng.normal(0.0, scale))
+                                       for w in admissible_words(sft, depth)})
 
 
 def coboundary(v: DepthKFunction) -> DepthKFunction:

@@ -145,7 +145,8 @@ def test_holonomy_bad_orbit_length_exit_2(tmp_path, orbits):
 
 def _explicit_orbit(names):
     return {"kind": "explicit", "items": [
-        {"l": 1.5, "samplers": {name: [[0, 0.3, 0.1], [1, 0.2, 0.0]] for name in names}}]}
+        {"l": 1.5, "samplers": {name: [[0, 0.3, 0.1], [1, 0.2, 0.0], [-2, 0.0, 0.1]]
+                                for name in names}}]}
 
 
 @pytest.mark.parametrize("names,variations,missing", [
@@ -250,6 +251,11 @@ GOLDEN_MEAN = {"transition": [[1, 1], [1, 0]]}
      "potential": {"kind": "values", "depth": True, "values": {"0": 0.1, "1": 0.2}}},
     {"experiment": "pressure", "sft": GOLDEN_MEAN,
      "potential": {"kind": "values", "depth": 1.5, "values": {"0": 0.1, "1": 0.2}}},
+    *({"experiment": "holonomy", "variations": False, "orbits": {"kind": "explicit", "items": [
+        {"l": 2.0, "samplers": {"q_alpha": [[0, 0.5, 0.1]], "q_i": modes}}]}}
+      for modes in ([[1.5, 0.3, 0.0]], [[True, 0.3, 0.0]], [["1", 0.3, 0.0]],
+                    [[1, math.nan, 0.0]], [[1, 0.3, math.inf]], [[1, "0.3", 0.0]],
+                    [[1, 0.3]], [1, 0.3, 0.0], {"1": [0.3, 0.0]})),
 ])
 def test_bad_field_values_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"

@@ -15,7 +15,7 @@ import thermoflow
 from thermoflow import cli, errors, holonomy
 from thermoflow.holonomy import (BaseFrame, ConnectionFamily, FourierSampler,
                                  M_CONN, OrbitData, ShootingSolution, _forcing_for,
-                                 _moment, _nodes, _propagator,
+                                 _nodes, _propagator,
                                  cubic_direction, eigenvalue_derivative_fd, eta_cc,
                                  hermitian, monodromy, parallel_transport, psi_cc, psi_cq,
                                  quadratic_direction,
@@ -520,31 +520,65 @@ def test_single_mode_forcing_against_shooting():
         assert np.max(np.abs(closed.value(float(t)) - shot.value(float(t)))) < 1e-6
 
 
-# ------------------------------------------------------------ exact moments
+# ------------------------------------------------- kernels against quadrature
 
-def _quad_moment(q, rho, a, b, anchor):
-    """int_a^b e^{rho (s - anchor)} q(s) ds by quad, and a bound on its modulus."""
-    kernel = lambda s: math.exp(rho * (s - anchor))
-    opts = dict(epsabs=0.0, epsrel=1e-12, limit=400)
-    re = integrate.quad(lambda s: kernel(s) * q(s).real, a, b, **opts)[0]
-    im = integrate.quad(lambda s: kernel(s) * q(s).imag, a, b, **opts)[0]
-    bound = sum(abs(c) for c in q.modes.values()) * integrate.quad(kernel, a, b)[0]
-    return complex(re, im), bound
+def _quad_sum(f, a, b, piece):
+    """int_a^b f by quad on pieces of length at most `piece`."""
+    edges = np.linspace(a, b, max(1, math.ceil(abs(b - a) / piece)) + 1)
+    return sum(integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-12)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def _quad_kernel(q, rate, t):
+    """-int_R e^{-r |t - s|} q(s) ds by quad over |s - t| <= 40 / r, whose tail is
+    below e^{-40} sum |c_k| / r."""
+    piece, window = min(q.l, 1.0), 40.0 / rate
+    parts = [sum(_quad_sum(lambda s: math.exp(-rate * abs(t - s)) * part(q(s)), a, b, piece)
+                 for a, b in ((t - window, t), (t, t + window)))
+             for part in (np.real, np.imag)]
+    return -complex(*parts)
+
+
+def _quad_eta(orbit, T):
+    """eta_cc's value with both truncated integrals by quad."""
+    qa0, qb = orbit.q_alpha(0.0), orbit.q_beta
+
+    def two_sided(rate, part):
+        f = lambda s: math.exp(-rate * abs(s)) * part(qb(s))
+        return sum(_quad_sum(f, a, b, min(orbit.l, 1.0)) for a, b in ((-T, 0.0), (0.0, T)))
+
+    return -qa0.real * two_sided(2, np.real) - 2.0 * qa0.imag * two_sided(1, np.imag)
+
+
+def _kernel_orbit(seed):
+    """A random orbit with l in [0.5, 8] (l = 8 at seed 0) and 0 to 3 modes, and the
+    scale sum |c_k(q_alpha)| (sum |c_k(q_beta)| + sum |c_k(q_i)|) of its kernels."""
+    rng = np.random.default_rng(seed)
+    l = 8.0 if seed == 0 else float(rng.uniform(0.5, 8.0))
+    n = int(rng.integers(0, 4))
+    orbit = OrbitData(l=l, **{name: FourierSampler.random(l, rng, n, 0.5)
+                              for name in ("q_alpha", "q_beta", "q_i")})
+    size = lambda q: sum(abs(c) for c in q.modes.values())
+    return orbit, size(orbit.q_alpha) * (size(orbit.q_beta) + size(orbit.q_i))
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_exact_moment_matches_quad(seed):
-    rng = np.random.default_rng(seed)
-    l = float(rng.uniform(0.5, 4.0))
-    q = FourierSampler.random(l, rng, int(rng.integers(0, 4)), 0.5)
-    for rho in (-2, -1, 0, 1, 2):
-        a = float(rng.uniform(-2 * l, l))
-        bs = a + l * rng.uniform(0.0, 3.0, size=3)
-        anchor = float(rng.choice([a, bs[-1], 0.0]))
-        exact = _moment(q, rho, a, bs, anchor)
-        for b, val in zip(bs, exact):
-            ref, scale = _quad_moment(q, rho, a, float(b), anchor)
-            assert abs(val - ref) <= 1e-12 * scale
+def test_second_variation_kernels_match_quad(seed):
+    orbit, scale = _kernel_orbit(seed)
+    for t in (0.0, 0.37 * orbit.l, orbit.l):
+        qa = orbit.q_alpha(t)
+        cc = qa.real * _quad_kernel(orbit.q_beta, 2, t).real \
+            + 2.0 * qa.imag * _quad_kernel(orbit.q_beta, 1, t).imag
+        cq = 2.0 * qa.imag * _quad_kernel(orbit.q_i, 1, t).imag
+        assert abs(second_variation_trace_cc(orbit, t) - cc) <= 1e-12 * scale
+        assert abs(second_variation_trace_cq(orbit, t) - cq) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eta_matches_quad(seed):
+    orbit, scale = _kernel_orbit(seed)
+    for T in (0.7 * orbit.l, orbit.l, 3.0 * orbit.l):
+        assert abs(eta_cc(orbit, T)[0] - _quad_eta(orbit, T)) <= 1e-12 * scale
 
 
 # ------------------------------------------------------ second-variation trace
@@ -629,6 +663,14 @@ def test_psi_cq_multiple_traversal_invariance():
     for k in (2, 3, 4, 5, 6, 120):
         assert math.isfinite(psi_cq(orbit, k * orbit.l))
         assert psi_cq(orbit, k * orbit.l) == pytest.approx(base, abs=1e-12)
+
+
+@pytest.mark.parametrize("psi", [psi_cc, psi_cq])
+def test_psi_rejects_a_horizon_that_is_not_whole_traversals(psi):
+    orbit = _orbit(19, l=1.2)
+    for r in (1.5 * orbit.l, 0.0, -orbit.l, math.nan, math.inf):
+        with pytest.raises(ValueError, match="whole number"):
+            psi(orbit, r)
 
 
 def test_psi_long_horizon_stays_finite():
