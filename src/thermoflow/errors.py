@@ -38,6 +38,11 @@ class PotentialOverflow(ThermoflowError):
     e^w is zero."""
 
 
+class NonFiniteValue(ThermoflowError):
+    """A sampled connection, a forcing, a trace integrand or an RK4 propagator has
+    an infinite or NaN entry, as a huge sampler coefficient makes it."""
+
+
 class NotNormalized(ThermoflowError):
     """Potential does not satisfy the transfer-operator row-sum normalization."""
 

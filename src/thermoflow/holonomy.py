@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, StepTooLarge, UnsupportedCase
+from .errors import DegenerateSpectrum, NonFiniteValue, StepTooLarge, UnsupportedCase
 
 SQ2 = math.sqrt(2.0)
 
@@ -213,6 +213,20 @@ def _real_form(a: np.ndarray) -> np.ndarray:
     return out
 
 
+# A huge sampler coefficient can push samples, integrands and propagators past the
+# floats. The functions that form them run without numpy's overflow warnings and
+# pass the result through _finite, which raises NonFiniteValue (exit 3) instead.
+_QUIET = dict(over="ignore", invalid="ignore")
+
+
+def _finite(a, what: str):
+    """a itself if every entry is finite, else NonFiniteValue naming what it is."""
+    if not np.isfinite(a).all():
+        raise NonFiniteValue(f"{what} has an infinite or NaN entry")
+    return a
+
+
+@np.errstate(**_QUIET)
 def _block_ends(a: np.ndarray, h: float) -> np.ndarray:
     """RK4 propagators of V' = -A(t) V from the first node to the end of each block.
 
@@ -241,7 +255,7 @@ def _block_ends(a: np.ndarray, h: float) -> np.ndarray:
         block = _ordered_product(eye + (h / 6) * (s1 + 2 * s2 + 2 * s3 + s4))
         P = block if P is None else block @ P
         ends.append(P)
-    P = np.stack(ends, axis=-3)
+    P = _finite(np.stack(ends, axis=-3), "an RK4 propagator")
     return P[..., :d, :d] + 1j * P[..., d:, :d] if embed else P
 
 
@@ -251,6 +265,7 @@ def _propagator(a: np.ndarray, h: float) -> np.ndarray:
     return _block_ends(a, h)[..., -1, :, :]
 
 
+@np.errstate(**_QUIET)
 def _sampled(A: Callable, ts: np.ndarray) -> np.ndarray:
     """A matrix-valued callable stacked over an array of times.
 
@@ -259,11 +274,12 @@ def _sampled(A: Callable, ts: np.ndarray) -> np.ndarray:
     connection, takes one time per call and is called once per node.
     """
     if isinstance(A, Direction):
-        return A(ts)
+        return _finite(A(ts), "a sampled connection")
     times = ts.tolist()
     first = np.asarray(A(times[0]), dtype=complex)
-    return np.fromiter(itertools.chain([first], map(A, times[1:])),
-                       dtype=np.dtype((complex, first.shape)), count=len(times))
+    return _finite(np.fromiter(itertools.chain([first], map(A, times[1:])),
+                               dtype=np.dtype((complex, first.shape)), count=len(times)),
+                   "a sampled connection")
 
 
 def parallel_transport(A: Callable, V0: np.ndarray, T: float,
@@ -353,10 +369,12 @@ _TRACE_NODES, _TRACE_CAP, _TRACE_TOL = 16, 4096, 1e-10
 _TRACE_SHIFT = SQ2 - 1.0
 
 
+@np.errstate(**_QUIET)
 def _trace_integrand(dD: Callable, ts: np.ndarray) -> np.ndarray:
-    return np.einsum("nij,ji->n", _sampled(dD, ts), PI0)
+    return _finite(np.einsum("nij,ji->n", _sampled(dD, ts), PI0), "the trace integrand")
 
 
+@np.errstate(**_QUIET)
 def trace_derivative(family: ConnectionFamily) -> complex:
     """-int_0^l Tr(dD(t) pi0) dt by the periodic trapezoid rule, l times the node mean.
 
@@ -376,13 +394,14 @@ def trace_derivative(family: ConnectionFamily) -> complex:
     while 2 * n <= _TRACE_CAP:
         mids = _trace_integrand(family.dD, (l / n) * (np.arange(n) + 0.5))
         vals = np.concatenate([vals, mids])
-        fine, scale = vals.mean(), np.abs(vals).mean()
+        fine = vals.mean()
+        scale = _finite(np.abs(vals).mean(), "the trace integrand's mean")
         diff = abs(fine - coarse)
         if diff <= _TRACE_TOL * scale:
             shifted = _trace_integrand(family.dD, (l / n) * (np.arange(n) + _TRACE_SHIFT))
             diff = abs(shifted.mean() - fine)
             if diff <= _TRACE_TOL * scale:
-                return -complex(l * fine)
+                return -complex(_finite(l * fine, "the trace derivative"))
         coarse, n = fine, 2 * n
     raise StepTooLarge(diff / scale, _TRACE_TOL)
 
@@ -393,7 +412,7 @@ def monodromy(A: Callable, T: float, steps: int = 2048) -> np.ndarray:
 
 
 def top_eigenvalue(mat: np.ndarray) -> complex:
-    lam = np.linalg.eigvals(mat)
+    lam = np.linalg.eigvals(_finite(mat, "the monodromy"))
     order = np.argsort(-np.abs(lam))
     lam = lam[order]
     if (abs(lam[0]) - abs(lam[1])) / abs(lam[0]) < 1e-9:
@@ -536,6 +555,7 @@ def variation_ode_closed_form(i: int, orbit: OrbitData, direction: str) -> Varia
 # shooting oracle for the same boundary-value problems
 # --------------------------------------------------------------------------
 
+@np.errstate(**_QUIET)
 def _forced_generator(forcing: Callable, ts: np.ndarray) -> np.ndarray:
     """The real generator [[M, -Re f, -Im f], [0, 0, 0]] of d_t y + M y = f at each time.
 
@@ -543,7 +563,7 @@ def _forced_generator(forcing: Callable, ts: np.ndarray) -> np.ndarray:
     generator is the affine step of the ODE, so a propagator P of it maps y to
     P[:3, :3] y + P[:3, 3] + i P[:3, 4] (see _affine).
     """
-    f = forcing(ts)
+    f = _finite(forcing(ts), "the forcing")
     a = np.zeros((len(ts), 5, 5))
     a[:, :3, :3], a[:, :3, 3], a[:, :3, 4] = M_CONN, -f.real, -f.imag
     return a

@@ -96,23 +96,36 @@ def golden_mean_shift() -> Sft:
     return new_sft([[1, 1], [1, 0]])
 
 
-def admissible_words(sft: Sft, k: int, budget: int = DEFAULT_WORD_BUDGET) -> list:
-    """All admissible k-words in lexicographic order."""
+# (transition, k) -> (words, word set): the admissible k-words in lexicographic
+# order and as a frozenset. Sft is frozen, so an entry never goes stale.
+_WORD_TABLE: dict = {}
+
+
+def _word_table(sft: Sft, k: int, budget: int) -> tuple:
     if k < 1:
         raise ValueError("k must be >= 1")
-    count = sft.word_count(k)
+    key = (sft.transition, k)
+    table = _WORD_TABLE.get(key)
+    count = sft.word_count(k) if table is None else len(table[0])
     if count > budget:
         raise CapacityExceeded(f"{count} {k}-words exceed budget {budget}")
-    words = []
-    stack = [(a,) for a in reversed(range(sft.alphabet_size))]
-    while stack:
-        w = stack.pop()
-        if len(w) == k:
-            words.append(w)
-            continue
-        for b in reversed(sft.successors(w[-1])):
-            stack.append(w + (b,))
-    return words
+    if table is None:
+        words = []
+        stack = [(a,) for a in reversed(range(sft.alphabet_size))]
+        while stack:
+            w = stack.pop()
+            if len(w) == k:
+                words.append(w)
+                continue
+            for b in reversed(sft.successors(w[-1])):
+                stack.append(w + (b,))
+        table = _WORD_TABLE[key] = (tuple(words), frozenset(words))
+    return table
+
+
+def admissible_words(sft: Sft, k: int, budget: int = DEFAULT_WORD_BUDGET) -> list:
+    """All admissible k-words in lexicographic order, as a new list."""
+    return list(_word_table(sft, k, budget)[0])
 
 
 def _min_rotation(cycle: tuple) -> tuple:
@@ -175,8 +188,7 @@ class DepthKFunction:
     values: Mapping[tuple, complex] = field(hash=False)
 
     def __post_init__(self):
-        expect = sft_word_set(self.sft, self.depth)
-        if set(self.values.keys()) != expect:
+        if self.values.keys() != _word_table(self.sft, self.depth, DEFAULT_WORD_BUDGET)[1]:
             raise DepthMismatch("value table keys must be exactly the admissible words")
 
     def __call__(self, word: tuple) -> complex:
@@ -231,16 +243,6 @@ class DepthKFunction:
 
     def is_real(self, tol: float = 0.0) -> bool:
         return all(abs(complex(v).imag) <= tol for v in self.values.values())
-
-
-_WORDSET_CACHE: dict = {}
-
-
-def sft_word_set(sft: Sft, k: int) -> frozenset:
-    key = (sft.transition, k)
-    if key not in _WORDSET_CACHE:
-        _WORDSET_CACHE[key] = frozenset(admissible_words(sft, k))
-    return _WORDSET_CACHE[key]
 
 
 def constant_function(sft: Sft, c, depth: int = 1) -> DepthKFunction:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 import scipy.linalg
@@ -30,7 +32,7 @@ class RuelleMatrix:
     sft: Sft
     depth: int
     words: tuple
-    index: dict
+    index: Mapping
     matrix: sp.csr_matrix
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
@@ -49,42 +51,55 @@ class RuelleMatrix:
         return float(np.max(np.abs(self.matrix.sum(axis=1) - 1.0)))
 
 
+# (transition, k) -> (words, index, indices, indptr): the admissible k-words, their
+# positions, and the column indices and row pointers of L's 0/1 CSR pattern, in the
+# in-row (sorted) column order of a COO -> CSR build. Sft is frozen, so an entry
+# never goes stale.
+_PATTERN: dict = {}
+
+
+def _pattern(sft: Sft, k: int) -> tuple:
+    key = (sft.transition, k)
+    if key not in _PATTERN:
+        words = tuple(admissible_words(sft, k))
+        index = MappingProxyType({u: i for i, u in enumerate(words)})
+        rows, cols = [], []
+        for i, u in enumerate(words):
+            for a in range(sft.alphabet_size):
+                if sft.transition[a][u[0]]:
+                    rows.append(i)
+                    cols.append(index[(a,) + u[: k - 1]])
+        ones = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(words),) * 2)
+        _PATTERN[key] = (words, index, ones.indices, ones.indptr)
+    return _PATTERN[key]
+
+
 def ruelle_matrix(sft: Sft, w: DepthKFunction, depth: int | None = None) -> RuelleMatrix:
     """Matrix of L_w on depth-k value vectors, k = max(depth(w), depth, 1).
 
     Entry (u, v) is e^{w(v)} when v is an admissible one-symbol extension whose
-    shift is compatible with u (v[1:] == u[:k-1]); rows enumerate preimages.
+    shift is compatible with u (v[1:] == u[:k-1]); rows enumerate preimages. The
+    words, the index and the sparsity pattern are cached per (shift, k); a call
+    takes one exp per word and gathers it into a CSR matrix that owns its arrays.
     """
     if not sft.is_mixing:
         raise NotMixing("transfer operator requires a topologically mixing shift")
     if not w.is_real(1e-12):
         raise ValueError("transfer operator potentials must be real-valued")
     k = max(w.depth, depth or 1, 1)
-    words = tuple(admissible_words(sft, k))
-    index = {u: i for i, u in enumerate(words)}
-    wk = w.promote(k)
-    rows, cols, vals = [], [], []
-    for i, u in enumerate(words):
-        prefix = u[: k - 1]
-        for a in range(sft.alphabet_size):
-            if not sft.transition[a][u[0]]:
-                continue
-            v = (a,) + prefix
-            j = index.get(v)
-            if j is None:
-                continue
-            rows.append(i)
-            cols.append(j)
-            try:
-                weight = math.exp(float(np.real(wk.values[v])))
-            except OverflowError:
-                raise PotentialOverflow(f"e^w overflows a float at word {v}: "
-                                        f"w = {wk.values[v]}") from None
-            if weight == 0.0:  # a zero weight would drop the transition
-                raise PotentialOverflow(f"e^w underflows to zero at word {v}: "
-                                        f"w = {wk.values[v]}")
-            vals.append(weight)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(words), len(words)))
+    words, index, indices, indptr = _pattern(sft, k)
+    weights = []
+    for v in words:
+        x = w.values[v[: w.depth]]
+        try:
+            weight = math.exp(x.real)
+        except OverflowError:
+            raise PotentialOverflow(f"e^w overflows a float at word {v}: w = {x}") from None
+        if weight == 0.0:  # a zero weight would drop the transition
+            raise PotentialOverflow(f"e^w underflows to zero at word {v}: w = {x}")
+        weights.append(weight)
+    mat = sp.csr_matrix((np.array(weights)[indices], indices.copy(), indptr.copy()),
+                        shape=(len(words), len(words)))
     return RuelleMatrix(sft=sft, depth=k, words=words, index=index, matrix=mat)
 
 

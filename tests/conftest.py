@@ -1,15 +1,17 @@
 import collections
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from thermoflow import correlations, transfer
 from thermoflow.correlations import EquilibriumContext
 from thermoflow.derivatives import PotentialFamily
-from thermoflow.sft import random_function
+from thermoflow.sft import admissible_words, random_function
 from thermoflow.transfer import normalize_potential, pressure, rpf
 
 
@@ -214,3 +216,26 @@ def fraction_kernel_basis(rows, unknowns):
             v[pc] = -mat[i][fc]
         basis.append(v)
     return basis
+
+
+def coo_ruelle_matrix(s, w, depth=None):
+    """Oracle for `transfer.ruelle_matrix`: the CSR matrix built edge by edge from
+    COO triplets, with one exp per edge and no cached words or pattern."""
+    k = max(w.depth, depth or 1, 1)
+    words = tuple(admissible_words(s, k))
+    index = {u: i for i, u in enumerate(words)}
+    wk = w.promote(k)
+    rows, cols, vals = [], [], []
+    for i, u in enumerate(words):
+        prefix = u[: k - 1]
+        for a in range(s.alphabet_size):
+            if not s.transition[a][u[0]]:
+                continue
+            v = (a,) + prefix
+            j = index.get(v)
+            if j is None:
+                continue
+            rows.append(i)
+            cols.append(j)
+            vals.append(math.exp(float(np.real(wk.values[v]))))
+    return words, sp.csr_matrix((vals, (rows, cols)), shape=(len(words), len(words)))

@@ -351,6 +351,46 @@ def test_cli_mode_on_every_dyadic_grid_exit_3(tmp_path):
     assert cli.main(["holonomy", "--config", str(config), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("c", ["1e10", "1e100", "1e200", "1e308"])
+def test_cli_huge_sampler_coefficient_exit_3_without_traceback(tmp_path, c):
+    """An explicit sampler so large that a monodromy, integrand or sample leaves the
+    floats is a numerical failure: exit 3, with no traceback and no warning."""
+    modes = [[1, float(c), 0.0]]
+    config = tmp_path / "holonomy.json"
+    config.write_text(json.dumps({
+        "schema": 1, "experiment": "holonomy", "variations": False,
+        "orbits": {"kind": "explicit", "items": [
+            {"l": 2.0, "samplers": {"q_alpha": modes, "q_i": modes}}]}}))
+    src = str(Path(thermoflow.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "thermoflow.cli", "holonomy",
+                          "--config", str(config), "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 3, run.stderr
+    assert "infinite or NaN" in run.stderr
+    assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+
+
+@pytest.mark.parametrize("c", [1e10, 1e307, 1e308])
+def test_huge_sampler_raises_non_finite_in_process(c):
+    """Every holonomy entry point names the non-finite array; the suite turns any
+    RuntimeWarning into an error, so none is emitted on the way."""
+    q = FourierSampler(L, {1: complex(c)})
+    orbit = OrbitData(l=L, q_alpha=q, q_beta=q, q_i=q, q_j=q)
+    family = ConnectionFamily(l=L, dD=cubic_direction(q))
+    with pytest.raises(errors.NonFiniteValue):
+        eigenvalue_derivative_fd(family)
+    if c > 1e300:
+        with pytest.raises(errors.NonFiniteValue):
+            trace_derivative(family)
+        with pytest.raises(errors.NonFiniteValue):
+            ShootingSolution(1, "cubic", orbit)
+
+
+def test_top_eigenvalue_rejects_a_non_finite_monodromy():
+    with pytest.raises(errors.NonFiniteValue, match="the monodromy"):
+        top_eigenvalue(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
 def test_import_does_not_load_scipy_integrate():
     code = "import sys, thermoflow, thermoflow.cli; print('scipy.integrate' in sys.modules)"
     src = str(Path(thermoflow.__file__).resolve().parents[1])

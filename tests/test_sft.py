@@ -60,6 +60,35 @@ def test_word_budget():
         admissible_words(full_shift(2), 10, budget=100)
 
 
+def test_word_budget_holds_on_a_cached_table():
+    s = full_shift(2)
+    assert len(admissible_words(s, 6)) == 64
+    with pytest.raises(errors.CapacityExceeded, match="64 6-words exceed budget 63"):
+        admissible_words(s, 6, budget=63)
+    assert len(admissible_words(s, 6, budget=64)) == 64
+
+
+def test_admissible_words_returns_a_fresh_list():
+    s = golden_mean_shift()
+    words = admissible_words(s, 3)
+    expect = list(words)
+    words.append((1, 1, 1))
+    words[0] = (9,)
+    assert admissible_words(s, 3) == expect
+    admissible_words(s, 3).clear()
+    assert admissible_words(s, 3) == expect
+    assert admissible_words(s, 3) is not admissible_words(s, 3)
+
+
+def test_depth_function_keys_must_be_the_admissible_words():
+    s = golden_mean_shift()
+    words = [(0, 0), (0, 1), (1, 0)]
+    assert sft.DepthKFunction(s, 2, dict.fromkeys(words, 0.0)).depth == 2
+    for keys in (words[:2], words + [(1, 1)], words[:2] + [(1,)]):
+        with pytest.raises(errors.DepthMismatch):
+            sft.DepthKFunction(s, 2, dict.fromkeys(keys, 0.0))
+
+
 def test_periodic_orbits_full_two_shift():
     orbits = {o.cycle for o in periodic_orbits(full_shift(2), 2)}
     assert orbits == {(0,), (1,), (0, 1)}

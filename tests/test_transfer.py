@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import coo_ruelle_matrix
 from thermoflow import errors, transfer
 from thermoflow.correlations import EquilibriumContext
-from thermoflow.sft import (coboundary, constant_function, full_shift, golden_mean_shift,
-                            new_sft, random_function)
+from thermoflow.sft import (DepthKFunction, coboundary, constant_function, full_shift,
+                            golden_mean_shift, new_sft, random_function)
 from thermoflow.transfer import (_perron, equilibrium_measure, normalization_defect,
                                  normalize_potential, pressure, rpf, ruelle_matrix,
                                  stationary_vector)
@@ -38,6 +39,63 @@ def test_ruelle_matrix_requires_mixing():
     s = new_sft([[1, 0], [0, 1]])
     with pytest.raises(errors.NotMixing):
         ruelle_matrix(s, constant_function(s, 0.0))
+
+
+def _shift(name):
+    if name == "golden":
+        return golden_mean_shift()
+    if name.startswith("full"):
+        return full_shift(int(name[4:]))
+    s = _random_mixing_shift(np.random.default_rng(2718), 3)
+    assert not all(all(row) for row in s.transition)
+    return s
+
+
+def _assert_same_csr(a, b):
+    assert a.shape == b.shape
+    assert (a != b).nnz == 0
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("name", ["golden", "full2", "full3", "full4", "random"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_ruelle_matrix_is_bit_identical_to_the_per_edge_build(name, depth):
+    """The cached pattern plus one exp per word gives the per-edge COO build exactly,
+    for a potential of the matrix's depth and for a depth-1 one lifted by depth=."""
+    s = _shift(name)
+    rng = np.random.default_rng([depth, 31])
+    for w, kw in ((random_function(s, depth, rng), {}),
+                  (random_function(s, 1, rng), {"depth": depth})):
+        words, oracle = coo_ruelle_matrix(s, w, **kw)
+        rm = ruelle_matrix(s, w, **kw)
+        assert rm.depth == depth and rm.words == words
+        _assert_same_csr(rm.matrix, oracle)
+
+
+@pytest.mark.parametrize("value,what", [(800.0, "overflows a float"),
+                                        (-800.0, "underflows to zero")])
+def test_ruelle_matrix_potential_overflow_names_the_word(value, what):
+    s = full_shift(2)
+    w = DepthKFunction(s, 1, {(0,): 0.0, (1,): value})
+    with pytest.raises(errors.PotentialOverflow, match=rf"{what} at word \(1, 0\): "
+                                                       rf"w = {value}"):
+        ruelle_matrix(s, w, depth=2)
+
+
+def test_ruelle_matrices_of_one_shift_and_depth_share_no_arrays():
+    """Writing one matrix's data or indices leaves the other and later builds alone."""
+    s = golden_mean_shift()
+    w = random_function(s, 3, np.random.default_rng(4))
+    a, b = ruelle_matrix(s, w).matrix, ruelle_matrix(s, w).matrix
+    for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)):
+        assert not np.shares_memory(x, y)
+    a.data[:] = 7.0
+    a.indices[:] = 0
+    _, oracle = coo_ruelle_matrix(s, w)
+    _assert_same_csr(b, oracle)
+    _assert_same_csr(ruelle_matrix(s, w).matrix, oracle)
 
 
 def test_rpf_full_shift():
