@@ -369,7 +369,6 @@ _TRACE_NODES, _TRACE_CAP, _TRACE_TOL = 16, 4096, 1e-10
 _TRACE_SHIFT = SQ2 - 1.0
 
 
-@np.errstate(**_QUIET)
 def _trace_integrand(dD: Callable, ts: np.ndarray) -> np.ndarray:
     return _finite(np.einsum("nij,ji->n", _sampled(dD, ts), PI0), "the trace integrand")
 
