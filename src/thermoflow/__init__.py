@@ -24,7 +24,7 @@ from .holonomy import (BaseFrame, ConnectionFamily, FourierSampler, OrbitData,
 from .diskgeom import (UnitTangent, flow_contraction_ratio, geodesic_flow,
                        sasaki_distance)
 from .diskseries import (AngularReduction, DifferentialExpansion, angular_triple_reduce,
-                         monte_carlo_triple, quadrature_triple)
+                         quadrature_triple)
 from .recursions import (REFERENCE_COUPLINGS, RecursionSystem, VanishingVerdict,
                          build_completed_relations, build_relations, named_relation,
                          solve_vanishing)

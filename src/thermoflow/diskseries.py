@@ -27,26 +27,17 @@ class DifferentialExpansion:
             raise DegreeMismatch("degree must be 2 or 3")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
-    def eval_at_radius(self, R: float, theta: float) -> complex:
-        """sum_n c_n R^n (1 - R^2)^d e^{i (n + d) theta}."""
-        out = 0.0 + 0.0j
-        shrink = (1.0 - R * R) ** self.degree
-        for n, c in enumerate(self.coeffs):
-            out += c * R ** n * np.exp(1j * (n + self.degree) * theta)
-        return out * shrink
+    def eval_at_radius(self, R: float, theta):
+        """sum_n c_n R^n (1 - R^2)^d e^{i (n + d) theta} at one angle (a complex) or
+        on an array of angles (an array of its shape).
 
-    def eval_on_flow(self, r: float, theta: float) -> complex:
-        """Radius map R = tanh(r) for flow time r >= 0."""
-        if r < 0:
-            raise ValueError("flow time must be nonnegative")
-        return self.eval_at_radius(math.tanh(r), theta)
-
-    def rotate_pi_exact(self) -> "DifferentialExpansion":
-        """Rotation by pi with exact signs (-1)^(n + d)."""
-        return DifferentialExpansion(
-            self.degree,
-            tuple(c * (-1) ** ((n + self.degree) % 2)
-                  for n, c in enumerate(self.coeffs)))
+        The sum is the polynomial sum_n (c_n R^n) z^{n + d} in z = e^{i theta}, taken
+        by Horner's rule, so an array of angles costs one exp.
+        """
+        z = np.exp(1j * np.asarray(theta, dtype=float))
+        p = [c * R ** n for n, c in enumerate(self.coeffs)][::-1] + [0.0] * self.degree
+        out = (1.0 - R * R) ** self.degree * np.polyval(p, z)
+        return out if np.ndim(out) else complex(out)
 
 
 @dataclass(frozen=True)
@@ -104,32 +95,12 @@ def angular_triple_reduce(e1: DifferentialExpansion, e2: DifferentialExpansion,
 def quadrature_triple(e1: DifferentialExpansion, e2: DifferentialExpansion,
                       e3: DifferentialExpansion, T: float, S: float,
                       n_theta: int = 512) -> float:
-    """Direct trapezoidal theta-average of the triple product (spectrally exact
-    for finite expansions once n_theta exceeds the total bandwidth)."""
+    """Direct trapezoidal theta-average of the triple product over n_theta angles
+    (spectrally exact for finite expansions once n_theta exceeds the total bandwidth).
+    n_theta must be a positive int (not a bool), else ValueError."""
+    if isinstance(n_theta, bool) or not isinstance(n_theta, (int, np.integer)) or n_theta < 1:
+        raise ValueError(f"n_theta must be a positive integer, got {n_theta!r}")
     thetas = np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False)
-    total = 0.0
-    for th in thetas:
-        total += (np.real(e1.eval_at_radius(0.0, th))
-                  * np.real(e2.eval_at_radius(T, th))
-                  * np.real(e3.eval_at_radius(S, th)))
-    return float(total / n_theta)
-
-
-def monte_carlo_triple(e1: DifferentialExpansion, e2: DifferentialExpansion,
-                       e3: DifferentialExpansion, T: float, S: float,
-                       n_samples: int, seed: int) -> tuple:
-    """Rotation-averaged Monte Carlo estimate (mean, stderr) of the triple.
-
-    Rotation invariance alone annihilates every theta-isolated term, so the
-    estimate must vanish (within noise) whenever the reduced series does.
-    """
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0.0, 2 * math.pi, size=n_samples)
-    vals = np.array([
-        np.real(e1.eval_at_radius(0.0, th))
-        * np.real(e2.eval_at_radius(T, th))
-        * np.real(e3.eval_at_radius(S, th))
-        for th in thetas])
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return mean, stderr
+    return float(np.mean(e1.eval_at_radius(0.0, thetas).real
+                         * e2.eval_at_radius(T, thetas).real
+                         * e3.eval_at_radius(S, thetas).real))

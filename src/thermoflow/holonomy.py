@@ -102,22 +102,29 @@ class FourierSampler:
         self.w = np.array([2 * math.pi * k / self.l for k in ks])
         self.c = np.array([self.modes[k] for k in ks], dtype=complex)
         self._freqs = tuple(zip((1j * self.w).tolist(), self.c.tolist()))
+        # Horner's rule from the top mode down: (gap to the mode below, its coefficient)
+        self._horner = [(hi - lo, self.modes[lo]) for lo, hi in zip(ks, ks[1:])][::-1]
+        self._k_min = ks[0] if ks else 0
 
     def __call__(self, t):
+        """The series at a time t (a complex) or on an array of times (an array of its
+        shape). On an array it is z^{k_min} times a polynomial in z = e^{2 pi i t / l},
+        taken by Horner's rule over the sorted modes with a factor z^{gap} between
+        neighbours: one exp per call, and work that grows with the number of modes,
+        not with k_max - k_min."""
         if isinstance(t, (int, float)):
             out = 0j
             for w, c in self._freqs:
                 out += c * cmath.exp(w * t)
             return out
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t, dtype=complex)
-        for w, c in self._freqs:
-            out += c * np.exp(w * t)
+        z = np.exp((2j * math.pi / self.l) * np.asarray(t, dtype=float))
+        out = np.full_like(z, self.c[-1] if self.modes else 0.0)
+        for gap, c in self._horner:
+            out *= z if gap == 1 else z ** gap
+            out += c
+        if self._k_min:
+            out *= z ** self._k_min
         return out if out.shape else complex(out)
-
-    def periodicity_defect(self, n: int = 16) -> float:
-        ts = np.linspace(0.0, self.l, n, endpoint=False)
-        return float(np.max(np.abs(self(ts + self.l) - self(ts))))
 
     @staticmethod
     def zero(l: float) -> "FourierSampler":

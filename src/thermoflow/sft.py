@@ -9,11 +9,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .errors import CapacityExceeded, DepthMismatch, EmptyRowOrColumn, WordTooShort
 
 DEFAULT_WORD_BUDGET = 2 ** 24
 
 Word = tuple  # finite admissible symbol sequence, stored as a tuple of ints
+_REAL_TYPES = (float, int, np.floating, np.integer)  # values whose imaginary part is 0
 
 
 def _int_matmul(a, b):
@@ -242,7 +245,12 @@ class DepthKFunction:
         return max(abs(v) for v in self.values.values())
 
     def is_real(self, tol: float = 0.0) -> bool:
-        return all(abs(complex(v).imag) <= tol for v in self.values.values())
+        """True if no value has an imaginary part larger than tol in size. Real-typed
+        values pass exactly when 0 <= tol; only the others go through complex()."""
+        others = [v for v in self.values.values() if not isinstance(v, _REAL_TYPES)]
+        if len(others) < len(self.values) and not 0.0 <= tol:
+            return False
+        return all(abs(complex(v).imag) <= tol for v in others)
 
 
 def constant_function(sft: Sft, c, depth: int = 1) -> DepthKFunction:

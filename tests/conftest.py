@@ -239,3 +239,34 @@ def coo_ruelle_matrix(s, w, depth=None):
             cols.append(j)
             vals.append(math.exp(float(np.real(wk.values[v]))))
     return words, sp.csr_matrix((vals, (rows, cols)), shape=(len(words), len(words)))
+
+
+# Loop oracles for `diskseries.DifferentialExpansion.eval_at_radius` (one exp per
+# coefficient, one angle per call) and `diskseries.quadrature_triple` (one angle per
+# step), and for `holonomy.FourierSampler` on arrays (one exp per mode).
+
+def loop_eval_at_radius(e, R, theta):
+    """sum_n c_n R^n (1 - R^2)^d e^{i (n + d) theta} term by term at one angle."""
+    out = 0.0 + 0.0j
+    for n, c in enumerate(e.coeffs):
+        out += c * R ** n * np.exp(1j * (n + e.degree) * theta)
+    return out * (1.0 - R * R) ** e.degree
+
+
+def loop_quadrature_triple(e1, e2, e3, T, S, n_theta):
+    """Trapezoidal theta-average of the triple product, one angle at a time."""
+    total = 0.0
+    for th in np.linspace(0.0, 2 * math.pi, n_theta, endpoint=False):
+        total += (np.real(loop_eval_at_radius(e1, 0.0, th))
+                  * np.real(loop_eval_at_radius(e2, T, th))
+                  * np.real(loop_eval_at_radius(e3, S, th)))
+    return float(total / n_theta)
+
+
+def per_mode_sampler(sampler, t):
+    """sum_k c_k e^{i w_k t} with one exp per mode, on an array of times."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t, dtype=complex)
+    for k, c in sorted(sampler.modes.items()):
+        out += c * np.exp(1j * (2 * math.pi * k / sampler.l) * t)
+    return out

@@ -23,7 +23,7 @@ from thermoflow.holonomy import (BaseFrame, ConnectionFamily, FourierSampler,
                                  second_variation_trace_cc, second_variation_trace_cq,
                                  top_eigenvalue, trace_derivative, variation_ode_closed_form)
 
-from conftest import complex_propagator
+from conftest import complex_propagator, per_mode_sampler
 
 L = 2.0
 
@@ -732,8 +732,33 @@ def test_orbit_json_roundtrip():
 
 
 def test_sampler_periodicity_defect():
-    orbit = _orbit(25, l=2.2)
-    assert orbit.q_alpha.periodicity_defect() < 1e-12
+    q = _orbit(25, l=2.2).q_alpha
+    ts = np.linspace(0.0, q.l, 16, endpoint=False)
+    assert float(np.max(np.abs(q(ts + q.l) - q(ts)))) < 1e-12
+
+
+@pytest.mark.parametrize("modes", [
+    "dense", {-7: 1 + 2j, 0: 0.5, 5: -1j}, {3: 2 - 1j}, {1000: 0.75 + 0.25j},
+    {-150: 1.0, 150: 1j}, {}], ids=["dense", "sparse", "single", "far", "wide", "empty"])
+def test_sampler_horner_matches_per_mode_oracle(modes):
+    """Bound: 1e-15 per unit of sum |c_k|, times the largest phase 2 pi |k t| / l that
+    a per-mode exp rounds (the oracle's own error grows with it)."""
+    rng = np.random.default_rng(18)
+    q = (FourierSampler.random(2.3, rng, 5, 0.8) if modes == "dense"
+         else FourierSampler(1.7, modes))
+    ts = np.concatenate([rng.uniform(-5.0, 5.0, 200), np.linspace(0.0, q.l, 65)])
+    k_max = max((abs(k) for k in q.modes), default=0)
+    bound = 1e-15 * (1 + sum(abs(c) for c in q.modes.values())) \
+        * (1 + 2 * math.pi * k_max * 5.0 / q.l)
+    values = q(ts)
+    assert values.shape == ts.shape and values.dtype == complex
+    assert np.max(np.abs(values - per_mode_sampler(q, ts))) <= bound
+    assert q(ts.reshape(5, 53)).shape == (5, 53)
+    for t in (0.3, -4.1):
+        at_float, at_0d = q(t), q(np.array(t))
+        assert type(at_float) is complex and type(at_0d) is complex
+        assert abs(at_float - complex(per_mode_sampler(q, t))) <= bound
+        assert abs(at_0d - at_float) <= bound
 
 
 def test_eta_approaches_psi_geometrically():

@@ -220,3 +220,35 @@ def test_d_alpha_diagnostic():
     assert d_alpha((0, 1, 1), (0, 1, 0), 0.5) == 0.25
     assert d_alpha((0,), (1,), 0.5) == 1.0
     assert d_alpha((0, 1), (0, 1), 0.5) == 0.0
+
+
+def _parent_is_real(values, tol):
+    """The check before real-typed values skipped complex(): every value converted."""
+    return all(abs(complex(v).imag) <= tol for v in values)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, -1.0, float("nan")])
+@pytest.mark.parametrize("kind", ["float", "int", "np.float64", "np.float32", "np.int64",
+                                  "complex", "np.complex128", "mixed", "imag-1e-13",
+                                  "imag-1e-11"])
+def test_is_real_verdict_matches_complex_conversion(kind, tol):
+    s = full_shift(2)
+    words = admissible_words(s, 2)
+    make = {"float": float, "int": lambda x: int(10 * x), "np.float64": np.float64,
+            "np.float32": np.float32, "np.int64": lambda x: np.int64(10 * x),
+            "complex": complex, "np.complex128": np.complex128,
+            "mixed": lambda x: complex(x) if x > 0.5 else float(x),
+            "imag-1e-13": lambda x: complex(x, 1e-13),
+            "imag-1e-11": lambda x: np.complex128(complex(x, -1e-11))}[kind]
+    rng = np.random.default_rng(7)
+    f = sft.DepthKFunction(s, 2, {w: make(float(rng.uniform())) for w in words})
+    assert f.is_real(tol) == _parent_is_real(f.values.values(), tol)
+
+
+def test_is_real_tolerance_edge_on_complex_values():
+    s = full_shift(2)
+    for cast in (complex, np.complex128):
+        passes = sft.DepthKFunction(s, 1, {(0,): cast(1.0), (1,): cast(complex(2.0, 1e-13))})
+        fails = sft.DepthKFunction(s, 1, {(0,): cast(1.0), (1,): cast(complex(2.0, 1e-11))})
+        assert passes.is_real(1e-12) and not passes.is_real(0.0)
+        assert not fails.is_real(1e-12)
