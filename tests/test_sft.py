@@ -222,8 +222,8 @@ def test_d_alpha_diagnostic():
     assert d_alpha((0, 1), (0, 1), 0.5) == 0.0
 
 
-def _parent_is_real(values, tol):
-    """The check before real-typed values skipped complex(): every value converted."""
+def _converting_is_real(values, tol):
+    """Oracle for `DepthKFunction.is_real`: every value goes through complex()."""
     return all(abs(complex(v).imag) <= tol for v in values)
 
 
@@ -242,7 +242,7 @@ def test_is_real_verdict_matches_complex_conversion(kind, tol):
             "imag-1e-11": lambda x: np.complex128(complex(x, -1e-11))}[kind]
     rng = np.random.default_rng(7)
     f = sft.DepthKFunction(s, 2, {w: make(float(rng.uniform())) for w in words})
-    assert f.is_real(tol) == _parent_is_real(f.values.values(), tol)
+    assert f.is_real(tol) == _converting_is_real(f.values.values(), tol)
 
 
 def test_is_real_tolerance_edge_on_complex_values():
