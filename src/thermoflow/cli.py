@@ -156,7 +156,7 @@ def run_pressure(config: dict, out_dir: Path, seed: int) -> dict:
         depth = _integer(fam_spec.get("depth", 2), "derivative_families.depth", lo=1)
         count = _integer(fam_spec.get("count", 1), "derivative_families.count")
         scale = _number(fam_spec.get("scale", 0.25), "derivative_families.scale")
-        base = _prepare(w, max(w.depth + 1, depth), data)
+        base = _prepare(w, max(w.depth, depth), data)
         derivative = {1: base.d1, 2: base.d2, 3: base.d3}
         for fam_idx in range(count):
             g1 = base.centered(random_function(s, depth, rng, scale=scale))

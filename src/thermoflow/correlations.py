@@ -21,9 +21,10 @@ from scipy.sparse.linalg import LinearOperator, onenormest, splu
 from .errors import DepthMismatch, NotMeanZero
 from .sft import DepthKFunction, Sft
 from .transfer import (DENSE_WORDS, MarkovMeasure, RuelleMatrix, require_normalized,
-                       ruelle_matrix, stationary_vector, _perron)
+                       ruelle_matrix, _lift, _perron, _words)
 
 MEAN_ZERO_TOL = 1e-8
+EPS = np.finfo(float).eps
 
 
 class EquilibriumContext:
@@ -35,8 +36,12 @@ class EquilibriumContext:
         self.rm: RuelleMatrix = ruelle_matrix(sft, w_norm, depth=depth)
         require_normalized(self.rm)
         self.depth = self.rm.depth
-        # L 1 = 1, so nu is the stationary vector and |lambda_2| sets the decay
-        _, _, self.m, self.gap = _perron(self.rm.matrix)
+        # L 1 = 1, so nu is the stationary vector and |lambda_2| sets the decay. Both
+        # come from the smallest invariant word space; m is lifted from there.
+        low = max(w_norm.depth - 1, 1)
+        base = self.rm if self.depth == low else ruelle_matrix(sft, w_norm, depth=low)
+        _, _, m, self.gap = _perron(base.matrix)
+        self.m = _lift(base, m, self.depth)
 
     def vector(self, f: DepthKFunction) -> np.ndarray:
         if f.depth > self.depth:
@@ -85,6 +90,9 @@ class EquilibriumContext:
         norm of `_factor` times the residual of the n word rows, plus the input
         error `err_in` carried through the solve. A residual r[n] in the
         bordered constraint row moves x by exactly r[n] * 1, hence n |r[n]|.
+        The residual counts the rounding of its own evaluation,
+        gamma_{N+1} (|rhs| + |A| |x|) for A of order N (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 12), so it is never a bare 0.
         `lo` and `err_in` may vary by column.
         """
         a, solve, inv_norm = self._factor
@@ -92,7 +100,8 @@ class EquilibriumContext:
         b = vecs - self.m @ vecs
         rhs = np.vstack([b, np.zeros((a.shape[0] - n, b.shape[1]))])
         x = solve(rhs)
-        resid = np.abs(rhs - a @ x)
+        gamma = (a.shape[0] + 1) * EPS / (1.0 - (a.shape[0] + 1) * EPS)
+        resid = np.abs(rhs - a @ x) + gamma * (np.abs(rhs) + abs(a) @ np.abs(x))
         err = inv_norm * (err_in + resid[:n].sum(axis=0)) + n * resid[n:].sum(axis=0)
         return x[:n] - lo * b, err + lo * err_in
 
@@ -199,12 +208,12 @@ def birkhoff_moment(ctx: EquilibriumContext, gs, n: int) -> float:
     words = ctx.rm.words
     index = ctx.rm.index
     vecs = [ctx.vector(g) for g in gs]
-    # one-step window transition probabilities p(u -> u[1:]+(b,))
-    deeper = ruelle_matrix(ctx.sft, ctx.w, depth=ctx.depth + 1)
-    m_deep = stationary_vector(deeper)
+    # one-step window transition probabilities p(u -> u[1:]+(b,)), from m lifted
+    # one level
+    m_deep = _lift(ctx.rm, ctx.m, ctx.depth + 1)
     m_here = ctx.m
     trans: list = [dict() for _ in words]
-    for j, wd in enumerate(deeper.words):
+    for j, wd in enumerate(_words(ctx.sft, ctx.depth + 1)[0]):
         u = wd[:-1]
         v = wd[1:]
         iu = index[u]

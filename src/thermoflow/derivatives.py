@@ -183,11 +183,11 @@ def _prepare(f0: DepthKFunction, depth: int, data: RpfData | None = None) -> _Ba
 
 
 def _family_base(*families: PotentialFamily) -> _Base:
-    """The base of the first family, deep enough for every f0 (plus one) and
-    every partial of `families`."""
-    depth = max([f.f0.depth + 1 for f in families]
-                + [g.depth for f in families for g in f.partials.values()])
-    return _prepare(families[0].f0, depth)
+    """The base of the first family, deep enough for every f0 and every partial
+    of `families`. The normalized base is one deeper, but its operator acts on
+    functions of the depth of f0 (`ruelle_matrix`), so the context need not be."""
+    return _prepare(families[0].f0,
+                    max(g.depth for f in families for g in (f.f0, *f.partials.values())))
 
 
 def pressure_d1(family: PotentialFamily, param: int = 0) -> float:
@@ -276,7 +276,7 @@ def pressure_metric_d1_terms(du: DepthKFunction, dv: DepthKFunction, dw: DepthKF
     Livsic class of each component. The sums are taken against the measure of
     `w_norm` (or `ctx`).
     """
-    depth = max(g.depth for g in (du, dv, dw, dwv, dwu, w_norm))
+    depth = max(g.depth for g in (du, dv, dw, dwv, dwu))
     ctx = ctx or EquilibriumContext(du.sft, w_norm, depth=depth)
     du, dv, dw = (g - ctx.integrate(g) for g in (du, dv, dw))
     return (ctx.triple(du, dv, dw).value + ctx.covariance(du, dwv).value

@@ -10,6 +10,7 @@ removed by subtracting constants.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -86,14 +87,23 @@ class FlowFunction:
         return FlowFunction(depth=max(f.depth for _, f in parts), evaluate_rel=rel)
 
 
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """(taus, weights): the _QUAD_ORDER-point Gauss-Legendre rule with its nodes
+    as fiber times in [0, 1]. Computed once, on first use rather than at
+    import: its eigensolve would be the first LAPACK call, costing about 0.9 MB
+    of resident memory, in runs that integrate no fiber."""
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
+    return 0.5 * (nodes + 1.0), weights
+
+
 def hat_function(flow: SuspensionFlow, F: FlowFunction) -> DepthKFunction:
     """F_hat(x) = integral of F over the fiber [0, roof(x)] (Gauss-Legendre).
 
     Exact for fibers polynomial in tau up to degree 2 * _QUAD_ORDER - 1.
     """
     depth = max(F.depth, flow.roof.depth)
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
-    taus = 0.5 * (nodes + 1.0)
+    taus, weights = _gauss_legendre()
     vals = {}
     for w in admissible_words(flow.sft, depth):
         fiber = np.array([F.evaluate_rel(w, tau) for tau in taus])
@@ -171,7 +181,7 @@ def flow_pressure_derivative_transfer(flow: SuspensionFlow, family: FlowFamily,
     c0 = flow_pressure(flow, family.F0)
     hat0 = _hat_or_zero(flow, family.F0) - roof * c0
     hat1, hat2, hat3 = (_hat_or_zero(flow, G) for G in (family.G1, family.G2, family.G3))
-    base = _prepare(hat0, max(hat0.depth + 1, hat1.depth, hat2.depth, hat3.depth))
+    base = _prepare(hat0, max(hat0.depth, hat1.depth, hat2.depth, hat3.depth))
     R = base.ctx.integrate(roof)
     kappa1 = base.ctx.integrate(hat1) / R
 

@@ -21,7 +21,9 @@ from .errors import (DepthMismatch, NoConvergence, NonPositiveEigenfunction, Not
                      NotNormalized, PotentialOverflow)
 from .sft import DepthKFunction, Sft, admissible_words
 
-# Largest operator solved by one dense eigendecomposition; ARPACK above it.
+# Largest operator solved by one dense eigendecomposition; ARPACK above it. It
+# counts the words of the smallest invariant space, depth max(depth(w) - 1, 1),
+# the only one `_perron` sees (and the words of a context for its factor).
 # The crossover lies between 64 and 128 words (full 2-shift, one BLAS thread:
 # 64 words 2.0 ms dense vs 8.6 ms ARPACK, 128 words 12.3 ms vs 11.0 ms).
 DENSE_WORDS = 96
@@ -42,65 +44,118 @@ class RuelleMatrix:
         g = f.promote(self.depth)
         return np.array([g.values[w] for w in self.words])
 
-    def function_of(self, vec: np.ndarray) -> DepthKFunction:
-        return DepthKFunction(self.sft, self.depth,
-                              {w: vec[i] for i, w in enumerate(self.words)})
-
     def normalization_defect(self) -> float:
         """max |row sum - 1|: zero exactly when L 1 = 1."""
         return float(np.max(np.abs(self.matrix.sum(axis=1) - 1.0)))
 
 
-# (transition, k) -> (words, index, indices, indptr): the admissible k-words, their
-# positions, and the column indices and row pointers of L's 0/1 CSR pattern, in the
-# in-row (sorted) column order of a COO -> CSR build. Sft is frozen, so an entry
-# never goes stale.
+# (transition, k) -> (words, index, head, tail): the admissible k-words, their
+# positions, and for k >= 2 the positions of each word's x[:k-1] and x[1:] among
+# the (k-1)-words. Sft is frozen, so an entry never goes stale.
+_WORDS: dict = {}
+
+# (transition, k, j) -> the position of x[:j] among the j-words, per k-word x.
+_PREFIX: dict = {}
+
+# (transition, k) -> (edges, indices, indptr): L's 0/1 CSR pattern on k-words, and
+# for each stored entry the position of its edge among the (k+1)-words. Entry (u, v)
+# is the edge x = (v[0],) + u, so u = x[1:] is its row and v = x[:k] its column.
 _PATTERN: dict = {}
+
+
+def _words(sft: Sft, k: int) -> tuple:
+    key = (sft.transition, k)
+    if key not in _WORDS:
+        words = tuple(admissible_words(sft, k))
+        index = MappingProxyType({u: i for i, u in enumerate(words)})
+        head = tail = None
+        if k > 1:
+            sub = _words(sft, k - 1)[1]
+            head = np.array([sub[x[:-1]] for x in words])
+            tail = np.array([sub[x[1:]] for x in words])
+        _WORDS[key] = (words, index, head, tail)
+    return _WORDS[key]
+
+
+def _prefix(sft: Sft, k: int, j: int) -> np.ndarray:
+    key = (sft.transition, k, j)
+    if key not in _PREFIX:
+        _PREFIX[key] = (np.arange(len(_words(sft, k)[0])) if k == j
+                        else _prefix(sft, k - 1, j)[_words(sft, k)[2]])
+    return _PREFIX[key]
 
 
 def _pattern(sft: Sft, k: int) -> tuple:
     key = (sft.transition, k)
     if key not in _PATTERN:
-        words = tuple(admissible_words(sft, k))
-        index = MappingProxyType({u: i for i, u in enumerate(words)})
-        rows, cols = [], []
-        for i, u in enumerate(words):
-            for a in range(sft.alphabet_size):
-                if sft.transition[a][u[0]]:
-                    rows.append(i)
-                    cols.append(index[(a,) + u[: k - 1]])
-        ones = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(words),) * 2)
-        _PATTERN[key] = (words, index, ones.indices, ones.indptr)
+        n = len(_words(sft, k)[0])
+        _, _, head, tail = _words(sft, k + 1)
+        edges = np.lexsort((head, tail))
+        ones = sp.csr_matrix((np.ones(len(edges)), head[edges],
+                              np.append(0, np.cumsum(np.bincount(tail, minlength=n)))),
+                             shape=(n, n))
+        _PATTERN[key] = (edges, ones.indices, ones.indptr)
     return _PATTERN[key]
 
 
-def ruelle_matrix(sft: Sft, w: DepthKFunction, depth: int | None = None) -> RuelleMatrix:
-    """Matrix of L_w on depth-k value vectors, k = max(depth(w), depth, 1).
+def _exp_table(sft: Sft, w: DepthKFunction, k: int) -> np.ndarray:
+    """e^w on the words of w, in their cached order. An overflow or a zero (which
+    would drop a transition) names the first max(k, depth(w))-word it weighs."""
+    def named(i: int):
+        n = max(k, w.depth)
+        return _words(sft, n)[0][np.flatnonzero(_prefix(sft, n, w.depth) == i)[0]]
 
-    Entry (u, v) is e^{w(v)} when v is an admissible one-symbol extension whose
-    shift is compatible with u (v[1:] == u[:k-1]); rows enumerate preimages. The
-    words, the index and the sparsity pattern are cached per (shift, k); a call
-    takes one exp per word and gathers it into a CSR matrix that owns its arrays.
+    weights = []
+    for i, p in enumerate(_words(sft, w.depth)[0]):
+        x = w.values[p]
+        try:
+            weight = math.exp(x.real)
+        except OverflowError:
+            raise PotentialOverflow(f"e^w overflows a float at word {named(i)}: w = {x}") from None
+        if weight == 0.0:
+            raise PotentialOverflow(f"e^w underflows to zero at word {named(i)}: w = {x}")
+        weights.append(weight)
+    return np.array(weights)
+
+
+def ruelle_matrix(sft: Sft, w: DepthKFunction, depth: int | None = None) -> RuelleMatrix:
+    """Matrix of L_w on depth-k value vectors: k = max(depth(w), 1) by default, and
+    k = max(depth, depth(w) - 1, 1) when `depth` is given.
+
+    Entry (u, v) is e^{w(((a,) + u)[:depth(w)])} when v = (a,) + u[:k-1] is an
+    admissible one-symbol extension; rows enumerate preimages. At k >= depth(w) the
+    weight is e^{w(v)}; at k = depth(w) - 1 it sits on the edge (a,) + u, and L_w
+    still maps depth-k functions to depth-k functions. The words, the index and the
+    sparsity pattern are cached per (shift, k); a call takes one exp per word of w
+    and gathers them into a CSR matrix that owns its arrays.
     """
     if not sft.is_mixing:
         raise NotMixing("transfer operator requires a topologically mixing shift")
     if not w.is_real(1e-12):
         raise ValueError("transfer operator potentials must be real-valued")
-    k = max(w.depth, depth or 1, 1)
-    words, index, indices, indptr = _pattern(sft, k)
-    weights = []
-    for v in words:
-        x = w.values[v[: w.depth]]
-        try:
-            weight = math.exp(x.real)
-        except OverflowError:
-            raise PotentialOverflow(f"e^w overflows a float at word {v}: w = {x}") from None
-        if weight == 0.0:  # a zero weight would drop the transition
-            raise PotentialOverflow(f"e^w underflows to zero at word {v}: w = {x}")
-        weights.append(weight)
-    mat = sp.csr_matrix((np.array(weights)[indices], indices.copy(), indptr.copy()),
+    k = max(w.depth if depth is None else depth, w.depth - 1, 1)
+    words, index = _words(sft, k)[:2]
+    edges, indices, indptr = _pattern(sft, k)
+    weights = _exp_table(sft, w, k)[_prefix(sft, k + 1, w.depth)[edges]]
+    mat = sp.csr_matrix((weights, indices.copy(), indptr.copy()),
                         shape=(len(words), len(words)))
     return RuelleMatrix(sft=sft, depth=k, words=words, index=index, matrix=mat)
+
+
+def _lift(rm: RuelleMatrix, nu: np.ndarray, depth: int, rho: float = 1.0) -> np.ndarray:
+    """A left eigenvector nu (nu L = rho nu) of `rm` lifted to the depth-words.
+
+    L* nu = rho nu on the cylinder [x] of a (j+1)-word x, j >= depth(w) - 1, reads
+    nu_{j+1}(x) = e^{w(x[:depth(w)])} nu_j(x[1:]) / rho; the weight is the entry of
+    `rm` on the edge x[:rm.depth + 1]. The lift keeps sum(nu) and, with h
+    promoted, <nu, h>.
+    """
+    k = rm.depth
+    edge = np.empty(rm.matrix.nnz)
+    edge[_pattern(rm.sft, k)[0]] = rm.matrix.data
+    for j in range(k + 1, depth + 1):
+        nu = edge[_prefix(rm.sft, j, k + 1)] * nu[_words(rm.sft, j)[3]] / rho
+    return nu
 
 
 @dataclass(frozen=True)
@@ -162,27 +217,46 @@ def _perron(matrix: sp.csr_matrix):
     return rho, h, nu, ratio
 
 
-def rpf(sft: Sft, w: DepthKFunction, depth: int | None = None) -> RpfData:
-    """Ruelle-Perron-Frobenius data of L_w at depth max(depth(w), depth, 1)."""
-    rm = ruelle_matrix(sft, w, depth=depth)
+def _solve(sft: Sft, w: DepthKFunction) -> tuple:
+    """(rm, rho, h, nu, ratio): `_perron` of L_w on its smallest invariant word space,
+    depth max(depth(w) - 1, 1). Every eigenvector with a nonzero eigenvalue lies there
+    (Parry & Pollicott, Asterisque 187-188), so no solve needs a deeper matrix."""
+    rm = ruelle_matrix(sft, w, depth=w.depth - 1)
     rho, h, nu, ratio = _perron(rm.matrix)
     if np.any(h <= 0):
         raise NonPositiveEigenfunction("eigenfunction has nonpositive entries")
+    return rm, rho, h, nu, ratio
+
+
+def rpf(sft: Sft, w: DepthKFunction, depth: int | None = None) -> RpfData:
+    """Ruelle-Perron-Frobenius data of L_w at depth max(depth(w), depth, 1).
+
+    One `_solve` on the smallest invariant word space, lifted exactly: h is
+    promoted and nu lifted by `_lift`; rho, the residual and the gap are the same
+    at every depth.
+    """
+    rm, rho, h, nu, ratio = _solve(sft, w)
     resid = np.max(np.abs(rm.apply(h) - rho * h)) / np.max(h)
-    adjoint = {wd: float(nu[i]) for i, wd in enumerate(rm.words)}
-    return RpfData(rho=rho, eigenfunction=rm.function_of(h), adjoint_measure=adjoint,
+    k = max(w.depth, depth or 1, 1)
+    words = _words(sft, k)[0]
+    h, nu = h[_prefix(sft, k, rm.depth)], _lift(rm, nu, k, rho)
+    return RpfData(rho=rho, eigenfunction=DepthKFunction(sft, k, dict(zip(words, h))),
+                   adjoint_measure=dict(zip(words, nu.tolist())),
                    pressure=float(np.log(rho)), gap_estimate=ratio, residual=float(resid),
-                   depth=rm.depth)
+                   depth=k)
 
 
 def pressure(sft: Sft, w: DepthKFunction, depth: int | None = None) -> float:
-    return rpf(sft, w, depth=depth).pressure
+    """log rho; `depth` changes nothing, since every depth has the same rho."""
+    return float(np.log(_solve(sft, w)[1]))
 
 
 def normalize_potential(sft: Sft, w: DepthKFunction, data: RpfData) -> DepthKFunction:
     """w' = w + log h - log h o sigma - log rho, so that L_{w'} 1 = 1.
 
-    The depth grows by one because of the shifted eigenfunction term.
+    The depth grows by one because of the shifted eigenfunction term, but
+    L_{w'} still acts on functions of the depth of w (`ruelle_matrix` goes down
+    to depth(w') - 1), so a context for w' need not be deeper than w.
     """
     h = data.eigenfunction
     if any(v <= 0 for v in h.values.values()):
@@ -242,8 +316,3 @@ def require_normalized(rm: RuelleMatrix, tol: float = 1e-8):
     defect = rm.normalization_defect()
     if defect > tol:
         raise NotNormalized(f"row-sum defect {defect:.3e} exceeds {tol:.3e}")
-
-
-def stationary_vector(rm: RuelleMatrix) -> np.ndarray:
-    """Probability vector with L^T m = m for a normalized transfer matrix."""
-    return _perron(rm.matrix)[2]

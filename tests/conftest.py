@@ -220,25 +220,31 @@ def fraction_kernel_basis(rows, unknowns):
 
 def coo_ruelle_matrix(s, w, depth=None):
     """Oracle for `transfer.ruelle_matrix`: the CSR matrix built edge by edge from
-    COO triplets, with one exp per edge and no cached words or pattern."""
-    k = max(w.depth, depth or 1, 1)
+    COO triplets, with one exp per edge and no cached words or pattern. The edge
+    from u to (a,) + u[:k-1] carries e^{w(((a,) + u)[:depth(w)])}, so k may go
+    down to depth(w) - 1."""
+    k = max(w.depth if depth is None else depth, w.depth - 1, 1)
     words = tuple(admissible_words(s, k))
     index = {u: i for i, u in enumerate(words)}
-    wk = w.promote(k)
     rows, cols, vals = [], [], []
     for i, u in enumerate(words):
         prefix = u[: k - 1]
         for a in range(s.alphabet_size):
             if not s.transition[a][u[0]]:
                 continue
-            v = (a,) + prefix
-            j = index.get(v)
+            j = index.get((a,) + prefix)
             if j is None:
                 continue
             rows.append(i)
             cols.append(j)
-            vals.append(math.exp(float(np.real(wk.values[v]))))
+            vals.append(math.exp(float(np.real(w.values[((a,) + u)[: w.depth]]))))
     return words, sp.csr_matrix((vals, (rows, cols)), shape=(len(words), len(words)))
+
+
+def stationary_vector(rm):
+    """Oracle for the stationary vector of a normalized transfer matrix: one
+    `_perron` on the matrix itself, at whatever depth it has."""
+    return transfer._perron(rm.matrix)[2]
 
 
 # Loop oracles for `diskseries.DifferentialExpansion.eval_at_radius` (one exp per

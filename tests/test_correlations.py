@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import series_covariance, series_triple, series_variance
-from thermoflow import correlations, errors
+from conftest import series_covariance, series_triple, series_variance, stationary_vector
+from thermoflow import correlations, errors, transfer
 from thermoflow.correlations import (EquilibriumContext, birkhoff_moment, covariance,
                                      project_mean_zero, triple_covariance, variance)
 from thermoflow.sft import (coboundary, constant_function, full_shift, golden_mean_shift,
                             indicator, random_function)
-from thermoflow.transfer import equilibrium_measure, normalize_potential, rpf
+from thermoflow.transfer import equilibrium_measure, normalize_potential, rpf, ruelle_matrix
 
 
 def _setup(s, w):
@@ -331,3 +331,53 @@ def test_equilibrium_context_requires_normalized():
     s = full_shift(2)
     with pytest.raises(errors.NotNormalized):
         EquilibriumContext(s, constant_function(s, 0.0))
+
+
+def test_context_gap_is_the_minimal_solve_at_every_depth():
+    """A depth-2 potential on the full 2-shift: contexts at depths 2-14 all return
+    one gap, bit for bit and on every call, within 1e-14 of |lambda_2| / rho of
+    the 4-word matrix of w. No solve runs above the 4-word minimal matrix, so
+    ARPACK at 16,384 words cannot make the gap vary between calls."""
+    s = full_shift(2)
+    w = random_function(s, 2, np.random.default_rng(19), scale=0.6)
+    lam = sorted(np.abs(np.linalg.eigvals(ruelle_matrix(s, w).matrix.toarray())))
+    exact = lam[-2] / lam[-1]
+    wn, _ = _setup(s, w)
+    gaps = {EquilibriumContext(s, wn, depth=depth).gap for depth in range(2, 15)}
+    gaps |= {EquilibriumContext(s, wn, depth=depth).gap for depth in (10, 14)}
+    assert len(gaps) == 1
+    assert abs(gaps.pop() - exact) <= 1e-14
+
+
+def test_context_m_is_the_stationary_vector_of_its_own_matrix():
+    """m lifted from the minimal solve against a solve on the context's own
+    matrix, within 1e-14: contexts of depth-3 potentials at depths 3-6."""
+    for s in (golden_mean_shift(), full_shift(3)):
+        wn, _ = _setup(s, random_function(s, 3, np.random.default_rng(6), scale=0.5))
+        for depth in range(3, 7):
+            ctx = EquilibriumContext(s, wn, depth=depth)
+            assert ctx.depth == depth and len(ctx.m) == s.word_count(depth)
+            assert np.max(np.abs(ctx.m - stationary_vector(ctx.rm))) <= 1e-14
+            assert abs(ctx.m.sum() - 1.0) <= 1e-14
+
+
+def test_variance_path_solves_only_minimal_matrices(monkeypatch):
+    """rpf, the measure and the variance of a depth-4 potential on the full
+    4-shift: one 64-word solve for the potential (its depth-3 space) and one
+    256-word solve for the normalized one (depth 4), nothing deeper."""
+    s = full_shift(4)
+    rng = np.random.default_rng(44)
+    w, g = random_function(s, 4, rng, scale=0.3), random_function(s, 4, rng)
+    sizes = []
+    perron = transfer._perron
+
+    def spy(matrix):
+        sizes.append(matrix.shape[0])
+        return perron(matrix)
+
+    monkeypatch.setattr(transfer, "_perron", spy)
+    monkeypatch.setattr(correlations, "_perron", spy)
+    wn, m = _setup(s, w)
+    rep = variance(project_mean_zero(g, m), m, wn)
+    assert sizes == [64, 256]
+    assert math.isfinite(rep.value) and rep.value > 0.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thermoflow import suspension
 from thermoflow.sft import (admissible_words, constant_function, full_shift,
                             golden_mean_shift, random_function)
 from thermoflow.suspension import (FlowFamily, FlowFunction, SuspensionFlow,
@@ -53,6 +54,28 @@ def test_hat_of_full_period_cosine_vanishes():
                      evaluate_rel=lambda w, tau: math.cos(2 * math.pi * tau))
     hat = hat_function(flow, F)
     assert hat.sup_norm() < 1e-9
+
+
+def test_gauss_legendre_rule_is_computed_once_and_is_leggauss(monkeypatch):
+    """Three hat functions take one leggauss call, and the cached rule is
+    numpy's, bit for bit."""
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    suspension._gauss_legendre.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    s = full_shift(2)
+    flow = _flow(s, constant_function(s, 1.3))
+    for _ in range(3):
+        hat_function(flow, FlowFunction(depth=1, evaluate_rel=lambda w, tau: tau))
+    assert calls == [suspension._QUAD_ORDER]
+    nodes, weights = leggauss(suspension._QUAD_ORDER)
+    taus, got = suspension._gauss_legendre()
+    assert np.array_equal(taus, 0.5 * (nodes + 1.0)) and np.array_equal(got, weights)
 
 
 def test_flow_measure_factor_constant_roof():

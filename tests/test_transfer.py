@@ -1,16 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from conftest import coo_ruelle_matrix
+from conftest import coo_ruelle_matrix, stationary_vector
 from thermoflow import errors, transfer
 from thermoflow.correlations import EquilibriumContext
 from thermoflow.sft import (DepthKFunction, coboundary, constant_function, full_shift,
                             golden_mean_shift, new_sft, random_function)
 from thermoflow.transfer import (_perron, equilibrium_measure, normalization_defect,
-                                 normalize_potential, pressure, rpf, ruelle_matrix,
-                                 stationary_vector)
+                                 normalize_potential, pressure, rpf, ruelle_matrix)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -41,6 +42,13 @@ def test_ruelle_matrix_requires_mixing():
         ruelle_matrix(s, constant_function(s, 0.0))
 
 
+def _random_mixing_shift(rng, n):
+    while True:
+        t = (rng.uniform(size=(n, n)) < 0.6).astype(int)
+        if t.sum(axis=0).all() and t.sum(axis=1).all() and new_sft(t.tolist()).is_mixing:
+            return new_sft(t.tolist())
+
+
 def _shift(name):
     if name == "golden":
         return golden_mean_shift()
@@ -59,15 +67,20 @@ def _assert_same_csr(a, b):
     assert np.array_equal(a.data, b.data)
 
 
-@pytest.mark.parametrize("name", ["golden", "full2", "full3", "full4", "random"])
+SHIFTS = ["golden", "full2", "full3", "full4", "random"]
+
+
+@pytest.mark.parametrize("name", SHIFTS)
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_ruelle_matrix_is_bit_identical_to_the_per_edge_build(name, depth):
-    """The cached pattern plus one exp per word gives the per-edge COO build exactly,
-    for a potential of the matrix's depth and for a depth-1 one lifted by depth=."""
+    """The cached pattern plus one exp per word of w gives the per-edge COO build
+    exactly: for a potential of the matrix's depth, for a depth-1 one lifted by
+    depth=, and for one a level deeper, whose weights sit on the edges."""
     s = _shift(name)
     rng = np.random.default_rng([depth, 31])
     for w, kw in ((random_function(s, depth, rng), {}),
-                  (random_function(s, 1, rng), {"depth": depth})):
+                  (random_function(s, 1, rng), {"depth": depth}),
+                  (random_function(s, depth + 1, rng), {"depth": depth})):
         words, oracle = coo_ruelle_matrix(s, w, **kw)
         rm = ruelle_matrix(s, w, **kw)
         assert rm.depth == depth and rm.words == words
@@ -82,6 +95,85 @@ def test_ruelle_matrix_potential_overflow_names_the_word(value, what):
     with pytest.raises(errors.PotentialOverflow, match=rf"{what} at word \(1, 0\): "
                                                        rf"w = {value}"):
         ruelle_matrix(s, w, depth=2)
+
+
+@pytest.mark.parametrize("value,what", [(800.0, "overflows a float"),
+                                        (-800.0, "underflows to zero")])
+@pytest.mark.parametrize("depth,word", [(1, "(1, 0)"), (3, "(1, 0, 0)")])
+def test_ruelle_matrix_potential_overflow_on_the_edge_path_names_the_word(value, what,
+                                                                          depth, word):
+    """A depth-2 potential at depth 1 weighs edges, which are its own words; at
+    depth 3 the first 3-word that carries the weight is named."""
+    s = full_shift(2)
+    w = DepthKFunction(s, 2, {(0, 0): 0.0, (0, 1): 0.0, (1, 0): value, (1, 1): 0.0})
+    with pytest.raises(errors.PotentialOverflow,
+                       match=rf"{what} at word {re.escape(word)}: w = {value}"):
+        ruelle_matrix(s, w, depth=depth)
+
+
+@pytest.mark.parametrize("name", SHIFTS)
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_minimal_ruelle_matrix_has_the_nonzero_spectrum_of_the_depth_of_w(name, depth):
+    """Every eigenvalue of modulus above 1e-6 rho at depth(w) - 1 is one at
+    depth(w) and back, within 1e-12 rho. A singular minimal matrix has nilpotent
+    blocks at depth(w), whose zero eigenvalues the eigensolver returns at up to
+    sqrt(eps) rho (2e-9 rho on the random shift), hence the threshold."""
+    s = _shift(name)
+    w = random_function(s, depth, np.random.default_rng([depth, 23]), scale=0.7)
+    low, full = ruelle_matrix(s, w, depth=depth - 1), ruelle_matrix(s, w)
+    assert (low.depth, full.depth) == (depth - 1, depth)
+    a, b = (np.linalg.eigvals(rm.matrix.toarray()) for rm in (low, full))
+    rho = np.max(np.abs(a))
+    a, b = a[np.abs(a) > 1e-6 * rho], b[np.abs(b) > 1e-6 * rho]
+    assert len(a) == len(b) > 0
+    rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+    assert np.max(np.abs(a[rows] - b[cols])) <= 1e-12 * rho
+
+
+def _dense_rpf(matrix):
+    """(rho, h, nu, ratio) from numpy eigendecompositions of a matrix and its
+    transpose, normalized as `rpf` normalizes: sum(nu) = 1, <nu, h> = 1."""
+    a = matrix.toarray()
+    lam, right = np.linalg.eig(a)
+    lam_t, left = np.linalg.eig(a.T)
+    order = np.argsort(-np.abs(lam))
+    rho = float(lam[order[0]].real)
+    nu = np.real(left[:, np.argmax(np.abs(lam_t))])
+    nu = nu / nu.sum()
+    h = np.real(right[:, order[0]])
+    return rho, h / (nu @ h), nu, float(np.abs(lam[order[1]]) / rho)
+
+
+# (shift, depth(w), requested depth K) for K up to depth(w) + 3, where the dense
+# oracle has at most 256 words
+RPF_CASES = [(name, wdepth, depth) for name in SHIFTS for wdepth in range(1, 5)
+             for depth in range(wdepth, wdepth + 4) if _shift(name).word_count(depth) <= 256]
+
+
+@pytest.mark.parametrize("name,wdepth,depth", RPF_CASES)
+def test_rpf_lifted_from_the_minimal_solve_matches_a_dense_solve_at_its_depth(name, wdepth,
+                                                                              depth):
+    """rho, h and nu at depth K against a dense decomposition of the depth-K matrix
+    (bit-identical to the per-edge build), within 1e-13 relative; the mass of nu
+    and <nu, h> within 1e-13 of 1. The gap is checked against the depth(w) matrix,
+    within 1e-13: a deeper dense matrix returns the nilpotent part's zero
+    eigenvalues at up to eps^(1/K) rho (9.5e-5 for a depth-1 potential on the
+    full 4-shift at K = 4, where the exact gap is 0)."""
+    s = _shift(name)
+    w = random_function(s, wdepth, np.random.default_rng([wdepth, 19]), scale=0.7)
+    rm = ruelle_matrix(s, w, depth=depth)
+    rho, h, nu, _ = _dense_rpf(rm.matrix)
+    data = rpf(s, w, depth=depth)
+    assert data.depth == depth
+    got_h = np.array([data.eigenfunction.values[u] for u in rm.words])
+    got_nu = np.array([data.adjoint_measure[u] for u in rm.words])
+    assert abs(data.rho - rho) <= 1e-13 * rho
+    assert data.pressure == pytest.approx(math.log(rho), abs=1e-13)
+    assert np.max(np.abs(got_h - h)) <= 1e-13 * np.max(h)
+    assert np.max(np.abs(got_nu - nu)) <= 1e-13 * np.max(nu)
+    assert abs(got_nu.sum() - 1.0) <= 1e-13
+    assert abs(got_nu @ got_h - 1.0) <= 1e-13
+    assert abs(data.gap_estimate - _dense_rpf(ruelle_matrix(s, w).matrix)[3]) <= 1e-13
 
 
 def test_ruelle_matrices_of_one_shift_and_depth_share_no_arrays():
@@ -304,13 +396,6 @@ def test_variational_principle_cross_check():
     w3 = rm.vector_of(w)
     integral = float(m3 @ w3)
     assert P == pytest.approx(cond_entropy + integral, abs=1e-6)
-
-
-def _random_mixing_shift(rng, n):
-    while True:
-        t = (rng.uniform(size=(n, n)) < 0.6).astype(int)
-        if t.sum(axis=0).all() and t.sum(axis=1).all() and new_sft(t.tolist()).is_mixing:
-            return new_sft(t.tolist())
 
 
 @pytest.mark.parametrize("seed", range(6))
