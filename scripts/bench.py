@@ -18,9 +18,14 @@ It also records each checkout's `src_lines`, the line count of
 Each part runs `--repeats` times, and each repeat runs the checkouts in turn,
 alternating which goes first. The file holds every run, each metric's median
 and quartiles, the Python, numpy and scipy versions and `nproc`. With more
-than one checkout it also compares each later checkout with the first: the
-number of repeats it won on each metric, and the gap between the medians
-against the first checkout's quartile spread.
+than one checkout it also compares each later checkout with the first, on
+every gated end-to-end metric of every workload and on every config's
+`wall_s` (held to the bound of the workloads' `wall_s`): the number of
+repeats it won, the gap between the medians against the first checkout's
+quartile spread, whether its median is within the metric's bound, and
+whether the metric is unresolved, meaning that the first checkout's quartile
+spread, relative to its median, exceeds the bound while some run of the later
+checkout is no better than some run of the first.
 """
 from __future__ import annotations
 
@@ -102,19 +107,25 @@ def _summary(runs: list) -> dict:
     return out
 
 
-def _compare(base: list, other: list, lower_is_better: set) -> dict:
-    """Per metric: repeats won by `other` (paired by repeat), the median gap
-    and the base's quartile spread."""
+def _compare(base: list, other: list, bounds: dict) -> dict:
+    """Per lower-is-better metric with its relative bound: repeats won by `other`
+    (paired by repeat), the median gap, the base's quartile spread, whether
+    other's median is within the bound of the base's, and whether the metric is
+    unresolved (the base's spread exceeds the bound and other does not beat
+    every base run in every run)."""
     out = {}
-    for key in lower_is_better:
+    for key, bound in bounds.items():
         if key not in base[0]:
             continue
         b = [run[key] for run in base]
         o = [run[key] for run in other]
         base_sum = _summary([{key: v} for v in b])[key]
+        spread = base_sum["q3"] - base_sum["q1"]
         out[key] = {"wins": sum(y < x for x, y in zip(b, o)), "pairs": len(b),
                     "median_gap": base_sum["median"] - statistics.median(o),
-                    "base_quartile_spread": base_sum["q3"] - base_sum["q1"]}
+                    "base_quartile_spread": spread, "bound": bound,
+                    "within_bound": statistics.median(o) <= base_sum["median"] * (1 + bound),
+                    "unresolved": spread > bound * base_sum["median"] and max(o) >= min(b)}
     return out
 
 
@@ -137,7 +148,7 @@ def main(argv=None) -> int:
     spec = json.loads((first / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
-    lower = {m["name"] for m in spec["end_to_end"] if m["better"] == "lower"}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if m["better"] == "lower"}
     configs = sorted(p.name for p in (first / "configs").glob("*.json"))
 
     runs = {name: {"workloads": {w: [] for w in workloads},
@@ -171,10 +182,13 @@ def main(argv=None) -> int:
             "tier1": {"median": _summary(r["tier1"]), "runs": r["tier1"]}}
     names = list(checkouts)
     if len(names) > 1:
-        base = runs[names[0]]["workloads"]
+        base = runs[names[0]]
         result["comparison"] = {
-            f"{other} vs {names[0]}": {w: _compare(base[w], runs[other]["workloads"][w], lower)
-                                       for w in workloads}
+            f"{other} vs {names[0]}": {
+                "workloads": {w: _compare(base["workloads"][w], runs[other]["workloads"][w],
+                                          bounds) for w in workloads},
+                "cli": {c: _compare(base["cli"][c], runs[other]["cli"][c],
+                                    {"wall_s": bounds["wall_s"]}) for c in configs}}
             for other in names[1:]}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0

@@ -15,19 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from . import errors
-from .correlations import variance
-from .derivatives import PotentialFamily, _prepare, fd_oracle
 from .diskseries import DifferentialExpansion, angular_triple_reduce, quadrature_triple
 from .holonomy import (BaseFrame, ConnectionFamily, FourierSampler, OrbitData,
                        ShootingSolution, cubic_direction, eigenvalue_derivative_fd,
-                       quadratic_direction, trace_derivative, variation_ode_closed_form)
+                       quadratic_direction, second_variation_trace_cc, trace_derivative,
+                       variation_ode_closed_form)
 from .recursions import (REFERENCE_COUPLINGS, build_completed_relations, build_relations,
                          solve_vanishing)
-from .sft import (DepthKFunction, Sft, admissible_words, constant_function, new_sft,
-                  random_function)
-from .suspension import (FlowFamily, FlowFunction, SuspensionFlow, flow_pressure,
-                         flow_pressure_derivative_transfer, hat_function)
-from .transfer import equilibrium_measure, normalize_potential, pressure, rpf
+from .sft import (DepthKFunction, Sft, admissible_words, constant_function, indicator,
+                  new_sft, random_function)
 
 SCHEMA = 1
 
@@ -59,7 +55,7 @@ def _load_config(path: str) -> dict:
         raise errors.ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(config, dict):
         raise errors.ConfigError(f"config {path} must be a JSON object")
-    if config.get("schema") != SCHEMA:
+    if _integer(config.get("schema"), "schema", lo=None) != SCHEMA:
         raise errors.ConfigError(f"unsupported schema {config.get('schema')}")
     return config
 
@@ -128,7 +124,8 @@ def _potential_from(config: dict, s: Sft, rng) -> DepthKFunction:
 
 def _orders_from(config: dict) -> list:
     orders = config.get("orders", [1, 2, 3])
-    if not isinstance(orders, list) or any(o not in (1, 2, 3) for o in orders):
+    if not isinstance(orders, list) or any(_integer(o, "orders entry") not in (1, 2, 3)
+                                           for o in orders):
         raise errors.ConfigError(f"orders must be a list drawn from 1, 2, 3, got {orders}")
     return orders
 
@@ -136,6 +133,8 @@ def _orders_from(config: dict) -> list:
 # --------------------------------------------------------------------------
 
 def run_pressure(config: dict, out_dir: Path, seed: int) -> dict:
+    from .derivatives import PotentialFamily, _prepare, fd_oracle
+    from .transfer import rpf
     rng = np.random.default_rng(seed)
     s = _sft_from(config)
     w = _potential_from(config, s, rng)
@@ -195,6 +194,7 @@ def _fourier_cylinder(spec, what: str) -> dict:
 
 
 def _flow_function_from(spec: dict, s: Sft, rng) -> FlowFunction | None:
+    from .suspension import FlowFunction
     if spec is None:
         return None
     if not isinstance(spec, dict):
@@ -230,6 +230,9 @@ def _flow_function_from(spec: dict, s: Sft, rng) -> FlowFunction | None:
 
 
 def run_suspension(config: dict, out_dir: Path, seed: int) -> dict:
+    from .suspension import (FlowFamily, SuspensionFlow, flow_pressure,
+                             flow_pressure_derivative_transfer, hat_function)
+    from .transfer import pressure
     rng = np.random.default_rng(seed)
     s = _sft_from(config)
     orders = _orders_from(config)
@@ -387,7 +390,6 @@ def run_holonomy(config: dict, out_dir: Path, seed: int) -> dict:
     (out_dir / "holonomy_orbits.json").write_text(
         json.dumps(orbit_specs, sort_keys=True, indent=1) + "\n")
     if orbits and orbits[0].q_alpha is not None and orbits[0].q_beta is not None:
-        from .holonomy import second_variation_trace_cc
         orbit = orbits[0]
         ts = np.linspace(0.0, orbit.l, _integer(config.get("kernel_samples", 17),
                                                 "kernel_samples"))
@@ -423,6 +425,10 @@ def run_diskvanish(config: dict, out_dir: Path, seed: int) -> dict:
         if expected not in (None, "forced-zero", "undetermined"):
             raise errors.ConfigError(
                 f"{case} expect must be 'forced-zero' or 'undetermined', got {expected!r}")
+        completed = item.get("completed", False)
+        if not isinstance(completed, bool):
+            raise errors.ConfigError(f"{case} completed must be true or false, "
+                                     f"got {completed!r}")
         couplings = item.get("couplings", list(REFERENCE_COUPLINGS[case]))
         if not isinstance(couplings, list):
             raise errors.ConfigError(f"{case} couplings must be a list, got {couplings!r}")
@@ -438,13 +444,13 @@ def run_diskvanish(config: dict, out_dir: Path, seed: int) -> dict:
                  "verdict": verdict.verdict, "kernel_dim": verdict.kernel_dim,
                  "margin": verdict.margin,
                  "free_unknowns": [f"{fam}{idx}" for fam, idx in verdict.free_unknowns]}
-        if item.get("completed"):
+        if completed:
             comp = solve_vanishing(build_completed_relations(case, N), margin=margin)
             entry["completed_verdict"] = comp.verdict
             entry["completed_kernel_dim"] = comp.kernel_dim
         if expected is not None:
             effective = entry.get("completed_verdict", verdict.verdict) \
-                if expected == "forced-zero" and item.get("completed") else verdict.verdict
+                if expected == "forced-zero" and completed else verdict.verdict
             entry["expected"] = expected
             entry["as_expected"] = (effective == expected)
             if not entry["as_expected"]:
@@ -460,6 +466,9 @@ def run_diskvanish(config: dict, out_dir: Path, seed: int) -> dict:
 # --------------------------------------------------------------------------
 
 def run_selftest(config: dict, out_dir: Path, seed: int) -> dict:
+    from .correlations import variance
+    from .suspension import SuspensionFlow, flow_pressure
+    from .transfer import equilibrium_measure, normalize_potential, pressure, rpf
     checks = []
 
     def check(name, ok, detail=""):
@@ -478,7 +487,6 @@ def run_selftest(config: dict, out_dir: Path, seed: int) -> dict:
     data = rpf(s2, constant_function(s2, 0.0))
     wn = normalize_potential(s2, constant_function(s2, 0.0), data)
     m = equilibrium_measure(s2, constant_function(s2, 0.0), data)
-    from .sft import indicator
     g = indicator(s2, 0) - 0.5
     var = variance(g, m, wn).value
     check("variance.coin", abs(var - 0.25) < 1e-12, f"Var={var!r}")

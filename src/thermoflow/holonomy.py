@@ -667,7 +667,9 @@ def _check_horizon(orbit: OrbitData, r: float):
 
 def second_variation_trace_cc(orbit: OrbitData, t: float) -> float:
     """Tr(dD_cubic * d_v pi)(Phi_t x): exponential kernels on Re parts (rate 2)
-    and Im parts (rate 1) plus monodromy boundary terms."""
+    and Im parts (rate 1) plus monodromy boundary terms. l times its mean over a
+    periodic grid is -d/ds d/du log(top eigenvalue) at s = u = 0 of the monodromy
+    of M_CONN + s cubic(q_alpha) + u cubic(q_beta)."""
     qa, qb = orbit.sampler("q_alpha"), orbit.sampler("q_beta")
     re_a, im_a = float(np.real(qa(t))), float(np.imag(qa(t)))
     return re_a * _green(qb, 2, t).real + 2.0 * im_a * _green(qb, 1, t).imag
@@ -712,7 +714,9 @@ def second_variation_trace_cq(orbit: OrbitData, t: float,
     """(1/2) Re y21(t) - 2 Im q_alpha(t) * [e^{+-(t-s)} kernels on Im q_i].
 
     y21 is caller-supplied opaque data (solution of an elliptic system off this
-    module's scope); it defaults to zero.
+    module's scope); it defaults to zero. With y21 zero, l times the mean over a
+    periodic grid is +d/ds d/du log(top eigenvalue) at s = u = 0 of the monodromy
+    of M_CONN + s cubic(q_alpha) + u quadratic(q_i), opposite in sign to the cc kernel.
     """
     im_a = float(np.imag(orbit.sampler("q_alpha")(t)))
     y_term = 0.5 * float(np.real(y21(t))) if y21 is not None else 0.0

@@ -1,0 +1,42 @@
+"""scripts/bench.py: the pairwise comparison of two checkouts' runs."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench", Path(__file__).resolve().parent.parent / "scripts" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+def _runs(values):
+    return [{"wall_s": v} for v in values]
+
+
+def test_compare_counts_wins_gap_and_spread():
+    base = _runs([1.0, 1.1, 1.2, 1.3, 1.4])
+    other = _runs([0.9, 1.2, 1.1, 1.2, 1.3])
+    got = bench._compare(base, other, {"wall_s": 0.25, "absent": 0.1})
+    assert set(got) == {"wall_s"}
+    row = got["wall_s"]
+    assert (row["wins"], row["pairs"]) == (4, 5)
+    assert row["median_gap"] == pytest.approx(0.0)
+    assert row["base_quartile_spread"] == pytest.approx(0.2)
+    assert row["within_bound"] and not row["unresolved"]
+
+
+def test_compare_flags_a_spread_wider_than_the_bound_as_unresolved():
+    # quartiles 0.45 and 0.60 around 0.52: a spread of 29 % against a bound of 25 %
+    base = _runs([0.40, 0.45, 0.52, 0.60, 0.70])
+    same = bench._compare(base, _runs([0.41, 0.44, 0.53, 0.59, 0.71]), {"wall_s": 0.25})
+    assert same["wall_s"]["within_bound"] and same["wall_s"]["unresolved"]
+    # every run of the change better than every base run settles it
+    faster = bench._compare(base, _runs([0.30, 0.31, 0.32, 0.33, 0.39]), {"wall_s": 0.25})
+    assert not faster["wall_s"]["unresolved"]
+
+
+def test_compare_reports_a_median_past_the_bound():
+    base = _runs([1.0, 1.0, 1.01, 1.0, 0.99])
+    row = bench._compare(base, _runs([1.3, 1.3, 1.3, 1.3, 1.3]), {"wall_s": 0.25})["wall_s"]
+    assert (row["wins"], row["within_bound"], row["unresolved"]) == (0, False, False)

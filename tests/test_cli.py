@@ -94,9 +94,11 @@ def test_arpack_no_convergence_exit_3(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_wrong_schema_exit_2(tmp_path):
+@pytest.mark.parametrize("schema", [99, True, 1.0, "1"])
+def test_wrong_schema_exit_2(tmp_path, schema):
     bad = tmp_path / "bad_schema.json"
-    bad.write_text(json.dumps({"schema": 99, "experiment": "pressure"}))
+    bad.write_text(json.dumps({"schema": schema, "experiment": "pressure",
+                               "sft": GOLDEN_MEAN}))
     assert _run(["pressure", "--config", bad, "--out", tmp_path]) == 2
 
 
@@ -256,6 +258,11 @@ GOLDEN_MEAN = {"transition": [[1, 1], [1, 0]]}
       for modes in ([[1.5, 0.3, 0.0]], [[True, 0.3, 0.0]], [["1", 0.3, 0.0]],
                     [[1, math.nan, 0.0]], [[1, 0.3, math.inf]], [[1, "0.3", 0.0]],
                     [[1, 0.3]], [1, 0.3, 0.0], {"1": [0.3, 0.0]})),
+    *({"experiment": "pressure", "sft": GOLDEN_MEAN, "orders": orders}
+      for orders in ([True], [2.0], "123")),
+    {"experiment": "suspension", "sft": GOLDEN_MEAN, "orders": [True, 3.0]},
+    *({"experiment": "diskvanish", "cases": [{"case": "GH", "N": 6, "completed": completed}]}
+      for completed in ("no", 1, None)),
 ])
 def test_bad_field_values_exit_2(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"

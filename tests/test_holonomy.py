@@ -391,12 +391,40 @@ def test_top_eigenvalue_rejects_a_non_finite_monodromy():
         top_eigenvalue(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-def test_import_does_not_load_scipy_integrate():
-    code = "import sys, thermoflow, thermoflow.cli; print('scipy.integrate' in sys.modules)"
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports this checkout's thermoflow."""
     src = str(Path(thermoflow.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy_integrate():
+    code = "import sys, thermoflow, thermoflow.cli; print('scipy.integrate' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")
+                                          if p.name.startswith(("holonomy_", "diskvanish_"))))
+def test_holonomy_and_diskvanish_runs_load_no_scipy(tmp_path, config):
+    experiment = config.split("_")[0]
+    code = (f"import sys; from thermoflow import cli; "
+            f"code = cli.main([{experiment!r}, '--config', {str(CONFIGS / config)!r}, "
+            f"'--out', {str(tmp_path)!r}]); "
+            f"print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code) == "0 []"
+
+
+def test_package_root_imports_submodules_on_first_read():
+    code = ("import sys, thermoflow; "
+            "print(sorted(m for m in sys.modules if m.startswith('thermoflow.')), "
+            "thermoflow.sft is sys.modules['thermoflow.sft'])")
+    assert _fresh_python(code) == "[] True"
+    with pytest.raises(AttributeError, match="nope"):
+        thermoflow.nope
 
 
 def _random_periodic_matrix(l, rng, scale=0.3):
