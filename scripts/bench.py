@@ -111,8 +111,8 @@ def _compare(base: list, other: list, bounds: dict) -> dict:
     """Per lower-is-better metric with its relative bound: repeats won by `other`
     (paired by repeat), the median gap, the base's quartile spread, whether
     other's median is within the bound of the base's, and whether the metric is
-    unresolved (the base's spread exceeds the bound and other does not beat
-    every base run in every run)."""
+    unresolved (the base's spread, relative to its median, exceeds the bound and
+    some run of `other` is no better than some base run)."""
     out = {}
     for key, bound in bounds.items():
         if key not in base[0]:
