@@ -22,10 +22,12 @@ than one checkout it also compares each later checkout with the first, on
 every gated end-to-end metric of every workload and on every config's
 `wall_s` (held to the bound of the workloads' `wall_s`): the number of
 repeats it won, the gap between the medians against the first checkout's
-quartile spread, whether its median is within the metric's bound, and
-whether the metric is unresolved, meaning that the first checkout's quartile
-spread, relative to its median, exceeds the bound while some run of the later
-checkout is no better than some run of the first.
+quartile spread, whether its median is within the metric's bound, whether
+the metric is unresolved, meaning that the first checkout's quartile spread,
+relative to its median, exceeds the bound while some run of the later
+checkout is no better than some run of the first, and whether it shows a
+gain: the later checkout won at least nine tenths of the repeats and the gap
+between the medians exceeds the first checkout's quartile spread.
 """
 from __future__ import annotations
 
@@ -110,9 +112,11 @@ def _summary(runs: list) -> dict:
 def _compare(base: list, other: list, bounds: dict) -> dict:
     """Per lower-is-better metric with its relative bound: repeats won by `other`
     (paired by repeat), the median gap, the base's quartile spread, whether
-    other's median is within the bound of the base's, and whether the metric is
+    other's median is within the bound of the base's, whether the metric is
     unresolved (the base's spread, relative to its median, exceeds the bound and
-    some run of `other` is no better than some base run)."""
+    some run of `other` is no better than some base run), and whether it shows a
+    gain (`other` won at least nine tenths of the pairs and the median gap exceeds
+    the base's quartile spread)."""
     out = {}
     for key, bound in bounds.items():
         if key not in base[0]:
@@ -121,9 +125,10 @@ def _compare(base: list, other: list, bounds: dict) -> dict:
         o = [run[key] for run in other]
         base_sum = _summary([{key: v} for v in b])[key]
         spread = base_sum["q3"] - base_sum["q1"]
-        out[key] = {"wins": sum(y < x for x, y in zip(b, o)), "pairs": len(b),
-                    "median_gap": base_sum["median"] - statistics.median(o),
+        wins, gap = sum(y < x for x, y in zip(b, o)), base_sum["median"] - statistics.median(o)
+        out[key] = {"wins": wins, "pairs": len(b), "median_gap": gap,
                     "base_quartile_spread": spread, "bound": bound,
+                    "gain": wins >= 0.9 * len(b) and gap > spread,
                     "within_bound": statistics.median(o) <= base_sum["median"] * (1 + bound),
                     "unresolved": spread > bound * base_sum["median"] and max(o) >= min(b)}
     return out

@@ -50,8 +50,12 @@ def hermitian(u: np.ndarray, v: np.ndarray) -> complex:
 
 
 def _growth(t: float) -> np.ndarray:
-    """e^{-MU_k t} for k = 1, 2, 3: exactly e^t, 1 and e^{-t}."""
-    return np.array([math.exp(-m * t) for m in MU])
+    """e^{-MU_k t} for k = 1, 2, 3: exactly e^t, 1 and e^{-t}. Past |t| of about
+    709.78 one of them is no float, and it raises NonFiniteValue (exit 3)."""
+    try:
+        return np.array([math.exp(-m * t) for m in MU])
+    except OverflowError:
+        raise NonFiniteValue(f"the base eigenvalue e^{abs(t)!r} overflows a float") from None
 
 
 class BaseFrame:
@@ -289,19 +293,55 @@ def _sampled(A: Callable, ts: np.ndarray) -> np.ndarray:
                    "a sampled connection")
 
 
+def _step_doubling(A: Callable, T: float, cap: int, value: Callable, target: Callable):
+    """(fine, estimate): value(a, h) at the first level of RK4 steps on [0, T] whose
+    Richardson estimate |fine - coarse| / 15 against the level below is within
+    target(fine), or at the cap level if none is.
+
+    The levels are cap / 2^k: cap is halved while it is even and its half is at
+    least min(16, cap // 2), so an even cap has at least two levels and an odd cap
+    is one level, whose estimate is inf. a stacks A sampled at the level's 2 n + 1
+    nodes (_nodes); level 2 n keeps level n's samples, which fall on its even
+    nodes, and samples only its odd nodes, so each node is sampled once and the
+    cap level's nodes are those of _nodes(0, T, cap) exactly. A Direction is
+    sampled in one call per level, any other callable once per node (_sampled).
+    """
+    n = _checked_steps(cap)
+    while n % 2 == 0 and n // 2 >= min(16, cap // 2):
+        n //= 2
+    ts, h = _nodes(0.0, T, n)
+    a = _sampled(A, ts)
+    fine, est = value(a, h), math.inf
+    while n < cap:
+        n *= 2
+        ts, h = _nodes(0.0, T, n)
+        new = _sampled(A, ts[1::2])
+        both = np.empty((len(ts),) + a.shape[1:], dtype=a.dtype)
+        both[0::2], both[1::2] = a, new
+        a, coarse, fine = both, fine, value(both, h)
+        est = float(np.max(np.abs(fine - coarse))) / 15.0
+        if est <= target(fine):
+            break
+    return fine, est
+
+
+# Step doubling stops parallel_transport once its estimate is within this times
+# max(1, |V|_inf), and eigenvalue_derivative_fd within this times max(1, |fd|).
+_TRANSPORT_TOL, _FD_TOL = 1e-11, 1e-9
+
+
 def parallel_transport(A: Callable, V0: np.ndarray, T: float,
                        steps: int = 2048, richardson_tol: float = 1e-8):
-    """Solve V' = -A(t) V by RK4 with one step-halving Richardson check.
+    """Solve V' = -A(t) V by RK4, doubling the steps up to 2 steps (_step_doubling).
 
-    The check samples A once at the fine nodes; every other one is a coarse node.
-    A Direction is sampled in one call on the node array, any other callable once
-    per node (see _sampled).
+    It returns the first level whose Richardson estimate is within richardson_tol
+    and within _TRANSPORT_TOL max(1, |V|_inf). The last pair is steps and 2 steps;
+    if even that estimate exceeds richardson_tol it raises StepTooLarge.
     """
-    ts, h = _nodes(0.0, T, 2 * _checked_steps(steps))
-    a = _sampled(A, ts)
-    coarse = _propagator(a[0::2], 2 * h) @ V0
-    fine = _propagator(a, h) @ V0
-    est = float(np.max(np.abs(fine - coarse))) / 15.0
+    cap = 2 * _checked_steps(steps)
+    fine, est = _step_doubling(
+        A, T, cap, lambda a, h: _propagator(a, h) @ V0,
+        lambda V: min(_TRANSPORT_TOL * max(1.0, float(np.max(np.abs(V)))), richardson_tol))
     if est > richardson_tol:
         raise StepTooLarge(est, richardson_tol)
     return fine
@@ -412,11 +452,6 @@ def trace_derivative(family: ConnectionFamily) -> complex:
     raise StepTooLarge(diff / scale, _TRACE_TOL)
 
 
-def monodromy(A: Callable, T: float, steps: int = 2048) -> np.ndarray:
-    ts, h = _nodes(0.0, T, steps)
-    return _propagator(_sampled(A, ts), h)
-
-
 def top_eigenvalue(mat: np.ndarray) -> complex:
     lam = np.linalg.eigvals(_finite(mat, "the monodromy"))
     order = np.argsort(-np.abs(lam))
@@ -429,17 +464,26 @@ def top_eigenvalue(mat: np.ndarray) -> complex:
 _FD_STEP = 1e-4  # the s step of eigenvalue_derivative_fd
 
 
-def eigenvalue_derivative_fd(family: ConnectionFamily, steps: int = 2048) -> complex:
-    """Central finite difference of s -> log(top eigenvalue of the monodromy).
-
-    dD is sampled once; the s = +_FD_STEP and s = -_FD_STEP monodromies share the samples.
-    """
-    ts, h = _nodes(0.0, family.l, steps)
-    a = np.array([_FD_STEP, -_FD_STEP])[:, None, None, None] * _sampled(family.dD, ts)
+def _fd_at(d: np.ndarray, h: float) -> complex:
+    """The central difference from dD sampled at the RK4 nodes of step h; the
+    s = +_FD_STEP and s = -_FD_STEP monodromies share the samples."""
+    a = np.array([_FD_STEP, -_FD_STEP])[:, None, None, None] * d
     a += M_CONN
     mono_p, mono_m = _propagator(a, h)
     lam_p, lam_m = top_eigenvalue(mono_p), top_eigenvalue(mono_m)
     return (cmath.log(lam_p) - cmath.log(lam_m)) / (2 * _FD_STEP)
+
+
+def eigenvalue_derivative_fd(family: ConnectionFamily, steps: int = 2048) -> complex:
+    """Central finite difference of s -> log(top eigenvalue of the monodromy).
+
+    The monodromies double their RK4 steps up to `steps` (_step_doubling) and stop
+    at the first level whose Richardson estimate is within _FD_TOL max(1, |fd|);
+    if none is, the value at `steps` is returned.
+    """
+    fd, _ = _step_doubling(family.dD, family.l, steps, _fd_at,
+                           lambda fd: _FD_TOL * max(1.0, abs(fd)))
+    return fd
 
 
 # --------------------------------------------------------------------------
@@ -537,7 +581,7 @@ def _forcing_for(i: int, direction: str, orbit: OrbitData):
     def forcing(t):
         return np.stack(comps(q(t)), axis=-1) * np.exp(rate * np.asarray(t))[..., None]
 
-    lam = math.exp(rate * orbit.l)
+    lam = float(_growth(orbit.l)[i - 1])
     return forcing, kappa * lam * orbit.l * q.modes.get(0, 0j).real, lam
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from thermoflow import correlations, transfer
+from thermoflow import correlations, holonomy, transfer
 from thermoflow.correlations import EquilibriumContext
 from thermoflow.derivatives import PotentialFamily
 from thermoflow.sft import admissible_words, random_function
@@ -180,6 +180,22 @@ def complex_propagator(a, h, block=256):
                                 R[..., m:, :, :]], axis=-3)
         P = R[..., 0, :, :] if P is None else R[..., 0, :, :] @ P
     return P
+
+
+# Fixed-step RK4 oracles for the step-doubling driver of `holonomy`: each takes
+# exactly `steps` steps, as parallel transport and the finite difference did
+# before they stopped at the first level that meets its tolerance.
+
+def monodromy(A, T, steps=2048):
+    """RK4 propagator of V' = -A(t) V over [0, T], in `steps` steps."""
+    ts, h = holonomy._nodes(0.0, T, steps)
+    return holonomy._propagator(holonomy._sampled(A, ts), h)
+
+
+def fixed_step_fd(family, steps):
+    """`holonomy.eigenvalue_derivative_fd`'s central difference at `steps` steps."""
+    ts, h = holonomy._nodes(0.0, family.l, steps)
+    return holonomy._fd_at(holonomy._sampled(family.dD, ts), h)
 
 
 # Exact oracle for `recursions.kernel_basis`: the kernel read off the reduced

@@ -23,7 +23,7 @@ def test_compare_counts_wins_gap_and_spread():
     assert (row["wins"], row["pairs"]) == (4, 5)
     assert row["median_gap"] == pytest.approx(0.0)
     assert row["base_quartile_spread"] == pytest.approx(0.2)
-    assert row["within_bound"] and not row["unresolved"]
+    assert row["within_bound"] and not row["unresolved"] and not row["gain"]
 
 
 def test_compare_flags_a_spread_wider_than_the_bound_as_unresolved():
@@ -40,3 +40,18 @@ def test_compare_reports_a_median_past_the_bound():
     base = _runs([1.0, 1.0, 1.01, 1.0, 0.99])
     row = bench._compare(base, _runs([1.3, 1.3, 1.3, 1.3, 1.3]), {"wall_s": 0.25})["wall_s"]
     assert (row["wins"], row["within_bound"], row["unresolved"]) == (0, False, False)
+
+
+@pytest.mark.parametrize("other,gain", [
+    ([0.80, 0.81, 0.79, 0.82, 0.80, 0.81, 0.79, 0.80, 0.82, 0.80], True),
+    # nine of ten pairs won is enough
+    ([0.80, 0.81, 0.79, 0.82, 0.80, 0.81, 0.79, 0.80, 0.82, 1.30], True),
+    # eight of ten is not
+    ([0.80, 0.81, 0.79, 0.82, 0.80, 0.81, 0.79, 0.80, 1.30, 1.30], False),
+    # every pair won, but the medians differ by less than the base's spread
+    ([0.99, 1.0, 0.98, 1.01, 0.97, 0.99, 1.02, 0.96, 1.0, 0.98], False)])
+def test_compare_flags_a_gain_by_wins_and_gap(other, gain):
+    # base quartiles 0.99 and 1.01: a spread of 0.02 around a median of 1.0
+    base = _runs([1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.03, 0.97, 1.01, 0.99])
+    row = bench._compare(base, _runs(other), {"wall_s": 0.25})["wall_s"]
+    assert row["gain"] is gain

@@ -17,13 +17,13 @@ from thermoflow.holonomy import (BaseFrame, ConnectionFamily, FourierSampler,
                                  M_CONN, OrbitData, ShootingSolution, _forcing_for,
                                  _nodes, _propagator,
                                  cubic_direction, eigenvalue_derivative_fd, eta_cc,
-                                 hermitian, monodromy, parallel_transport, psi_cc, psi_cq,
+                                 hermitian, parallel_transport, psi_cc, psi_cq,
                                  quadratic_direction,
                                  reassemble_trace_cc, reassemble_trace_cq,
                                  second_variation_trace_cc, second_variation_trace_cq,
                                  top_eigenvalue, trace_derivative, variation_ode_closed_form)
 
-from conftest import complex_propagator, per_mode_sampler
+from conftest import complex_propagator, fixed_step_fd, monodromy, per_mode_sampler
 
 L = 2.0
 
@@ -138,17 +138,92 @@ def test_transport_time_dependent_commuting_connection(steps):
     assert np.max(np.abs(out - exact @ v0)) < 1e-10
 
 
-def test_transport_samples_each_fine_node_once():
-    # the coarse Richardson pass reuses every other fine-pass sample
-    calls = []
-
-    def A(t):
+def _counted(f, calls):
+    """f, recording each time it is called at in calls."""
+    def g(t):
         calls.append(t)
-        return M_CONN
+        return f(t)
+    return g
 
-    parallel_transport(A, BaseFrame.e(1, 0.0), 1.3, steps=512)
-    assert len(calls) == 4 * 512 + 1
-    assert len(set(calls)) == len(calls)
+
+def test_transport_samples_each_fine_node_once():
+    # each level reuses the samples of the level below, so the 2 n + 1 nodes of the
+    # level n that the driver stops at are all it samples, each once
+    calls = []
+    parallel_transport(_counted(lambda t: M_CONN, calls), BaseFrame.e(1, 0.0), 1.3,
+                       steps=512)
+    n = (len(calls) - 1) // 2
+    assert len(set(calls)) == len(calls) == 2 * n + 1
+    assert sorted(calls) == _nodes(0.0, 1.3, n)[0].tolist()
+    assert n < 2 * 512
+
+
+def _doubling_family(seed):
+    """A seeded cubic or quadratic direction on an orbit with l in [0.5, 6] and 1 to
+    4 modes, with the generator that drew it."""
+    rng = np.random.default_rng([seed, 26])
+    l = float(rng.uniform(0.5, 6.0))
+    q = FourierSampler.random(l, rng, int(rng.integers(1, 5)), 0.5)
+    return (cubic_direction if seed % 2 else quadratic_direction)(q), l, rng
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_step_doubling_meets_its_targets(seed):
+    """The fd and the transport of M_CONN + dD / 10 stop within their targets of
+    8,192-step references."""
+    d, l, rng = _doubling_family(seed)
+    family = ConnectionFamily(l=l, dD=d)
+    ref = fixed_step_fd(family, 8192)
+    assert abs(eigenvalue_derivative_fd(family) - ref) \
+        <= holonomy._FD_TOL * max(1.0, abs(ref))
+    v0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+    ts, h = _nodes(0.0, l, 8192)
+    ref = _propagator(M_CONN + 0.1 * d(ts), h) @ v0
+    out = parallel_transport(lambda t: M_CONN + 0.1 * d(t), v0, l)
+    assert np.max(np.abs(out - ref)) \
+        <= holonomy._TRANSPORT_TOL * max(1.0, float(np.max(np.abs(ref))))
+
+
+@pytest.mark.parametrize("cap,levels", [(1000, [125, 250, 500, 1000]),
+                                        (2000, [125, 250, 500, 1000, 2000]),
+                                        (2048, [16 * 2 ** k for k in range(8)]),
+                                        (4098, [2049, 4098]), (2049, [2049]), (2, [1, 2])])
+def test_step_doubling_levels_end_at_the_cap(cap, levels):
+    """With a target that no level meets, every level runs, the last is the cap and
+    each node of the cap level is sampled once."""
+    calls, seen = [], []
+
+    def value(a, h):
+        seen.append(((len(a) - 1) // 2, h))
+        return float(len(a))
+
+    fine, est = holonomy._step_doubling(_counted(lambda t: M_CONN, calls), 1.3, cap,
+                                        value, lambda v: 0.0)
+    assert seen == [(n, 1.3 / n) for n in levels]
+    assert fine == 2 * cap + 1
+    assert est == (cap / 15 if len(levels) > 1 else math.inf)
+    assert len(set(calls)) == len(calls) == 2 * cap + 1
+    assert sorted(calls) == _nodes(0.0, 1.3, cap)[0].tolist()
+
+
+def test_transport_raises_at_the_cap_exactly_when_the_last_pair_fails():
+    # 64 steps leave every estimate far above 1e-11, so the ladder ends at 64 and
+    # 128 steps: the pair that a fixed-step check at steps = 64 compares
+    A = lambda t: (1.0 + 0.5 * math.sin(t)) * M_CONN
+    v0 = np.array([1.0, -0.5j, 2.0])
+    coarse, fine = (monodromy(A, 2.0, n) @ v0 for n in (64, 128))
+    est = float(np.max(np.abs(fine - coarse))) / 15.0
+    assert np.array_equal(parallel_transport(A, v0, 2.0, 64, richardson_tol=est), fine)
+    with pytest.raises(errors.StepTooLarge):
+        parallel_transport(A, v0, 2.0, 64, richardson_tol=float(np.nextafter(est, 0.0)))
+
+
+@pytest.mark.parametrize("steps", [64, 63])
+def test_fd_returns_the_cap_level_when_no_level_meets_its_target(steps):
+    # an odd cap is a single level; 64 steps leave every estimate above 1e-9
+    d, l, _ = _doubling_family(0)
+    family = ConnectionFamily(l=l, dD=d)
+    assert eigenvalue_derivative_fd(family, steps) == fixed_step_fd(family, steps)
 
 
 def _rel_dev(x, ref):
@@ -211,9 +286,13 @@ class _CountingSampler(FourierSampler):
 
 @pytest.mark.parametrize("direction", [cubic_direction, quadratic_direction])
 def test_fd_samples_a_direction_in_one_array_call(direction):
+    # one array call per level: all 2 * 16 + 1 nodes of the first level, then the
+    # n new nodes of each level n
     q = _CountingSampler(1.9, {-1: 0.3, 0: 0.5 - 0.2j, 2: 0.1j})
     eigenvalue_derivative_fd(ConnectionFamily(l=1.9, dD=direction(q)), steps=2048)
-    assert q.shapes == [(2 * 2048 + 1,)]
+    levels = [16 * 2 ** k for k in range(len(q.shapes))]
+    assert len(levels) >= 2 and levels[-1] <= 2048
+    assert q.shapes == [(2 * 16 + 1,)] + [(n,) for n in levels[1:]]
 
 
 def test_directions_place_q_and_its_conjugate():
@@ -234,26 +313,32 @@ def test_directions_place_q_and_its_conjugate():
 
 def test_per_node_callables_keep_their_parent_values():
     """A gauge-shifted family and a constant lambda are sampled node by node and
-    give the complex-arithmetic propagator's values."""
+    give the complex-arithmetic propagator's values at the level the driver
+    stopped at."""
     rng = np.random.default_rng(11)
     orbit = _orbit(11, l=1.6)
     g, gp = _random_periodic_matrix(orbit.l, rng, scale=0.2)
     shifted = ConnectionFamily(l=orbit.l,
                                dD=cubic_direction(orbit.q_alpha)).gauge_shifted(g, gp)
-    ts, h = _nodes(0.0, orbit.l, 2048)
+    calls = []
+    fd = eigenvalue_derivative_fd(ConnectionFamily(l=orbit.l, dD=_counted(shifted.dD, calls)))
+    n = (len(calls) - 1) // 2
+    ts, h = _nodes(0.0, orbit.l, n)
     d = np.array([shifted.dD(float(t)) for t in ts])
     h_s = 1e-4
     lam_p, lam_m = (top_eigenvalue(complex_propagator(M_CONN + s * d, h))
                     for s in (h_s, -h_s))
     expected = (cmath.log(lam_p) - cmath.log(lam_m)) / (2 * h_s)
-    assert abs(eigenvalue_derivative_fd(shifted) - expected) < 1e-10
-    assert _rel_dev(monodromy(lambda t: M_CONN + 0.1 * shifted.dD(t), orbit.l),
+    assert abs(fd - expected) < 1e-10
+    assert _rel_dev(monodromy(lambda t: M_CONN + 0.1 * shifted.dD(t), orbit.l, n),
                     complex_propagator(M_CONN + 0.1 * d, h)) < 1e-13
     a = M_CONN + 0.1 * d[0]
     v0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-    ts, h = _nodes(0.0, orbit.l, 2 * 2048)
+    calls = []
+    out = parallel_transport(_counted(lambda t: a, calls), v0, orbit.l)
+    ts, h = _nodes(0.0, orbit.l, (len(calls) - 1) // 2)
     exact = complex_propagator(np.broadcast_to(a, (len(ts), 3, 3)), h) @ v0
-    assert _rel_dev(parallel_transport(lambda t: a, v0, orbit.l), exact) < 1e-13
+    assert _rel_dev(out, exact) < 1e-13
 
 
 @pytest.mark.parametrize("modes", [{3: 0.2 - 0.1j, -2: 1.5j, 0: -0.7, 1: 0.3 + 0.3j},
@@ -356,18 +441,53 @@ def test_cli_huge_sampler_coefficient_exit_3_without_traceback(tmp_path, c):
     """An explicit sampler so large that a monodromy, integrand or sample leaves the
     floats is a numerical failure: exit 3, with no traceback and no warning."""
     modes = [[1, float(c), 0.0]]
-    config = tmp_path / "holonomy.json"
-    config.write_text(json.dumps({
-        "schema": 1, "experiment": "holonomy", "variations": False,
-        "orbits": {"kind": "explicit", "items": [
-            {"l": 2.0, "samplers": {"q_alpha": modes, "q_i": modes}}]}}))
-    src = str(Path(thermoflow.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-m", "thermoflow.cli", "holonomy",
-                          "--config", str(config), "--out", str(tmp_path / "out")],
-                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    run = _cli_holonomy(tmp_path, {"variations": False, "orbits": {
+        "kind": "explicit", "items": [{"l": 2.0, "samplers": {"q_alpha": modes,
+                                                               "q_i": modes}}]}})
     assert run.returncode == 3, run.stderr
     assert "infinite or NaN" in run.stderr
     assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+
+
+def _cli_holonomy(tmp_path, fields):
+    """The holonomy CLI run, in a new interpreter, of a config with these fields."""
+    config = tmp_path / "holonomy.json"
+    config.write_text(json.dumps({"schema": 1, "experiment": "holonomy", **fields}))
+    src = str(Path(thermoflow.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "thermoflow.cli", "holonomy",
+                           "--config", str(config), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.mark.parametrize("orbits", [{"kind": "zero", "l": 750}, {"kind": "zero", "l": 800},
+                                    {"kind": "zero", "l": 1e300},
+                                    {"kind": "random", "count": 3, "l_range": [700, 800]}])
+def test_cli_orbit_past_the_float_range_exit_3_without_traceback(tmp_path, orbits):
+    """e^l is no float past l of about 709.78: a numerical failure naming the base
+    eigenvalue, with no traceback and no warning."""
+    run = _cli_holonomy(tmp_path, {"orbits": orbits})
+    assert run.returncode == 3, run.stderr
+    assert "base eigenvalue" in run.stderr
+    assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+
+
+@pytest.mark.parametrize("l", [750.0, 800.0, 1e300])
+def test_orbit_past_the_float_range_raises_non_finite_in_process(l):
+    """The entry points that form the base eigenvalue e^l name it; the fd and the
+    transport overflow in their RK4 propagators."""
+    q = FourierSampler(l, {0: 0.3, 1: 0.2j})
+    orbit = OrbitData(l=l, q_alpha=q, q_beta=q, q_i=q, q_j=q)
+    family = ConnectionFamily(l=l, dD=cubic_direction(q))
+    for call in (lambda: trace_derivative(family),
+                 lambda: variation_ode_closed_form(1, orbit, "cubic"),
+                 lambda: ShootingSolution(1, "cubic", orbit),
+                 lambda: ShootingSolution(3, "quadratic", orbit)):
+        with pytest.raises(errors.NonFiniteValue, match="base eigenvalue"):
+            call()
+    for call in (lambda: eigenvalue_derivative_fd(family),
+                 lambda: parallel_transport(lambda t: M_CONN, np.ones(3), l)):
+        with pytest.raises(errors.NonFiniteValue):
+            call()
 
 
 @pytest.mark.parametrize("c", [1e10, 1e307, 1e308])
