@@ -183,8 +183,7 @@ def complex_propagator(a, h, block=256):
 
 
 # Fixed-step RK4 oracles for the step-doubling driver of `holonomy`: each takes
-# exactly `steps` steps, as parallel transport and the finite difference did
-# before they stopped at the first level that meets its tolerance.
+# exactly `steps` steps, on the nodes of `holonomy._nodes`.
 
 def monodromy(A, T, steps=2048):
     """RK4 propagator of V' = -A(t) V over [0, T], in `steps` steps."""
