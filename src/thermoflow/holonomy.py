@@ -293,21 +293,46 @@ def _sampled(A: Callable, ts: np.ndarray) -> np.ndarray:
                    "a sampled connection")
 
 
+# A Direction's first level puts at least this many RK4 steps on each period of
+# its sampler's highest mode.
+_STEPS_PER_PERIOD = 8
+
+
+def _first_level(A: Callable, T: float) -> float:
+    """How many RK4 steps on [0, T] resolve A: _STEPS_PER_PERIOD on each period of
+    a Direction's highest mode; 0 for any other callable, whose stops
+    _step_doubling confirms instead."""
+    if not isinstance(A, Direction):
+        return 0.0
+    k = max(map(abs, A.q.modes), default=0)
+    return _STEPS_PER_PERIOD * k * abs(T) / A.q.l
+
+
 def _step_doubling(A: Callable, T: float, cap: int, value: Callable, target: Callable):
     """(fine, estimate): value(a, h) at the first level of RK4 steps on [0, T] whose
     Richardson estimate |fine - coarse| / 15 against the level below is within
     target(fine), or at the cap level if none is.
 
     The levels are cap / 2^k: cap is halved while it is even and its half is at
-    least min(16, cap // 2), so an even cap has at least two levels and an odd cap
-    is one level, whose estimate is inf. a stacks A sampled at the level's 2 n + 1
-    nodes (_nodes); level 2 n keeps level n's samples, which fall on its even
-    nodes, and samples only its odd nodes, so each node is sampled once and the
-    cap level's nodes are those of _nodes(0, T, cap) exactly. A Direction is
-    sampled in one call per level, any other callable once per node (_sampled).
+    least min(max(16, _first_level), cap // 2), so an even cap has at least two
+    levels and an odd cap is one level, whose estimate is inf. a stacks A sampled at
+    the level's 2 n + 1 nodes (_nodes); level 2 n keeps level n's samples, which
+    fall on its even nodes, and samples only its odd nodes, so each level node is
+    sampled once and the cap level's nodes are those of _nodes(0, T, cap) exactly.
+    A Direction is sampled in one call per level, any other callable once per node
+    (_sampled).
+
+    A mode that takes one value on every node of two dyadic levels looks constant
+    to both, so they can agree on the wrong problem. A Direction starts at a level
+    that resolves its modes (_first_level). For any other callable a stop below the
+    cap at level n is confirmed on the n + 1 steps of _nodes(0, T, n + 1), on whose
+    nodes such a mode varies: its value must be within target(fine) of fine, or the
+    doubling goes on. That grid's RK4 error is about (n / (n + 1))^4 times fine's,
+    so where the levels resolve A the two differ by far less than the estimate.
     """
     n = _checked_steps(cap)
-    while n % 2 == 0 and n // 2 >= min(16, cap // 2):
+    floor = min(max(16, _first_level(A, T)), cap // 2)
+    while n % 2 == 0 and n // 2 >= floor:
         n //= 2
     ts, h = _nodes(0.0, T, n)
     a = _sampled(A, ts)
@@ -320,9 +345,23 @@ def _step_doubling(A: Callable, T: float, cap: int, value: Callable, target: Cal
         both[0::2], both[1::2] = a, new
         a, coarse, fine = both, fine, value(both, h)
         est = float(np.max(np.abs(fine - coarse))) / 15.0
-        if est <= target(fine):
+        if est <= target(fine) and (n == cap or isinstance(A, Direction)
+                                    or _confirmed(A, T, a, n, value, fine, target)):
             break
     return fine, est
+
+
+def _confirmed(A: Callable, T: float, a: np.ndarray, n: int, value: Callable, fine,
+               target: Callable) -> bool:
+    """Whether value on _nodes(0, T, n + 1) is within target(fine) of fine. Its
+    ends and midpoint T / 2 reuse the samples a of level n; only its other 2 n
+    nodes are sampled."""
+    ts, h = _nodes(0.0, T, n + 1)
+    shared = np.zeros(len(ts), dtype=bool)
+    shared[[0, n + 1, 2 * n + 2]] = True
+    check = np.empty((len(ts),) + a.shape[1:], dtype=a.dtype)
+    check[shared], check[~shared] = a[[0, n, 2 * n]], _sampled(A, ts[~shared])
+    return float(np.max(np.abs(value(check, h) - fine))) <= target(fine)
 
 
 # Step doubling stops parallel_transport once its estimate is within this times

@@ -146,16 +146,25 @@ def _counted(f, calls):
     return g
 
 
+def _stop_level(calls, T):
+    """The level n below the cap at which a per-node callable's step doubling on
+    [0, T] stopped. Each level reuses the samples of the level below, so its calls
+    are the 2 n + 1 nodes of level n, then the nodes of the n + 1 steps that
+    confirmed the stop but for its ends and midpoint, which level n has: each time
+    once."""
+    n = (len(calls) - 1) // 4
+    assert len(set(calls)) == len(calls) == 4 * n + 1
+    assert sorted(calls[:2 * n + 1]) == _nodes(0.0, T, n)[0].tolist()
+    check = _nodes(0.0, T, n + 1)[0].tolist()
+    assert calls[2 * n + 1:] == check[1:n + 1] + check[n + 2:-1]
+    return n
+
+
 def test_transport_samples_each_fine_node_once():
-    # each level reuses the samples of the level below, so the 2 n + 1 nodes of the
-    # level n that the driver stops at are all it samples, each once
     calls = []
     parallel_transport(_counted(lambda t: M_CONN, calls), BaseFrame.e(1, 0.0), 1.3,
                        steps=512)
-    n = (len(calls) - 1) // 2
-    assert len(set(calls)) == len(calls) == 2 * n + 1
-    assert sorted(calls) == _nodes(0.0, 1.3, n)[0].tolist()
-    assert n < 2 * 512
+    assert _stop_level(calls, 1.3) < 2 * 512
 
 
 def _doubling_family(seed):
@@ -204,6 +213,28 @@ def test_step_doubling_levels_end_at_the_cap(cap, levels):
     assert est == (cap / 15 if len(levels) > 1 else math.inf)
     assert len(set(calls)) == len(calls) == 2 * cap + 1
     assert sorted(calls) == _nodes(0.0, 1.3, cap)[0].tolist()
+
+
+@pytest.mark.parametrize("per_node", [False, True])
+@pytest.mark.parametrize("l,k", [(1.0, 256), (1.7, 512)])
+def test_fd_rejects_an_aliased_mode(l, k, per_node):
+    """Mode k takes the value 1 on every node of the levels up to k / 2 steps, so
+    they all see the constant q = 1.5 and agree on 3 l; the fd must find 2 l."""
+    d = quadratic_direction(FourierSampler(l, {0: 1.0, k: 0.5}))
+    family = ConnectionFamily(l=l, dD=(lambda t: d(t)) if per_node else d)
+    assert abs(eigenvalue_derivative_fd(family) - 2 * l) < 1e-8
+
+
+@pytest.mark.parametrize("per_node", [False, True])
+def test_transport_rejects_an_aliased_mode(per_node):
+    """As for the fd: levels up to 128 steps see mode 256 as a constant."""
+    l = 0.5
+    d = quadratic_direction(FourierSampler(l, {0: 0.1, 256: 0.05}))
+    A = (lambda t: M_CONN + d(t)) if per_node else d
+    v0 = np.array([1.0, 0.5j, 2.0])
+    ts, h = _nodes(0.0, l, 16384)
+    ref = _propagator(holonomy._sampled(A, ts), h) @ v0
+    assert np.max(np.abs(parallel_transport(A, v0, l) - ref)) < 1e-8
 
 
 def test_transport_raises_at_the_cap_exactly_when_the_last_pair_fails():
@@ -295,6 +326,17 @@ def test_fd_samples_a_direction_in_one_array_call(direction):
     assert q.shapes == [(2 * 16 + 1,)] + [(n,) for n in levels[1:]]
 
 
+@pytest.mark.parametrize("modes,first", [({0: 0.5, 40: 0.1j}, 512),
+                                         ({-100: 0.1, 1: 0.3}, 1024),
+                                         ({0: 0.5, 4096: 0.1}, 1024)])
+def test_a_direction_starts_at_a_level_that_resolves_its_modes(modes, first):
+    """8 steps on each period of the highest |k| (320 and 800 here), as a level
+    cap / 2^k, and never above half the cap."""
+    q = _CountingSampler(1.9, modes)
+    eigenvalue_derivative_fd(ConnectionFamily(l=1.9, dD=quadratic_direction(q)), steps=2048)
+    assert q.shapes[0] == (2 * first + 1,)
+
+
 def test_directions_place_q_and_its_conjugate():
     q = FourierSampler(1.3, {0: 0.4 - 0.7j, 1: 0.2j})
     ts = np.array([0.0, 0.35, 1.0])
@@ -322,7 +364,7 @@ def test_per_node_callables_keep_their_parent_values():
                                dD=cubic_direction(orbit.q_alpha)).gauge_shifted(g, gp)
     calls = []
     fd = eigenvalue_derivative_fd(ConnectionFamily(l=orbit.l, dD=_counted(shifted.dD, calls)))
-    n = (len(calls) - 1) // 2
+    n = _stop_level(calls, orbit.l)
     ts, h = _nodes(0.0, orbit.l, n)
     d = np.array([shifted.dD(float(t)) for t in ts])
     h_s = 1e-4
@@ -336,7 +378,7 @@ def test_per_node_callables_keep_their_parent_values():
     v0 = rng.normal(size=3) + 1j * rng.normal(size=3)
     calls = []
     out = parallel_transport(_counted(lambda t: a, calls), v0, orbit.l)
-    ts, h = _nodes(0.0, orbit.l, (len(calls) - 1) // 2)
+    ts, h = _nodes(0.0, orbit.l, _stop_level(calls, orbit.l))
     exact = complex_propagator(np.broadcast_to(a, (len(ts), 3, 3)), h) @ v0
     assert _rel_dev(out, exact) < 1e-13
 
