@@ -330,8 +330,8 @@ def test_fd_samples_a_direction_in_one_array_call(direction):
                                          ({-100: 0.1, 1: 0.3}, 1024),
                                          ({0: 0.5, 4096: 0.1}, 1024)])
 def test_a_direction_starts_at_a_level_that_resolves_its_modes(modes, first):
-    """8 steps on each period of the highest |k| (320 and 800 here), as a level
-    cap / 2^k, and never above half the cap."""
+    """The first level is the least cap / 2^k with 8 steps on each period of the
+    highest |k| (320, 800 and 32,768 steps here), but never above half the cap."""
     q = _CountingSampler(1.9, modes)
     eigenvalue_derivative_fd(ConnectionFamily(l=1.9, dD=quadratic_direction(q)), steps=2048)
     assert q.shapes[0] == (2 * first + 1,)
