@@ -253,8 +253,7 @@ def run_suspension(config: dict, out_dir: Path, seed: int) -> dict:
         raise errors.ConfigError(f"bad {kind} roof: {exc}")
     F = _flow_function_from(config.get("flow_function"), s, rng)
     c = flow_pressure(flow, F)
-    hat = hat_function(flow, F) if F is not None else constant_function(s, 0.0)
-    residual = abs(pressure(s, hat - roof.promote(max(hat.depth, roof.depth)) * c))
+    residual = abs(pressure(s, hat_function(flow, F) - roof * c))
     report = {"schema": SCHEMA, "experiment": "suspension", "seed": seed,
               "flow_pressure": c, "root_residual": residual, "transfer": []}
     n_families = _integer(_section(config, "families", {}).get("count", 0), "families.count")

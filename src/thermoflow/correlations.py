@@ -54,9 +54,6 @@ class EquilibriumContext:
     def integrate_vec(self, v: np.ndarray) -> float:
         return float(self.m @ v)
 
-    def apply_L(self, v: np.ndarray) -> np.ndarray:
-        return self.rm.apply(v)
-
     @functools.cached_property
     def _factor(self):
         """(A, solve, ||A^-1[:n, :n]||_1) for the fundamental system, built on first use.

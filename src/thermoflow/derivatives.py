@@ -77,17 +77,6 @@ class PotentialFamily:
         raise NotImplementedError("third-order fd partials are not provided; "
                                   "supply closed-form partials")
 
-    def validate(self, h: float = 1e-4, tol: float = 1e-5) -> float:
-        worst = 0.0
-        for alpha, g in self.partials.items():
-            if len(alpha) > 2:
-                continue
-            fd = self._fd_partial(alpha, h=h)
-            worst = max(worst, (g - fd).sup_norm())
-        if worst > tol:
-            raise ValueError(f"closed-form partials deviate from fd by {worst:.3e}")
-        return worst
-
     @staticmethod
     def from_taylor(sft: Sft, f0: DepthKFunction, partials: dict,
                     nparams: int = 1) -> "PotentialFamily":
@@ -242,17 +231,6 @@ def fd_oracle(family: PotentialFamily, order: int, h: float | None = None) -> fl
         return pressure(family.sft, family.at((s,) + (0.0,) * (family.nparams - 1)))
 
     return _central_difference(P, order, h)
-
-
-def measure_derivative(w_family: PotentialFamily, f_family: PotentialFamily) -> float:
-    """d/ds int w_s dm_{f_s} at 0 = Cov(w_0, d_s f_0) + int d_s w_0 dm.
-
-    Adding constants to the f-family does not change its equilibrium states.
-    """
-    base = _family_base(f_family, w_family)
-    df = base.centered(f_family.partial((0,)))
-    cov = base.ctx.covariance(base.centered(w_family.f0), df)
-    return cov.value + base.ctx.integrate(w_family.partial((0,)))
 
 
 def pressure_metric(family: PotentialFamily, params=(0, 1)) -> float:

@@ -103,13 +103,6 @@ def flow_contraction_ratio(x: UnitTangent, y: UnitTangent, s: float) -> float:
     return ds / (math.exp(s) * d0)
 
 
-def random_unit_tangent(rng, radius: float = 0.8) -> UnitTangent:
-    r = radius * math.sqrt(rng.uniform())
-    theta = rng.uniform(0, 2 * math.pi)
-    phi = rng.uniform(0, 2 * math.pi)
-    return UnitTangent(r * cmath.exp(1j * theta), cmath.exp(1j * phi))
-
-
 def perturbed(x: UnitTangent, rng, eps: float = 1e-2) -> UnitTangent:
     dz = eps * (rng.normal() + 1j * rng.normal())
     dphi = eps * rng.normal()

@@ -61,9 +61,6 @@ class RecursionSystem:
     relations: tuple
     unknowns: tuple
 
-    def rows_normalized(self):
-        return [rel.form.normalized() for rel in self.relations]
-
     def to_json(self) -> str:
         rows = [{"coupling": rel.coupling, "power": rel.power,
                  "coeffs": {f"{fam}{i}": str(c) for (fam, i), c in sorted(rel.form.items())}}
@@ -502,39 +499,3 @@ def build_completed_relations(case: str, N: int) -> RecursionSystem:
                            couplings=tuple(f"s={m}t(all arrangements)"
                                            for m in _COMPLETION_MS),
                            relations=tuple(relations), unknowns=unknowns)
-
-
-def ray_kernel_description(case: str):
-    """The explicit coupling-invariant ray of the letter systems (GH / IJ)."""
-    if case == "GH":
-        return ("H", lambda n: (n + 1) * (n + 2) // 2)
-    if case == "IJ":
-        return ("J", lambda n: n + 1)
-    raise ValueError("ray is documented for GH and IJ only")
-
-
-def named_relation(case: str, name: str, n: int | None = None,
-                   m: int | None = None) -> LinForm:
-    """Classical named relations of each system in normalized form, for
-    testing that they occur verbatim among the generated rows."""
-    if case == "AB" and name == "first_comparison":
-        return LinForm({("A", 0): 1, ("B", 0): 2}).normalized()
-    if case == "AB" and name == "half_time_recursion":
-        form = {("B", n): 2 ** (n + 4)}
-        for k in range(n + 1):
-            form[("A", k)] = (n - k + 1) * (n - k + 2) * 2 ** k
-        return LinForm(form).normalized()
-    if case == "CD" and name == "c0":
-        return LinForm({("C", 0): 1}).normalized()
-    if case == "CD" and name == "t2":
-        return LinForm({("C", 1): 2, ("C", 0): -8, ("D", 0): -1}).normalized()
-    if case == "EF" and name == "e0":
-        return LinForm({("E", 0): 1}).normalized()
-    if case == "EF" and name == "e1":
-        return LinForm({("E", 1): 1, ("F", 0): 2}).normalized()
-    if case == "GH" and name == "g0":
-        return LinForm({("G", 0): 1}).normalized()
-    if case == "IJ" and name == "t4":
-        return LinForm({("I", 0): m ** 4 - (m - 1) ** 4, ("J", 1): 2 * m - 1,
-                        ("J", 0): -(4 * m - 2)}).normalized()
-    raise ValueError(f"unknown named relation {case}/{name}")

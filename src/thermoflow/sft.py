@@ -305,19 +305,3 @@ def livsic_coboundary_test(f: DepthKFunction, g: DepthKFunction, sft: Sft,
             worst, worst_orbit = res, orbit
     return LivsicReport(cohomologous=worst <= tol, worst_residual=worst,
                         worst_orbit=worst_orbit)
-
-
-def d_alpha(x, y, alpha: float) -> float:
-    """Diagnostic word metric alpha^N, N = length of the common prefix."""
-    n = 0
-    for a, b in zip(x, y):
-        if a != b:
-            break
-        n += 1
-    if n == len(x) == len(y):
-        return 0.0
-    return alpha ** n
-
-
-def canonical_cycle(cycle) -> tuple:
-    return _min_rotation(tuple(cycle))

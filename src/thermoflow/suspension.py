@@ -4,16 +4,15 @@ The flow pressure of F is the unique c with P(sigma, F_hat - c * roof) = 0,
 where F_hat integrates F over each fiber. c -> P(F_hat - c * roof) is convex
 and strictly decreasing with exact slope -int roof dm (Parry & Pollicott,
 Asterisque 187-188), so Newton started where P >= 0 climbs monotonically to
-the root. Parameter derivatives of the flow pressure transfer to shift-side
-derivative formulas after dividing by the mean roof; lower-order terms are
-removed by subtracting constants.
+the root. F enters only through F_hat, so a flow function is held as its mean
+over each fiber and F_hat = roof * mean is exact. Parameter derivatives of the
+flow pressure transfer to shift-side derivative formulas after dividing by the
+mean roof; lower-order terms are removed by subtracting constants.
 """
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Mapping
 
 import numpy as np
 
@@ -22,9 +21,7 @@ from .errors import NoConvergence
 from .sft import DepthKFunction, Sft, admissible_words, constant_function
 from .transfer import equilibrium_measure, rpf
 
-# Gauss-Legendre nodes per fiber, and the flow-pressure root tolerance |P| and
-# Newton step budget.
-_QUAD_ORDER = 16
+# The flow-pressure root tolerance |P| and Newton step budget.
 _ROOT_TOL = 1e-11
 _NEWTON_STEPS = 50
 
@@ -44,77 +41,36 @@ class SuspensionFlow:
 
 @dataclass
 class FlowFunction:
-    """Function on the suspension space, locally constant in the base word.
+    """Function on the suspension space, held as its fiber means.
 
-    `evaluate_rel(word, tau)` is its value at relative fiber time
-    tau = t / roof in [0, 1]. Fibers are assumed smooth, so a fixed
-    Gauss-Legendre rule integrates them.
+    `mean[word[:depth]]` is the mean of F over the fiber of `word`, so the
+    integral of F over that fiber is roof(word) * mean[word[:depth]].
     """
 
     depth: int
-    evaluate_rel: Callable
+    mean: Mapping[tuple, float]
 
     @staticmethod
     def from_fourier(depth: int, cylinders: dict) -> "FlowFunction":
-        """Fiber profiles c0 + sum_j a_j cos(2 pi j tau) + b_j sin(2 pi j tau)."""
-        table = {tuple(w): spec for w, spec in cylinders.items()}
-
-        def evaluate_rel(word, tau):
-            spec = table[tuple(word[:depth])]
-            out = spec.get("const", 0.0)
-            for j, a in enumerate(spec.get("cos", []), start=1):
-                out += a * math.cos(2 * math.pi * j * tau)
-            for j, b in enumerate(spec.get("sin", []), start=1):
-                out += b * math.sin(2 * math.pi * j * tau)
-            return out
-
-        return FlowFunction(depth=depth, evaluate_rel=evaluate_rel)
+        """Fiber profiles c0 + sum_j a_j cos(2 pi j tau) + b_j sin(2 pi j tau) in
+        the relative fiber time tau in [0, 1]; every mode has mean zero over the
+        fiber, so the mean is c0."""
+        return FlowFunction(depth, {tuple(w): spec.get("const", 0.0)
+                                    for w, spec in cylinders.items()})
 
     @staticmethod
     def constant(value: float) -> "FlowFunction":
-        return FlowFunction(depth=1, evaluate_rel=lambda w, tau: value)
-
-    @staticmethod
-    def combine(parts) -> "FlowFunction":
-        """Linear combination [(coef, FlowFunction), ...]."""
-        parts = [(c, f) for c, f in parts if f is not None]
-        if not parts:
-            raise ValueError("empty combination")
-
-        def rel(word, tau):
-            return sum(c * f.evaluate_rel(word, tau) for c, f in parts)
-
-        return FlowFunction(depth=max(f.depth for _, f in parts), evaluate_rel=rel)
+        return FlowFunction(0, {(): value})
 
 
-@functools.cache
-def _gauss_legendre() -> tuple:
-    """(taus, weights): the _QUAD_ORDER-point Gauss-Legendre rule with its nodes
-    as fiber times in [0, 1]. Computed once, on first use rather than at
-    import: its eigensolve would be the first LAPACK call, costing about 0.9 MB
-    of resident memory, in runs that integrate no fiber."""
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
-    return 0.5 * (nodes + 1.0), weights
-
-
-def hat_function(flow: SuspensionFlow, F: FlowFunction) -> DepthKFunction:
-    """F_hat(x) = integral of F over the fiber [0, roof(x)] (Gauss-Legendre).
-
-    Exact for fibers polynomial in tau up to degree 2 * _QUAD_ORDER - 1.
-    """
-    depth = max(F.depth, flow.roof.depth)
-    taus, weights = _gauss_legendre()
-    vals = {}
-    for w in admissible_words(flow.sft, depth):
-        fiber = np.array([F.evaluate_rel(w, tau) for tau in taus])
-        vals[w] = 0.5 * flow.roof_at(w) * float(weights @ fiber)
-    return DepthKFunction(flow.sft, depth, vals)
-
-
-def _hat_or_zero(flow: SuspensionFlow, F: FlowFunction | None) -> DepthKFunction:
+def hat_function(flow: SuspensionFlow, F: FlowFunction | None) -> DepthKFunction:
+    """F_hat(x) = integral of F over the fiber [0, roof(x)] = roof(x) * mean of F
+    on x's cylinder; F = None is the zero function, at the depth of the roof."""
     if F is None:
         return constant_function(flow.sft, 0.0, depth=flow.roof.depth)
-    return hat_function(flow, F)
+    depth = max(F.depth, flow.roof.depth)
+    return DepthKFunction(flow.sft, depth, {w: flow.roof_at(w) * F.mean[w[:F.depth]]
+                                            for w in admissible_words(flow.sft, depth)})
 
 
 def flow_measure_factor(m, roof: DepthKFunction) -> float:
@@ -137,7 +93,7 @@ def flow_pressure(flow: SuspensionFlow, F: FlowFunction | None) -> float:
     steps raises NoConvergence.
     """
     s, roof = flow.sft, flow.roof
-    hat = _hat_or_zero(flow, F)
+    hat = hat_function(flow, F)
     c = min(float(np.real(v)) / flow.roof_at(w) for w, v in hat.values.items())
     for _ in range(_NEWTON_STEPS):
         w = hat - roof * c
@@ -158,12 +114,14 @@ class FlowFamily:
     G3: FlowFunction | None = None
 
     def at(self, s: float) -> FlowFunction | None:
-        parts = [(1.0, self.F0), (s, self.G1), (s * s / 2.0, self.G2),
-                 ((s ** 3) / 6.0, self.G3)]
-        parts = [(c, f) for c, f in parts if f is not None]
+        """F_s, its fiber means combined linearly at the depth of the deepest part."""
+        parts = [(c, f) for c, f in ((1.0, self.F0), (s, self.G1), (s * s / 2.0, self.G2),
+                                     ((s ** 3) / 6.0, self.G3)) if f is not None]
         if not parts:
             return None
-        return FlowFunction.combine(parts)
+        deep = max((f for _, f in parts), key=lambda f: f.depth)
+        return FlowFunction(deep.depth, {w: sum(c * f.mean[w[:f.depth]] for c, f in parts)
+                                         for w in deep.mean})
 
 
 def flow_pressure_derivative_transfer(flow: SuspensionFlow, family: FlowFamily,
@@ -179,8 +137,8 @@ def flow_pressure_derivative_transfer(flow: SuspensionFlow, family: FlowFamily,
         raise ValueError("order must be 1, 2 or 3")
     roof = flow.roof
     c0 = flow_pressure(flow, family.F0)
-    hat0 = _hat_or_zero(flow, family.F0) - roof * c0
-    hat1, hat2, hat3 = (_hat_or_zero(flow, G) for G in (family.G1, family.G2, family.G3))
+    hat0 = hat_function(flow, family.F0) - roof * c0
+    hat1, hat2, hat3 = (hat_function(flow, G) for G in (family.G1, family.G2, family.G3))
     base = _prepare(hat0, max(hat0.depth, hat1.depth, hat2.depth, hat3.depth))
     R = base.ctx.integrate(roof)
     kappa1 = base.ctx.integrate(hat1) / R

@@ -17,8 +17,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
-from .errors import (DepthMismatch, NoConvergence, NonPositiveEigenfunction, NotMixing,
-                     NotNormalized, PotentialOverflow)
+from .errors import (DepthMismatch, NoConvergence, NonFiniteValue, NonPositiveEigenfunction,
+                     NotMixing, NotNormalized, PotentialOverflow)
 from .sft import DepthKFunction, Sft, admissible_words
 
 # Largest operator solved by one dense eigendecomposition; ARPACK above it. It
@@ -195,6 +195,8 @@ def _perron(matrix: sp.csr_matrix):
     sum(nu) = 1 and <nu, h> = 1, and ratio = |lambda_2| / rho is exact. Up to
     DENSE_WORDS rows one dense eigendecomposition gives all of it; above that,
     ARPACK finds the two leading eigenvalues of L and the leading one of L^T.
+    Vectors that do not normalize to finite values (sum(nu) = 0, say) raise
+    NonFiniteValue.
     """
     n = matrix.shape[0]
     if n <= DENSE_WORDS:
@@ -211,8 +213,11 @@ def _perron(matrix: sp.csr_matrix):
         order = np.argsort(-np.abs(lam))
         h, nu = right[:, order[0]], left[:, 0]
     rho = float(lam[order[0]].real)
-    nu = np.real(nu / nu.sum())
-    h = np.real(h / (nu @ h))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        nu = np.real(nu / nu.sum())
+        h = np.real(h / (nu @ h))
+    if not np.isfinite(np.r_[rho, h, nu]).all():
+        raise NonFiniteValue(f"Perron data of {n} words is not finite (rho = {rho:.3e})")
     ratio = float(np.abs(lam[order[1]]) / rho) if n > 1 else 0.0
     return rho, h, nu, ratio
 
@@ -278,16 +283,6 @@ class MarkovMeasure:
             raise DepthMismatch(
                 f"measure depth {self.depth} < function depth {f.depth}")
         return sum(m * f.values[w[: f.depth]] for w, m in self.weights.items())
-
-    def invariance_defect(self) -> float:
-        """Max over (depth-1)-words of |sum_a m(a u) - sum_b m(u b)|."""
-        left: dict = {}
-        right: dict = {}
-        for w, m in self.weights.items():
-            left[w[1:]] = left.get(w[1:], 0.0) + m
-            right[w[:-1]] = right.get(w[:-1], 0.0) + m
-        return max(abs(left.get(u, 0.0) - right.get(u, 0.0))
-                   for u in set(left) | set(right))
 
     def to_json(self) -> str:
         sep = "" if self.sft.alphabet_size <= 10 else ","

@@ -1,3 +1,4 @@
+import cmath
 import collections
 import functools
 import itertools
@@ -11,6 +12,8 @@ import scipy.sparse as sp
 from thermoflow import correlations, holonomy, transfer
 from thermoflow.correlations import EquilibriumContext
 from thermoflow.derivatives import PotentialFamily
+from thermoflow.diskgeom import UnitTangent
+from thermoflow.ratseries import LinForm
 from thermoflow.sft import admissible_words, random_function
 from thermoflow.transfer import normalize_potential, pressure, rpf
 
@@ -104,7 +107,7 @@ def _powers(ctx, v, n):
     out = np.empty((len(v), n + 1))
     out[:, 0] = v
     for j in range(1, n + 1):
-        out[:, j] = ctx.apply_L(out[:, j - 1])
+        out[:, j] = ctx.rm.apply(out[:, j - 1])
     return out
 
 
@@ -195,6 +198,57 @@ def fixed_step_fd(family, steps):
     """`holonomy.eigenvalue_derivative_fd`'s central difference at `steps` steps."""
     ts, h = holonomy._nodes(0.0, family.l, steps)
     return holonomy._fd_at(holonomy._sampled(family.dD, ts), h)
+
+
+# Rows and classical relations of the vanishing recursions, in normalized form.
+
+def rows_normalized(system):
+    """The relation rows of a `RecursionSystem`, each normalized."""
+    return [rel.form.normalized() for rel in system.relations]
+
+
+def ray_kernel_description(case: str):
+    """The explicit coupling-invariant ray of the letter systems (GH / IJ)."""
+    if case == "GH":
+        return ("H", lambda n: (n + 1) * (n + 2) // 2)
+    if case == "IJ":
+        return ("J", lambda n: n + 1)
+    raise ValueError("ray is documented for GH and IJ only")
+
+
+def named_relation(case: str, name: str, n: int | None = None,
+                   m: int | None = None) -> LinForm:
+    """Classical named relations of each system in normalized form, for
+    testing that they occur verbatim among the generated rows."""
+    if case == "AB" and name == "first_comparison":
+        return LinForm({("A", 0): 1, ("B", 0): 2}).normalized()
+    if case == "AB" and name == "half_time_recursion":
+        form = {("B", n): 2 ** (n + 4)}
+        for k in range(n + 1):
+            form[("A", k)] = (n - k + 1) * (n - k + 2) * 2 ** k
+        return LinForm(form).normalized()
+    if case == "CD" and name == "c0":
+        return LinForm({("C", 0): 1}).normalized()
+    if case == "CD" and name == "t2":
+        return LinForm({("C", 1): 2, ("C", 0): -8, ("D", 0): -1}).normalized()
+    if case == "EF" and name == "e0":
+        return LinForm({("E", 0): 1}).normalized()
+    if case == "EF" and name == "e1":
+        return LinForm({("E", 1): 1, ("F", 0): 2}).normalized()
+    if case == "GH" and name == "g0":
+        return LinForm({("G", 0): 1}).normalized()
+    if case == "IJ" and name == "t4":
+        return LinForm({("I", 0): m ** 4 - (m - 1) ** 4, ("J", 1): 2 * m - 1,
+                        ("J", 0): -(4 * m - 2)}).normalized()
+    raise ValueError(f"unknown named relation {case}/{name}")
+
+
+def random_unit_tangent(rng, radius: float = 0.8) -> UnitTangent:
+    """A unit tangent vector with base point uniform in the disk of `radius`."""
+    r = radius * math.sqrt(rng.uniform())
+    theta = rng.uniform(0, 2 * math.pi)
+    phi = rng.uniform(0, 2 * math.pi)
+    return UnitTangent(r * cmath.exp(1j * theta), cmath.exp(1j * phi))
 
 
 # Exact oracle for `recursions.kernel_basis`: the kernel read off the reduced

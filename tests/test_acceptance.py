@@ -13,11 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_family_1p
+from conftest import named_relation, random_family_1p, random_unit_tangent, rows_normalized
 from thermoflow.correlations import EquilibriumContext, covariance, triple_covariance, variance
 from thermoflow.derivatives import (fd_oracle, pressure_d1, pressure_d2, pressure_d3,
                                     pressure_metric_d1_terms)
-from thermoflow.diskgeom import flow_contraction_ratio, perturbed, random_unit_tangent
+from thermoflow.diskgeom import flow_contraction_ratio, perturbed
 from thermoflow.diskseries import DifferentialExpansion, angular_triple_reduce, quadrature_triple
 from thermoflow.holonomy import (BaseFrame, ConnectionFamily, FourierSampler, OrbitData,
                                  ShootingSolution, cubic_direction,
@@ -25,7 +25,7 @@ from thermoflow.holonomy import (BaseFrame, ConnectionFamily, FourierSampler, Or
                                  quadratic_direction, trace_derivative,
                                  variation_ode_closed_form)
 from thermoflow.recursions import (REFERENCE_COUPLINGS, build_completed_relations,
-                                   build_relations, named_relation, solve_vanishing)
+                                   build_relations, solve_vanishing)
 from thermoflow.sft import (coboundary, constant_function, full_shift, golden_mean_shift,
                             new_sft, random_function)
 from thermoflow.suspension import (FlowFamily, FlowFunction, SuspensionFlow, flow_pressure,
@@ -250,17 +250,17 @@ def test_criterion_9_disk_recursions():
         system = build_relations(case, 20, REFERENCE_COUPLINGS[case])
         verdicts[case] = solve_vanishing(system, margin=2).verdict
     named_ok = True
-    ab = build_relations("AB", 8, REFERENCE_COUPLINGS["AB"]).rows_normalized()
+    ab = rows_normalized(build_relations("AB", 8, REFERENCE_COUPLINGS["AB"]))
     named_ok &= named_relation("AB", "first_comparison") in ab
     named_ok &= all(named_relation("AB", "half_time_recursion", n=n) in ab
                     for n in range(6))
-    ef = build_relations("EF", 8, REFERENCE_COUPLINGS["EF"]).rows_normalized()
+    ef = rows_normalized(build_relations("EF", 8, REFERENCE_COUPLINGS["EF"]))
     named_ok &= named_relation("EF", "e0") in ef
     named_ok &= named_relation("EF", "e1") in ef
-    gh = build_relations("GH", 8, ["s=2t"]).rows_normalized()
+    gh = rows_normalized(build_relations("GH", 8, ["s=2t"]))
     named_ok &= named_relation("GH", "g0") in gh
     for m in (2, 3, 4):
-        ij = build_relations("IJ", 8, [f"s={m}t"]).rows_normalized()
+        ij = rows_normalized(build_relations("IJ", 8, [f"s={m}t"]))
         named_ok &= named_relation("IJ", "t4", m=m) in ij
     elapsed = time.perf_counter() - t0
     completed = {case: solve_vanishing(build_completed_relations(case, 14),

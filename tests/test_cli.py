@@ -3,7 +3,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermoflow import recursions
@@ -283,6 +283,40 @@ def test_overflowing_potential_exit_3(tmp_path, capsys, potential):
     assert "numerical failure" in capsys.readouterr().err
 
 
+# The Perron pair of this potential's normalized matrix cannot be normalized:
+# its left vector sums to zero.
+_UNNORMALIZABLE = {"kind": "values", "depth": 2,
+                   "values": {"00": 0.0, "01": 1.0, "10": 317.875}}
+
+
+def test_unnormalizable_perron_vectors_exit_3(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "experiment": "pressure", "sft": GOLDEN_MEAN,
+                                "potential": _UNNORMALIZABLE, "orders": [1],
+                                "derivative_families": {"count": 1, "depth": 1}}))
+    assert _run(["pressure", "--config", path, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+
+
+# Fiber modes never enter the flow pressure: on the full 2-shift with roof 1 and
+# const 0 the root is log 2 whatever the modes are.
+_HUGE_MODES = {"0": {"cos": [1e308, 1e308]}, "1": {"cos": [1e308, 1e308]}}
+_TWELVE_MODES = {w: {"const": 0.0, "cos": [1.0] * 12, "sin": [-0.5] * 12} for w in "01"}
+
+
+@pytest.mark.parametrize("cylinders", [_TWELVE_MODES, _HUGE_MODES])
+def test_fiber_modes_leave_the_flow_pressure_exact(tmp_path, cylinders):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "schema": 1, "experiment": "suspension", "sft": {"transition": [[1, 1], [1, 1]]},
+        "roof": {"kind": "constant", "value": 1.0},
+        "flow_function": {"kind": "fourier", "depth": 1, "cylinders": cylinders}}))
+    assert _run(["suspension", "--config", path, "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "suspension_report.json").read_text())
+    assert abs(report["flow_pressure"] - math.log(2)) < 1e-11
+
+
 def test_diskvanish_without_kernel_certificate_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(recursions, "_primes", lambda: iter((3,)))
     assert _run(["diskvanish", "--config", CONFIGS / "diskvanish_ab_single.json",
@@ -416,7 +450,7 @@ def _spec(draw, kind, **fields):
 
 
 def _cylinders(depth):
-    coefs = st.lists(st.floats(-1.0, 1.0), max_size=2)
+    coefs = st.lists(st.floats(-1e308, 1e308), max_size=64)
     cylinder = st.fixed_dictionaries(
         {}, optional={"const": st.floats(-1.0, 1.0), "cos": coefs, "sin": coefs})
     return st.fixed_dictionaries({w: _mostly(cylinder) for w in _GOLDEN_WORDS[depth]}).map(
@@ -439,6 +473,8 @@ _FLOW_FUNCTIONS = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(roof=_ROOFS, flow_function=_FLOW_FUNCTIONS)
+@example(roof={"kind": "constant", "value": 1.0},
+         flow_function={"kind": "fourier", "depth": 1, "cylinders": _HUGE_MODES})
 def test_suspension_config_fields_never_raise(tmp_path_factory, roof, flow_function):
     out = tmp_path_factory.mktemp("suspension")
     cfg = out / "cfg.json"
@@ -460,6 +496,7 @@ _POTENTIALS = st.one_of(  # st.floats() also draws nan, infinities and huge valu
 
 @settings(max_examples=60, deadline=None)
 @given(potential=_POTENTIALS)
+@example(potential=_UNNORMALIZABLE)
 def test_pressure_potential_fields_never_raise(tmp_path_factory, potential):
     out = tmp_path_factory.mktemp("pressure")
     cfg = out / "cfg.json"

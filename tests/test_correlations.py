@@ -298,7 +298,7 @@ def test_equilibrium_context_kills_constants():
     wn, _ = _setup(s, constant_function(s, 0.0))
     ctx = EquilibriumContext(s, wn)
     v = ctx.vector(constant_function(s, 1.0, depth=ctx.depth))
-    out = ctx.apply_L(v - ctx.integrate_vec(v))
+    out = ctx.rm.apply(v - ctx.integrate_vec(v))
     assert np.abs(out).max() < 1e-12
 
 
@@ -313,7 +313,7 @@ def test_equilibrium_context_decay():
     vec = vec - ctx.integrate_vec(vec)
     norms = []
     for _ in range(40):
-        vec = ctx.apply_L(vec - ctx.integrate_vec(vec))
+        vec = ctx.rm.apply(vec - ctx.integrate_vec(vec))
         norms.append(np.abs(vec).max())
     # geometric decay at rate <= r (+ slack)
     for i in range(20, 39):

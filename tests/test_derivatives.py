@@ -3,10 +3,10 @@ import pytest
 
 from conftest import base_context, random_family_1p
 from thermoflow import errors
-from thermoflow.derivatives import (PotentialFamily, fd_oracle, measure_derivative,
-                                    pressure_d1, pressure_d2, pressure_d2_mixed,
-                                    pressure_d3, pressure_d3_mixed, pressure_metric,
-                                    pressure_metric_d1, pressure_metric_d1_terms)
+from thermoflow.derivatives import (PotentialFamily, _family_base, fd_oracle, pressure_d1,
+                                    pressure_d2, pressure_d2_mixed, pressure_d3,
+                                    pressure_d3_mixed, pressure_metric, pressure_metric_d1,
+                                    pressure_metric_d1_terms)
 from thermoflow.sft import (coboundary, constant_function, full_shift, golden_mean_shift,
                             random_function)
 from thermoflow.transfer import equilibrium_measure, normalize_potential, pressure, rpf
@@ -150,10 +150,34 @@ def test_fd_oracle_trivial_orders():
     assert fd_oracle(fam3, 3) == pytest.approx(c, abs=1e-5)
 
 
+def validate(family, h=1e-4, tol=1e-5) -> float:
+    """Largest sup-norm gap between a family's closed-form partials of order at
+    most 2 and their central differences; a gap above tol raises ValueError."""
+    worst = 0.0
+    for alpha, g in family.partials.items():
+        if len(alpha) > 2:
+            continue
+        worst = max(worst, (g - family._fd_partial(alpha, h=h)).sup_norm())
+    if worst > tol:
+        raise ValueError(f"closed-form partials deviate from fd by {worst:.3e}")
+    return worst
+
+
+def measure_derivative(w_family, f_family) -> float:
+    """d/ds int w_s dm_{f_s} at 0 = Cov(w_0, d_s f_0) + int d_s w_0 dm.
+
+    Adding constants to the f-family does not change its equilibrium states.
+    """
+    base = _family_base(f_family, w_family)
+    df = base.centered(f_family.partial((0,)))
+    cov = base.ctx.covariance(base.centered(w_family.f0), df)
+    return cov.value + base.ctx.integrate(w_family.partial((0,)))
+
+
 def test_family_validate_and_fd_partials():
     s = golden_mean_shift()
     fam = random_family_1p(s, np.random.default_rng(8))
-    assert fam.validate() < 1e-6
+    assert validate(fam) < 1e-6
     fd1 = fam._fd_partial((0,))
     assert (fd1 - fam.partial((0,))).sup_norm() < 1e-7
 

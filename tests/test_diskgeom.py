@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_unit_tangent
 from thermoflow.diskgeom import (UnitTangent, flow_contraction_ratio, geodesic_flow,
-                                 hyperbolic_distance, perturbed, random_unit_tangent,
-                                 sasaki_distance)
+                                 hyperbolic_distance, perturbed, sasaki_distance)
 
 
 def test_flow_from_origin_along_real_axis():

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_kernel_basis
+from conftest import (fraction_kernel_basis, named_relation, ray_kernel_description,
+                      rows_normalized)
 from thermoflow import errors, recursions
 from thermoflow.ratseries import LinForm, Series, tanh_multiple
 from thermoflow.recursions import (REFERENCE_COUPLINGS, build_completed_relations,
-                                   build_relations, kernel_basis, named_relation,
-                                   solve_vanishing)
+                                   build_relations, kernel_basis, solve_vanishing)
 
 
 # ----------------------------------------------------------- series arithmetic
@@ -90,7 +90,7 @@ def test_linform_normalized():
 # ----------------------------------------------------------- named relations
 
 def _assert_named_in_rows(system, named):
-    rows = system.rows_normalized()
+    rows = rows_normalized(system)
     assert named in rows, f"named relation {dict(named)} not generated"
 
 
@@ -154,12 +154,11 @@ def test_gh_ij_paper_couplings_leave_one_ray(case):
     """The s=mt couplings alone annihilate an explicit ray: the relation matrix
     cannot pin it (a hyperbolic-tangent product identity); the kernel restricted
     to interior indices is exactly that ray."""
-    from thermoflow.recursions import kernel_basis, ray_kernel_description
     system = build_relations(case, 14, REFERENCE_COUPLINGS[case])
     verdict = solve_vanishing(system, margin=2)
     assert verdict.verdict == "undetermined"
     fam, coef = ray_kernel_description(case)
-    basis = kernel_basis(system.rows_normalized(), system.unknowns)
+    basis = kernel_basis(rows_normalized(system), system.unknowns)
     interior = [v for v in basis
                 if any(x != 0 and u[1] <= system.N - 2
                        for u, x in zip(system.unknowns, v))]
@@ -236,7 +235,7 @@ def test_kernel_basis_lifts_entries_of_a_thousand_bits():
     """A single s=4t coupling at N = 30 leaves a 32-dimensional kernel whose
     entries have up to 1,006 bits: more than any fixed short prime list lifts."""
     system = build_relations("IJ", 30, ["s=4t"])
-    rows = system.rows_normalized()
+    rows = rows_normalized(system)
     basis = kernel_basis(rows, system.unknowns)
     assert basis == fraction_kernel_basis(rows, system.unknowns)
     assert max(x.denominator.bit_length() for v in basis for x in v) > 990
@@ -246,7 +245,7 @@ def test_kernel_basis_raises_when_the_primes_run_out(monkeypatch):
     monkeypatch.setattr(recursions, "_primes", lambda: iter((5, 7)))
     system = build_relations("AB", 6, ["s=t"])
     with pytest.raises(errors.NoKernelCertificate):
-        kernel_basis(system.rows_normalized(), system.unknowns)
+        kernel_basis(rows_normalized(system), system.unknowns)
 
 
 @pytest.mark.parametrize("kind", ["reference", "single", "completed"])
@@ -258,7 +257,7 @@ def test_kernel_basis_equals_fraction_rref(case, N, kind):
     else:
         couplings = REFERENCE_COUPLINGS[case][:1 if kind == "single" else None]
         system = build_relations(case, N, couplings)
-    rows = system.rows_normalized()
+    rows = rows_normalized(system)
     assert kernel_basis(rows, system.unknowns) == fraction_kernel_basis(rows, system.unknowns)
 
 

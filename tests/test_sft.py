@@ -4,10 +4,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoflow import errors, sft
-from thermoflow.sft import (admissible_words, birkhoff_sum, canonical_cycle,
-                            coboundary, constant_function, d_alpha, full_shift,
-                            golden_mean_shift, indicator, livsic_coboundary_test, new_sft,
-                            periodic_orbits, random_function)
+from thermoflow.sft import (admissible_words, birkhoff_sum, coboundary, constant_function,
+                            full_shift, golden_mean_shift, indicator,
+                            livsic_coboundary_test, new_sft, periodic_orbits,
+                            random_function)
+
+
+def canonical_cycle(cycle) -> tuple:
+    """The lexicographically least rotation of a cycle."""
+    cycle = tuple(cycle)
+    return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+
+
+def d_alpha(x, y, alpha: float) -> float:
+    """Diagnostic word metric alpha^N, N = length of the common prefix."""
+    n = 0
+    for a, b in zip(x, y):
+        if a != b:
+            break
+        n += 1
+    if n == len(x) == len(y):
+        return 0.0
+    return alpha ** n
 
 
 def test_full_shift_mixing_power_is_one():

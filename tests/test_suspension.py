@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from thermoflow import suspension
-from thermoflow.sft import (admissible_words, constant_function, full_shift,
-                            golden_mean_shift, random_function)
+from thermoflow.sft import (DepthKFunction, admissible_words, constant_function,
+                            full_shift, golden_mean_shift, random_function)
 from thermoflow.suspension import (FlowFamily, FlowFunction, SuspensionFlow,
                                    flow_measure_factor, flow_pressure,
                                    flow_pressure_derivative_transfer, hat_function)
@@ -35,11 +34,19 @@ def test_hat_of_one_is_roof():
     assert (hat - roof.promote(hat.depth)).sup_norm() < 1e-13
 
 
+def test_hat_of_none_is_zero_at_roof_depth():
+    s = golden_mean_shift()
+    flow = _flow(s, random_function(s, 2, np.random.default_rng(11), scale=0.2) + 1.5)
+    hat = hat_function(flow, None)
+    assert hat.depth == 2 and hat.sup_norm() == 0.0
+
+
 def test_hat_of_linear_fiber():
+    """F = R tau on the fiber has mean R / 2, so F_hat = R^2 / 2 on roof R."""
     s = full_shift(2)
     R = 1.7
     flow = _flow(s, constant_function(s, R))
-    F = FlowFunction(depth=1, evaluate_rel=lambda w, tau: R * tau)
+    F = FlowFunction(depth=1, mean={(0,): R / 2, (1,): R / 2})
     hat = hat_function(flow, F)
     for v in hat.values.values():
         assert v == pytest.approx(R * R / 2, abs=1e-12)
@@ -50,32 +57,48 @@ def test_hat_of_full_period_cosine_vanishes():
     rng = np.random.default_rng(1)
     roof = random_function(s, 1, rng, scale=0.3) + 1.2
     flow = _flow(s, roof)
-    F = FlowFunction(depth=1,
-                     evaluate_rel=lambda w, tau: math.cos(2 * math.pi * tau))
+    F = FlowFunction.from_fourier(1, {w: {"cos": [1.0]} for w in admissible_words(s, 1)})
     hat = hat_function(flow, F)
     assert hat.sup_norm() < 1e-9
 
 
-def test_gauss_legendre_rule_is_computed_once_and_is_leggauss(monkeypatch):
-    """Three hat functions take one leggauss call, and the cached rule is
-    numpy's, bit for bit."""
-    leggauss = np.polynomial.legendre.leggauss
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return leggauss(n)
-
-    suspension._gauss_legendre.cache_clear()
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+@pytest.mark.parametrize("j", range(1, 65))
+def test_hat_is_roof_times_const_for_every_mode(j):
+    """The fiber integral of c0 + a cos(2 pi j tau) + b sin(2 pi j tau) is roof * c0
+    for every mode j, and the flow pressure is the root of the shift pressure of
+    that exact hat."""
     s = full_shift(2)
-    flow = _flow(s, constant_function(s, 1.3))
-    for _ in range(3):
-        hat_function(flow, FlowFunction(depth=1, evaluate_rel=lambda w, tau: tau))
-    assert calls == [suspension._QUAD_ORDER]
-    nodes, weights = leggauss(suspension._QUAD_ORDER)
-    taus, got = suspension._gauss_legendre()
-    assert np.array_equal(taus, 0.5 * (nodes + 1.0)) and np.array_equal(got, weights)
+    rng = np.random.default_rng(1000 + j)
+    roof = random_function(s, 2, rng, scale=0.3) + 1.4
+    flow = _flow(s, roof)
+    zeros = [0.0] * (j - 1)
+    cyl = {w: {"const": rng.normal(0, 0.5), "cos": zeros + [rng.normal()],
+               "sin": zeros + [rng.normal()]} for w in admissible_words(s, 2)}
+    F = FlowFunction.from_fourier(2, cyl)
+    hat = hat_function(flow, F)
+    for w, v in hat.values.items():
+        c0, r = cyl[w]["const"], roof.values[w]
+        assert abs(v - r * c0) <= 1e-15 * abs(c0) * r
+    exact = DepthKFunction(s, 2, {w: roof.values[w] * cyl[w]["const"] for w in cyl})
+    c = flow_pressure(flow, F)
+    assert abs(pressure(s, exact - roof * c)) < 1e-11
+
+
+def test_family_at_combines_fiber_means():
+    """F_s = F0 + s G1 + (s^2/2) G2 + (s^3/6) G3 mean by mean, at the deepest depth."""
+    s = golden_mean_shift()
+    rng = np.random.default_rng(12)
+    F0 = _random_flow_function(s, 2, rng)
+    G1 = FlowFunction.constant(0.7)
+    G3 = _random_flow_function(s, 1, rng)
+    fam = FlowFamily(F0=F0, G1=G1, G3=G3)
+    sv = 0.3
+    got = fam.at(sv)
+    assert got.depth == 2 and got.mean.keys() == F0.mean.keys()
+    for w, v in got.mean.items():
+        assert v == pytest.approx(F0.mean[w] + sv * 0.7 + sv ** 3 / 6 * G3.mean[w[:1]],
+                                  abs=1e-15)
+    assert FlowFamily(F0=None).at(sv) is None
 
 
 def test_flow_measure_factor_constant_roof():
