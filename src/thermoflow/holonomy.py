@@ -62,7 +62,6 @@ class BaseFrame:
     """Eigenvector paths e_k(t) = e^{-MU_k t} e_k(0), change of basis, and spectral
     projection at the base."""
 
-    matrix = M_CONN
     pi0 = PI0
 
     @staticmethod
@@ -84,13 +83,6 @@ class BaseFrame:
     def a_matrix(t: float) -> np.ndarray:
         """Inverse of the eigenvector rows: sum_j a_ij e_jk = delta_ik."""
         return A0 * _growth(-t)
-
-    @classmethod
-    def pi(cls, t: float) -> np.ndarray:
-        """Projection onto e_1(t) along span(e_2, e_3)(t); constant in t."""
-        a = cls.a_matrix(t)
-        e1 = cls.e(1, t)
-        return np.outer(e1, a[:, 0])
 
 
 class FourierSampler:

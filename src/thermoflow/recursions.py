@@ -92,91 +92,85 @@ def _rows_from(forms: list, coupling: str, powers) -> list:
     return [Relation(coupling=coupling, power=p, form=forms[p]) for p in powers if forms[p]]
 
 
-def _ab_rows(coupling: str, N: int) -> list:
+# The triples of the GH and IJ systems: their letters (X, Y, Z) and the degree
+# of each letter's leading disk coefficient.
+_COMPLETED_LETTERS = {
+    "GH": (("c", "d", "a"), {"c": 2, "d": 2, "a": 3}),
+    "IJ": (("a", "b", "c"), {"a": 3, "b": 3, "c": 2}),
+}
+
+
+def _offsets(X, Y, Z, degs):
+    return degs[X] + degs[Y] - degs[Z], degs[X] + degs[Z] - degs[Y]
+
+
+def _pairs(X, Y, Z, degs, n):
+    """The two coefficient triples that X at 0, Y at T and Z at S pair at index n:
+    (letter, index, conjugated) entries, Y_n with Z_{n+ka} and Y_{n+kb} with Z_n."""
+    ka, kb = _offsets(X, Y, Z, degs)
+    return (((X, 0, 0), (Y, n, 0), (Z, n + ka, 1)),
+            ((X, 0, 0), (Y, n + kb, 1), (Z, n, 0)))
+
+
+# AB and EF: (index offset k of the second family, power p of the s = t/2 row).
+_PAIRS = {"AB": (0, 3), "EF": (1, 2)}
+
+
+def _pair_rows(case: str, coupling: str, N: int) -> list:
+    (X, Y), (k, p) = _CASES[case], _PAIRS[case]
     if coupling == "s=t":
-        # sum (A_n + B_n) T^{2n} + B_0 (1 - T^2)^{-3} = 0
+        # sum (X_n T^{2n} + Y_n T^{2n+2k}) + Y_0 T^{2k} (1 - T)^{-3} = 0, read at the
+        # even powers of T: the Y_0 series is sum_j C(j + 2, 2) T^{2k+j}
         order = 2 * N + 1
         one = Series.one(order)
         ls = lin_series(order)
         for n in range(N + 1):
-            add_term(ls, ("A", n), one.shift(2 * n))
-            add_term(ls, ("B", n), one.shift(2 * n))
-        add_term(ls, ("B", 0), _inv_pow_one_minus(order, 3))
+            add_term(ls, (X, n), one.shift(2 * n))
+            add_term(ls, (Y, n), one.shift(2 * n + 2 * k))
+        add_term(ls, (Y, 0), _inv_pow_one_minus(order, 3).shift(2 * k))
         return _rows_from(ls, coupling, range(0, 2 * N + 1, 2))
     if coupling == "s=t/2":
-        # sum (A_n (1-W)^{-3} + 8 B_n) (2W)^n = 0
+        # sum (X_n (1-W)^{-p} + 8 Y_n W^k) (2W)^n = 0
         order = N + 1
         one = Series.one(order)
         ls = lin_series(order)
-        inv3 = _inv_pow_one_minus(order, 3)
+        inv = _inv_pow_one_minus(order, p)
         for n in range(N + 1):
-            add_term(ls, ("A", n), inv3.shift(n).scale(2 ** n))
-            add_term(ls, ("B", n), one.shift(n).scale(8 * 2 ** n))
+            add_term(ls, (X, n), inv.shift(n).scale(2 ** n))
+            add_term(ls, (Y, n), one.shift(n + k).scale(8 * 2 ** n))
         return _rows_from(ls, coupling, range(N + 1))
-    raise UnsupportedCoupling(f"AB does not use {coupling}")
+    raise UnsupportedCoupling(f"{case} does not use {coupling}")
 
 
-def _ef_rows(coupling: str, N: int) -> list:
-    if coupling == "s=t":
-        # sum (E_n T^{2n} + F_n T^{2n+2}) + F_0 T^2 (1 - T^2)^{-3} = 0
-        order = 2 * N + 1
-        one = Series.one(order)
-        ls = lin_series(order)
-        for n in range(N + 1):
-            add_term(ls, ("E", n), one.shift(2 * n))
-            add_term(ls, ("F", n), one.shift(2 * n + 2))
-        add_term(ls, ("F", 0), _inv_pow_one_minus(order, 3).shift(2))
-        return _rows_from(ls, coupling, range(0, 2 * N + 1, 2))
-    if coupling == "s=t/2":
-        # sum (E_n (1-W)^{-2} + 8 F_n W) (2W)^n = 0
-        order = N + 1
-        one = Series.one(order)
-        ls = lin_series(order)
-        inv2 = _inv_pow_one_minus(order, 2)
-        for n in range(N + 1):
-            add_term(ls, ("E", n), inv2.shift(n).scale(2 ** n))
-            add_term(ls, ("F", n), one.shift(n + 1).scale(8 * 2 ** n))
-        return _rows_from(ls, coupling, range(N + 1))
-    raise UnsupportedCoupling(f"EF does not use {coupling}")
+# GH and IJ: (sign of the first family's S(m-1) term, series order past 2N,
+# first matched power). The offsets and deg Z come from _COMPLETED_LETTERS.
+_RAYS = {"GH": (1, 2, 1), "IJ": (-1, 3, 2)}
 
 
-def _gh_rows(coupling: str, N: int) -> list:
+def _ray_rows(case: str, coupling: str, N: int) -> list:
     m = _parse_mt(coupling)
     if m is None or m < 2:
-        raise UnsupportedCoupling(f"GH uses s=mt with integer m >= 2, not {coupling}")
-    order = 2 * N + 2
+        raise UnsupportedCoupling(f"{case} uses s=mt with integer m >= 2, not {coupling}")
+    first_sign, extra, first = _RAYS[case]
+    letters, degs = _COMPLETED_LETTERS[case]
+    ka, dZ = _offsets(*letters, degs)[0], degs[letters[2]]
+    order = 2 * N + extra
     Sm, Sm1 = tanh_multiple(m, order), tanh_multiple(m - 1, order)
     one = Series.one(order)
-    # a[j] = Sm^j (1 - Sm^2)^3, b[j] = Sm1^j (1 - Sm1^2)^3
-    a = _powers_times(Sm, (one - Sm * Sm).pow(3), N + 2)
-    b = _powers_times(Sm1, (one - Sm1 * Sm1).pow(3), N + 2)
+    # a[j] = Sm^j (1 - Sm^2)^{deg Z}, b[j] = Sm1^j (1 - Sm1^2)^{deg Z}
+    a = _powers_times(Sm, (one - Sm * Sm).pow(dZ), N + ka + 1)
+    b = _powers_times(Sm1, (one - Sm1 * Sm1).pow(dZ), N + ka + 1)
     ls = lin_series(order)
+    # sum_n G_n (a[n+ka] + s (-1)^n b[n+ka]) T^n + H_n (a[n] - (-1)^n b[n]) T^{n+kb} = 0:
+    # each term takes its power of S from Z's index in its pair and of T from Y's
     for n in range(N + 1):
-        sgn = (-1) ** n
-        add_term(ls, ("G", n), (a[n + 1] + b[n + 1].scale(sgn)).shift(n))
-        add_term(ls, ("H", n), (a[n] - b[n].scale(sgn)).shift(n + 3))
-    return _rows_from(ls, coupling, range(1, 2 * N + 2, 2))
+        for fam, sign, (_, (_, i, _), (_, j, _)) in zip(
+                _CASES[case], (first_sign, -1), _pairs(*letters, degs, n)):
+            add_term(ls, (fam, n), (a[j] + b[j].scale(sign * (-1) ** n)).shift(i))
+    return _rows_from(ls, coupling, range(first, order, 2))
 
 
-def _ij_rows(coupling: str, N: int) -> list:
-    m = _parse_mt(coupling)
-    if m is None or m < 2:
-        raise UnsupportedCoupling(f"IJ uses s=mt with integer m >= 2, not {coupling}")
-    order = 2 * N + 3
-    Sm, Sm1 = tanh_multiple(m, order), tanh_multiple(m - 1, order)
-    one = Series.one(order)
-    # a[j] = Sm^j (1 - Sm^2)^2, b[j] = Sm1^j (1 - Sm1^2)^2
-    a = _powers_times(Sm, (one - Sm * Sm).pow(2), N + 5)
-    b = _powers_times(Sm1, (one - Sm1 * Sm1).pow(2), N + 5)
-    ls = lin_series(order)
-    for n in range(N + 1):
-        sgn = (-1) ** n
-        add_term(ls, ("I", n), (a[n + 4] - b[n + 4].scale(sgn)).shift(n))
-        add_term(ls, ("J", n), (a[n] - b[n].scale(sgn)).shift(n + 2))
-    return _rows_from(ls, coupling, range(2, 2 * N + 3, 2))
-
-
-def _cd_rows(coupling: str, N: int) -> list:
+def _cd_rows(case: str, coupling: str, N: int) -> list:
     if coupling == "s=t":
         # 2 sum C_n T^{2n} (1-T^2)^4 - D_0 T^2 = 0   (after / T^2 (1-T^2)^2)
         order = 2 * N + 1
@@ -205,8 +199,8 @@ def _cd_rows(coupling: str, N: int) -> list:
     return _rows_from(ls, coupling, range(2, 2 * N + 3, 2))
 
 
-_BUILDERS = {"AB": _ab_rows, "CD": _cd_rows, "EF": _ef_rows, "GH": _gh_rows,
-             "IJ": _ij_rows}
+_BUILDERS = {"AB": _pair_rows, "CD": _cd_rows, "EF": _pair_rows, "GH": _ray_rows,
+             "IJ": _ray_rows}
 
 
 def build_relations(case: str, N: int, couplings) -> RecursionSystem:
@@ -221,7 +215,7 @@ def build_relations(case: str, N: int, couplings) -> RecursionSystem:
     for coupling in couplings:
         if not isinstance(coupling, str):
             raise UnsupportedCoupling(f"a coupling is a string like 's=2t', not {coupling!r}")
-        relations.extend(_BUILDERS[case](coupling, N))
+        relations.extend(_BUILDERS[case](case, coupling, N))
     unknowns = tuple((fam, n) for fam in _CASES[case] for n in range(N + 1))
     return RecursionSystem(case=case, N=N, couplings=tuple(couplings),
                            relations=tuple(relations), unknowns=unknowns)
@@ -399,28 +393,11 @@ def solve_vanishing(system: RecursionSystem, margin: int = 2) -> VanishingVerdic
 # between families (the same integrand product read from two orderings) are
 # identified automatically by canonical product keys.
 
-_COMPLETED_LETTERS = {
-    "GH": (("c", "d", "a"), {"c": 2, "d": 2, "a": 3}),
-    "IJ": (("a", "b", "c"), {"a": 3, "b": 3, "c": 2}),
-}
-
-_COMPLETED_PATTERNS = {
-    "GH": [
-        ("G", lambda n: ((("c", 0, 0), ("d", n, 0), ("a", n + 1, 1)))),
-        ("H", lambda n: ((("c", 0, 0), ("d", n + 3, 1), ("a", n, 0)))),
-        ("Gp", lambda n: ((("d", 0, 0), ("c", n, 0), ("a", n + 1, 1)))),
-        ("Hp", lambda n: ((("d", 0, 0), ("c", n + 3, 1), ("a", n, 0)))),
-        ("P", lambda n: ((("a", 0, 0), ("c", n, 0), ("d", n + 3, 1)))),
-        ("Q", lambda n: ((("a", 0, 0), ("c", n + 3, 1), ("d", n, 0)))),
-    ],
-    "IJ": [
-        ("I", lambda n: ((("a", 0, 0), ("b", n, 0), ("c", n + 4, 1)))),
-        ("J", lambda n: ((("a", 0, 0), ("b", n + 2, 1), ("c", n, 0)))),
-        ("Ip", lambda n: ((("b", 0, 0), ("a", n, 0), ("c", n + 4, 1)))),
-        ("Jp", lambda n: ((("b", 0, 0), ("a", n + 2, 1), ("c", n, 0)))),
-        ("K", lambda n: ((("c", 0, 0), ("a", n, 0), ("b", n + 2, 1)))),
-        ("L", lambda n: ((("c", 0, 0), ("a", n + 2, 1), ("b", n, 0)))),
-    ],
+# The six families of a completed system: the two pairs of the orderings
+# (X, Y, Z), (Y, X, Z) and (Z, X, Y) of its letters, in that order.
+_COMPLETED_FAMILIES = {
+    "GH": ("G", "H", "Gp", "Hp", "P", "Q"),
+    "IJ": ("I", "J", "Ip", "Jp", "K", "L"),
 }
 
 
@@ -432,10 +409,6 @@ def canonical_product(entries) -> tuple:
     return min(e1, e2)
 
 
-def _offsets(X, Y, Z, degs):
-    return degs[X] + degs[Y] - degs[Z], degs[X] + degs[Z] - degs[Y]
-
-
 def _add_arrangement(ls, X, Y, Z, degs, Ss, rotated, sign, max_idx, label_of):
     """Add sign times the rotation-averaged triple series of (X at 0, Y at T,
     Z at Ss) to ls.
@@ -443,19 +416,16 @@ def _add_arrangement(ls, X, Y, Z, degs, Ss, rotated, sign, max_idx, label_of):
     `rotated` applies the pi-rotation sign (-1)^(index + degree) to the third
     factor. Each unknown is the label of its canonical product key.
     """
-    dY, dZ = degs[Y], degs[Z]
-    ka, kb = _offsets(X, Y, Z, degs)
-    dress = Series([1, 0, -1], len(ls)).pow(dY) * (Series.one(len(ls)) - Ss * Ss).pow(dZ)
+    dZ = degs[Z]
+    dress = Series([1, 0, -1], len(ls)).pow(degs[Y]) * (Series.one(len(ls)) - Ss * Ss).pow(dZ)
     d = _powers_times(Ss, dress, max_idx + 1)       # d[j] = Ss^j dress
     for n in range(max_idx + 1):
-        if n + ka <= max_idx:
-            key = canonical_product(((X, 0, 0), (Y, n, 0), (Z, n + ka, 1)))
-            rot = (-1) ** (n + ka + dZ) if rotated else 1
-            add_term(ls, label_of[key], d[n + ka].shift(n).scale(sign * rot))
-        if n + kb <= max_idx:
-            key = canonical_product(((X, 0, 0), (Y, n + kb, 1), (Z, n, 0)))
-            rot = (-1) ** (n + dZ) if rotated else 1
-            add_term(ls, label_of[key], d[n].shift(n + kb).scale(sign * rot))
+        for triple in _pairs(X, Y, Z, degs, n):
+            (_, (_, i, _), (_, j, _)) = triple
+            if max(i, j) <= max_idx:
+                rot = (-1) ** (j + dZ) if rotated else 1
+                add_term(ls, label_of[canonical_product(triple)],
+                         d[j].shift(i).scale(sign * rot))
 
 
 _COMPLETION_MS = (1, 2, 3)  # the m of the couplings s = m t in a completion
@@ -475,11 +445,13 @@ def build_completed_relations(case: str, N: int) -> RecursionSystem:
     if case not in _COMPLETED_LETTERS:
         raise ValueError(f"unknown case {case}")
     letters, degs = _COMPLETED_LETTERS[case]
-    label_of = {}
-    for fam, pat in _COMPLETED_PATTERNS[case]:
+    X, Y, Z = letters
+    fams = _COMPLETED_FAMILIES[case]
+    label_of = {}       # family-major, so the first family wins a coincidence
+    for f, fam in enumerate(fams):
+        ordering = ((X, Y, Z), (Y, X, Z), (Z, X, Y))[f // 2]
         for n in range(N + 7):
-            key = canonical_product(pat(n))
-            label_of.setdefault(key, (fam, n))
+            label_of.setdefault(canonical_product(_pairs(*ordering, degs, n)[f % 2]), (fam, n))
     order = 2 * N + 6
     tanh = {m: tanh_multiple(m, order)
             for m in {*_COMPLETION_MS, *(m - 1 for m in _COMPLETION_MS)}}
@@ -492,7 +464,6 @@ def build_completed_relations(case: str, N: int) -> RecursionSystem:
             _add_arrangement(ls, Y, X, Z, degs, tanh[m - 1], True, -sgn, N, label_of)
             cap = 2 * (N + 1) - max(*_offsets(X, Y, Z, degs), *_offsets(Y, X, Z, degs))
             relations += _rows_from(ls, f"{X}{Y}{Z}:s={m}t", range(min(cap, order)))
-    fams = [fam for fam, _ in _COMPLETED_PATTERNS[case]]
     unknowns = tuple(sorted({u for rel in relations for u in rel.form},
                             key=lambda u: (fams.index(u[0]), u[1])))
     return RecursionSystem(case=case + "-completed", N=N,

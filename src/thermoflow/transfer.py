@@ -99,8 +99,9 @@ def _pattern(sft: Sft, k: int) -> tuple:
 
 
 def _exp_table(sft: Sft, w: DepthKFunction, k: int) -> np.ndarray:
-    """e^w on the words of w, in their cached order. An overflow or a zero (which
-    would drop a transition) names the first max(k, depth(w))-word it weighs."""
+    """e^w on the words of w, in their cached order. An overflow, a non-finite w or
+    a zero (which would drop a transition) names the first max(k, depth(w))-word
+    it weighs."""
     def named(i: int):
         n = max(k, w.depth)
         return _words(sft, n)[0][np.flatnonzero(_prefix(sft, n, w.depth) == i)[0]]
@@ -112,6 +113,8 @@ def _exp_table(sft: Sft, w: DepthKFunction, k: int) -> np.ndarray:
             weight = math.exp(x.real)
         except OverflowError:
             raise PotentialOverflow(f"e^w overflows a float at word {named(i)}: w = {x}") from None
+        if not math.isfinite(weight):
+            raise PotentialOverflow(f"e^w is not finite at word {named(i)}: w = {x}")
         if weight == 0.0:
             raise PotentialOverflow(f"e^w underflows to zero at word {named(i)}: w = {x}")
         weights.append(weight)
@@ -301,10 +304,6 @@ def equilibrium_measure(sft: Sft, w: DepthKFunction, data: RpfData | None = None
     total = sum(raw.values())
     return MarkovMeasure(sft=sft, depth=data.depth,
                          weights={wd: v / total for wd, v in raw.items()})
-
-
-def normalization_defect(sft: Sft, w: DepthKFunction) -> float:
-    return ruelle_matrix(sft, w).normalization_defect()
 
 
 def require_normalized(rm: RuelleMatrix, tol: float = 1e-8):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from math import isqrt
@@ -281,3 +282,22 @@ def test_rows_are_exact_no_truncation_artifacts():
     big_rows = {(r.coupling, r.power): r.form.normalized() for r in big.relations}
     for rel in small.relations:
         assert big_rows[(rel.coupling, rel.power)] == rel.form.normalized()
+
+
+# sha256 of the dumps below. Any change to a row, a label or the order of rows
+# changes it; a deliberate one updates it together with `out/diskvanish/`.
+_RELATION_DIGEST = "051aaa7177c46a008103bee5330fc34730897e69caf7ea95698f14308a3a4ab3"
+
+
+def test_relation_dumps_keep_their_digest():
+    """Every case at N in {2, 3, 5, 8, 13, 20, 40} with its reference couplings and
+    each of them alone, and the completed GH and IJ systems at N 2-12."""
+    h = hashlib.sha256()
+    for case, ref in sorted(REFERENCE_COUPLINGS.items()):
+        for N in (2, 3, 5, 8, 13, 20, 40):
+            for couplings in (ref, *((c,) for c in ref)):
+                h.update(build_relations(case, N, couplings).to_json().encode())
+    for case in ("GH", "IJ"):
+        for N in range(2, 13):
+            h.update(build_completed_relations(case, N).to_json().encode())
+    assert h.hexdigest() == _RELATION_DIGEST

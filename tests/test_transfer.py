@@ -10,8 +10,8 @@ from thermoflow import errors, transfer
 from thermoflow.correlations import EquilibriumContext
 from thermoflow.sft import (DepthKFunction, coboundary, constant_function, full_shift,
                             golden_mean_shift, new_sft, random_function)
-from thermoflow.transfer import (_perron, equilibrium_measure, normalization_defect,
-                                 normalize_potential, pressure, rpf, ruelle_matrix)
+from thermoflow.transfer import (_perron, equilibrium_measure, normalize_potential,
+                                 pressure, rpf, ruelle_matrix)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -88,7 +88,9 @@ def test_ruelle_matrix_is_bit_identical_to_the_per_edge_build(name, depth):
 
 
 @pytest.mark.parametrize("value,what", [(800.0, "overflows a float"),
-                                        (-800.0, "underflows to zero")])
+                                        (-800.0, "underflows to zero"),
+                                        (math.inf, "is not finite"),
+                                        (math.nan, "is not finite")])
 def test_ruelle_matrix_potential_overflow_names_the_word(value, what):
     s = full_shift(2)
     w = DepthKFunction(s, 1, {(0,): 0.0, (1,): value})
@@ -260,7 +262,7 @@ def test_normalize_random_row_sums():
     s = golden_mean_shift()
     w = random_function(s, 2, np.random.default_rng(23), scale=0.6)
     wn = normalize_potential(s, w, rpf(s, w))
-    assert normalization_defect(s, wn) < 1e-10
+    assert ruelle_matrix(s, wn).normalization_defect() < 1e-10
     assert pressure(s, wn) == pytest.approx(0.0, abs=1e-10)
 
 
