@@ -14,17 +14,13 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from .errors import DepthMismatch, NotMeanZero
+from .errors import DepthMismatch, NoConvergence, NotMeanZero
 from .sft import DepthKFunction, Sft
-from .transfer import (DENSE_WORDS, MarkovMeasure, RuelleMatrix, require_normalized,
+from .transfer import (DENSE_WORDS, EPS, MarkovMeasure, RuelleMatrix, require_normalized,
                        ruelle_matrix, _lift, _perron, _words)
 
 MEAN_ZERO_TOL = 1e-8
-EPS = np.finfo(float).eps
 
 
 class EquilibriumContext:
@@ -58,20 +54,22 @@ class EquilibriumContext:
     def _factor(self):
         """(A, solve, ||A^-1[:n, :n]||_1) for the fundamental system, built on first use.
 
-        For n <= DENSE_WORDS words A = I - L + 1 m^T with a dense LU; above, A
-        is the bordered [[I - L, 1], [m^T, 0]] with a sparse LU, and the norm is
-        that of its top-left n x n block. The bordered matrix is nonsingular
-        because 1 is a simple eigenvalue of L.
+        For n <= DENSE_WORDS words A = I - L + 1 m^T with one dense inverse, so the
+        norm is exact; above, A is the bordered [[I - L, 1], [m^T, 0]] with a
+        sparse LU, and the norm is `onenormest`'s of its top-left n x n block. The
+        bordered matrix is nonsingular because 1 is a simple eigenvalue of L.
         """
         n = len(self.m)
-        ones = np.ones(n)
         if n <= DENSE_WORDS:
-            a = np.eye(n) - self.rm.matrix.toarray() + np.outer(ones, self.m)
-            lu = scipy.linalg.lu_factor(a)
-            norm = np.abs(a).sum(axis=0).max()
-            rcond, _ = scipy.linalg.lapack.dgecon(lu[0], norm)
-            return a, functools.partial(scipy.linalg.lu_solve, lu), 1.0 / (rcond * norm)
-        a = sp.bmat([[sp.identity(n) - self.rm.matrix, ones[:, None]],
+            a = np.asarray(np.eye(n) - self.rm.matrix) + self.m   # dense from a CSR L too
+            try:
+                inv = np.linalg.inv(a)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence(f"fundamental system of {n} words: {exc}") from exc
+            return a, inv.__matmul__, np.abs(inv).sum(axis=0).max()
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import LinearOperator, onenormest, splu
+        a = sp.bmat([[sp.identity(n) - self.rm.matrix, np.ones((n, 1))],
                      [self.m[None, :], None]], format="csc")
         lu = splu(a)
         block = LinearOperator((n, n), dtype=float,

@@ -26,7 +26,7 @@ class DepthMismatch(ThermoflowError):
 
 
 class NoConvergence(ThermoflowError):
-    """An iterative eigensolver stopped before converging."""
+    """An eigensolver stopped before converging, or a dense solve or inverse failed."""
 
 
 class NonPositiveEigenfunction(ThermoflowError):

@@ -1,8 +1,8 @@
 """Ruelle transfer operator on depth-k functions, RPF data, pressure.
 
-The operator (L_w f)(x) = sum_{sigma y = x} e^{w(y)} f(y) acts on locally
-constant functions as a sparse nonnegative matrix indexed by admissible
-k-words; its simple dominant eigenvalue gives the pressure log rho.
+The operator (L_w f)(x) = sum_{sigma y = x} e^{w(y)} f(y) acts on locally constant
+functions as a nonnegative matrix indexed by admissible k-words, dense up to
+DENSE_WORDS words and CSR above; its simple dominant eigenvalue gives the pressure log rho.
 """
 from __future__ import annotations
 
@@ -13,20 +13,18 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .errors import (DepthMismatch, NoConvergence, NonFiniteValue, NonPositiveEigenfunction,
                      NotMixing, NotNormalized, PotentialOverflow)
 from .sft import DepthKFunction, Sft, admissible_words
 
-# Largest operator solved by one dense eigendecomposition; ARPACK above it. It
-# counts the words of the smallest invariant space, depth max(depth(w) - 1, 1),
-# the only one `_perron` sees (and the words of a context for its factor).
-# The crossover lies between 64 and 128 words (full 2-shift, one BLAS thread:
-# 64 words 2.0 ms dense vs 8.6 ms ARPACK, 128 words 12.3 ms vs 11.0 ms).
+# Largest operator held as a dense matrix and solved by `np.linalg.eigvals` plus two
+# linear solves; CSR and ARPACK above. It counts the words of the smallest invariant
+# space, depth max(depth(w) - 1, 1), the only one `_perron` sees (and a context's, for
+# its factor). `_perron` alone crosses over between 144 and 233 words (one BLAS thread,
+# 2-core x86_64: 144 words 7.1 ms dense vs 12.6 ms ARPACK, 233 words 24.3 vs 14.5 ms).
 DENSE_WORDS = 96
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,8 @@ class RuelleMatrix:
     depth: int
     words: tuple
     index: Mapping
-    matrix: sp.csr_matrix
+    matrix: object   # an ndarray up to DENSE_WORDS words, a csr_matrix above
+    weights: np.ndarray   # the entry on each edge, in the order of the (depth+1)-words
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
@@ -57,8 +56,8 @@ _WORDS: dict = {}
 # (transition, k, j) -> the position of x[:j] among the j-words, per k-word x.
 _PREFIX: dict = {}
 
-# (transition, k) -> (edges, indices, indptr): L's 0/1 CSR pattern on k-words, and
-# for each stored entry the position of its edge among the (k+1)-words. Entry (u, v)
+# (transition, k) -> (edges, indices, indptr): L's CSR pattern on k-words, and for
+# each stored entry the position of its edge among the (k+1)-words. Entry (u, v)
 # is the edge x = (v[0],) + u, so u = x[1:] is its row and v = x[:k] its column.
 _PATTERN: dict = {}
 
@@ -91,10 +90,8 @@ def _pattern(sft: Sft, k: int) -> tuple:
         n = len(_words(sft, k)[0])
         _, _, head, tail = _words(sft, k + 1)
         edges = np.lexsort((head, tail))
-        ones = sp.csr_matrix((np.ones(len(edges)), head[edges],
-                              np.append(0, np.cumsum(np.bincount(tail, minlength=n)))),
-                             shape=(n, n))
-        _PATTERN[key] = (edges, ones.indices, ones.indptr)
+        indptr = np.append(0, np.cumsum(np.bincount(tail, minlength=n)))
+        _PATTERN[key] = (edges, head[edges].astype(np.int32), indptr.astype(np.int32))
     return _PATTERN[key]
 
 
@@ -130,7 +127,7 @@ def ruelle_matrix(sft: Sft, w: DepthKFunction, depth: int | None = None) -> Ruel
     weight is e^{w(v)}; at k = depth(w) - 1 it sits on the edge (a,) + u, and L_w
     still maps depth-k functions to depth-k functions. The words, the index and the
     sparsity pattern are cached per (shift, k); a call takes one exp per word of w
-    and gathers them into a CSR matrix that owns its arrays.
+    and gathers them into a matrix that owns its arrays, dense up to DENSE_WORDS.
     """
     if not sft.is_mixing:
         raise NotMixing("transfer operator requires a topologically mixing shift")
@@ -138,11 +135,16 @@ def ruelle_matrix(sft: Sft, w: DepthKFunction, depth: int | None = None) -> Ruel
         raise ValueError("transfer operator potentials must be real-valued")
     k = max(w.depth if depth is None else depth, w.depth - 1, 1)
     words, index = _words(sft, k)[:2]
-    edges, indices, indptr = _pattern(sft, k)
-    weights = _exp_table(sft, w, k)[_prefix(sft, k + 1, w.depth)[edges]]
-    mat = sp.csr_matrix((weights, indices.copy(), indptr.copy()),
-                        shape=(len(words), len(words)))
-    return RuelleMatrix(sft=sft, depth=k, words=words, index=index, matrix=mat)
+    n = len(words)
+    weights = _exp_table(sft, w, k)[_prefix(sft, k + 1, w.depth)]
+    if n <= DENSE_WORDS:
+        head, tail = _words(sft, k + 1)[2:]
+        mat = np.bincount(tail * n + head, weights, minlength=n * n).reshape(n, n)
+    else:
+        import scipy.sparse as sp
+        edges, indices, indptr = _pattern(sft, k)
+        mat = sp.csr_matrix((weights[edges], indices.copy(), indptr.copy()), shape=(n, n))
+    return RuelleMatrix(sft=sft, depth=k, words=words, index=index, matrix=mat, weights=weights)
 
 
 def _lift(rm: RuelleMatrix, nu: np.ndarray, depth: int, rho: float = 1.0) -> np.ndarray:
@@ -154,10 +156,8 @@ def _lift(rm: RuelleMatrix, nu: np.ndarray, depth: int, rho: float = 1.0) -> np.
     promoted, <nu, h>.
     """
     k = rm.depth
-    edge = np.empty(rm.matrix.nnz)
-    edge[_pattern(rm.sft, k)[0]] = rm.matrix.data
     for j in range(k + 1, depth + 1):
-        nu = edge[_prefix(rm.sft, j, k + 1)] * nu[_words(rm.sft, j)[3]] / rho
+        nu = rm.weights[_prefix(rm.sft, j, k + 1)] * nu[_words(rm.sft, j)[3]] / rho
     return nu
 
 
@@ -191,22 +191,28 @@ class RpfData:
         }, sort_keys=True)
 
 
-def _perron(matrix: sp.csr_matrix):
+def _perron(matrix):
     """(rho, h, nu, ratio): the leading spectral data of a primitive matrix.
 
-    rho is the Perron root, h the right and nu the left Perron vector with
-    sum(nu) = 1 and <nu, h> = 1, and ratio = |lambda_2| / rho is exact. Up to
-    DENSE_WORDS rows one dense eigendecomposition gives all of it; above that,
-    ARPACK finds the two leading eigenvalues of L and the leading one of L^T.
-    Vectors that do not normalize to finite values (sum(nu) = 0, say) raise
-    NonFiniteValue.
-    """
+    rho is the Perron root, h the right and nu the left Perron vector with sum(nu) = 1
+    and <nu, h> = 1, and ratio = |lambda_2| / rho is exact. Up to DENSE_WORDS rows rho
+    and the ratio come from `eigvals`, and h and nu from one solve each of the bordered
+    [[L - rho I, 1], [1^T, 0]] and its transpose (nonsingular as rho is simple and h, nu
+    pair positively with 1; L - rho I + 1 1^T would round the 1s away against huge
+    entries); above, from ARPACK. `_refine` polishes both vectors. A failed solve
+    raises NoConvergence, a non-finite result NonFiniteValue."""
     n = matrix.shape[0]
     if n <= DENSE_WORDS:
-        lam, left, right = scipy.linalg.eig(matrix.toarray(), left=True, right=True)
-        order = np.argsort(-np.abs(lam))
-        h, nu = right[:, order[0]], left[:, order[0]]
+        try:
+            lam = np.linalg.eigvals(matrix)
+            order = np.argsort(-np.abs(lam))
+            border, e = np.ones((n + 1, n + 1)), np.eye(n + 1)[n]
+            border[:n, :n], border[n, n] = matrix - np.diag(np.full(n, lam[order[0]].real)), 0
+            h, nu = np.linalg.solve(border, e)[:n], np.linalg.solve(border.T, e)[:n]
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"dense Perron solve on {n} words: {exc}") from exc
     else:
+        from scipy.sparse.linalg import ArpackNoConvergence, eigs
         ones = np.ones(n)
         try:
             lam, right = eigs(matrix, k=2, which="LM", v0=ones, tol=0)
@@ -216,13 +222,33 @@ def _perron(matrix: sp.csr_matrix):
         order = np.argsort(-np.abs(lam))
         h, nu = right[:, order[0]], left[:, 0]
     rho = float(lam[order[0]].real)
+    h, nu = _refine(matrix, h), _refine(matrix.T, nu)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nu = np.real(nu / nu.sum())
-        h = np.real(h / (nu @ h))
-    if not np.isfinite(np.r_[rho, h, nu]).all():
+        nu = nu / nu.sum()
+        h = h / (nu @ h)
+    if not (math.isfinite(rho) and np.isfinite(h).all() and np.isfinite(nu).all()):
         raise NonFiniteValue(f"Perron data of {n} words is not finite (rho = {rho:.3e})")
     ratio = float(np.abs(lam[order[1]]) / rho) if n > 1 else 0.0
     return rho, h, nu, ratio
+
+
+def _refine(matrix, x: np.ndarray) -> np.ndarray:
+    """|x| after power steps x <- Lx / max(Lx) until the Collatz-Wielandt spread
+    max(Lx / x) / min(Lx / x) grows past its rounding or is within 32 eps of 1, so
+    that each entry of a Perron vector is accurate to its own size."""
+    best = x = np.abs(x)
+    low = np.inf
+    for _ in range(200):   # a cap for |lambda_2| / rho close to 1
+        y = matrix @ x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = y / x
+            spread = ratio.max() / ratio.min()
+        if not spread <= low + 4 * EPS:
+            break
+        best, low, x = x, min(low, spread), y / y.max()
+        if spread <= 1.0 + 32 * EPS:
+            break
+    return best
 
 
 def _solve(sft: Sft, w: DepthKFunction) -> tuple:

@@ -310,6 +310,12 @@ def coo_ruelle_matrix(s, w, depth=None):
     return words, sp.csr_matrix((vals, (rows, cols)), shape=(len(words), len(words)))
 
 
+def dense(matrix):
+    """A Ruelle matrix as an ndarray, whichever form `ruelle_matrix` built: dense up
+    to `transfer.DENSE_WORDS` words, CSR above."""
+    return matrix if isinstance(matrix, np.ndarray) else matrix.toarray()
+
+
 def stationary_vector(rm):
     """Oracle for the stationary vector of a normalized transfer matrix: one
     `_perron` on the matrix itself, at whatever depth it has."""

@@ -80,6 +80,7 @@ def test_depth_past_word_budget_exit_3(tmp_path, capsys):
 
 
 def test_arpack_no_convergence_exit_3(tmp_path, capsys, monkeypatch):
+    import scipy.sparse.linalg
     from scipy.sparse.linalg import ArpackNoConvergence
 
     from thermoflow import transfer
@@ -88,10 +89,44 @@ def test_arpack_no_convergence_exit_3(tmp_path, capsys, monkeypatch):
         raise ArpackNoConvergence("stalled", None, None)
 
     monkeypatch.setattr(transfer, "DENSE_WORDS", 0)
-    monkeypatch.setattr(transfer, "eigs", stalled)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
     assert _run(["pressure", "--config", CONFIGS / "pressure_golden_mean.json",
                  "--out", tmp_path]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("call,where", [("eigvals", "dense Perron solve"),
+                                        ("solve", "dense Perron solve"),
+                                        ("inv", "fundamental system")])
+def test_dense_linalg_error_exit_3(tmp_path, capsys, monkeypatch, call, where):
+    """A LinAlgError from the dense spectral core (the Perron solve or the inverse
+    of the fundamental system) is a numerical failure, not a traceback."""
+    import numpy as np
+
+    def failed(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{call} failed")
+
+    monkeypatch.setattr(np.linalg, call, failed)
+    assert _run(["pressure", "--config", CONFIGS / "pressure_golden_mean.json",
+                 "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and where in err and "Traceback" not in err
+
+
+def test_wide_values_potential_exit_0(tmp_path):
+    """A depth-4 potential with values in [-8.2, 11.3], whose h spans 1e-21..1:
+    the Perron vectors are refined entry by entry, so no entry turns nonpositive."""
+    import numpy as np
+
+    from thermoflow.sft import full_shift, random_function
+    s = full_shift(2)
+    w = random_function(s, 4, np.random.default_rng(4), scale=5.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "experiment": "pressure", "sft": {"transition": [[1, 1], [1, 1]]},
+        "potential": {"kind": "values", "depth": 4,
+                      "values": {"".join(map(str, u)): v for u, v in w.values.items()}}}))
+    assert _run(["pressure", "--config", cfg, "--out", tmp_path]) == 0
 
 
 @pytest.mark.parametrize("schema", [99, True, 1.0, "1"])
@@ -289,11 +324,27 @@ _UNNORMALIZABLE = {"kind": "values", "depth": 2,
                    "values": {"00": 0.0, "01": 1.0, "10": 317.875}}
 
 
-def test_unnormalizable_perron_vectors_exit_3(tmp_path, capsys):
+def test_perron_vectors_spanning_the_float_range_exit_0(tmp_path, capsys):
+    """h spans about 1e-69..1, where an eigendecomposition alone leaves sum(nu) = 0;
+    the refined vectors normalize, and P is log of the root of
+    rho^2 - rho - e^{318.875}, 159.4375 to double precision."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema": 1, "experiment": "pressure", "sft": GOLDEN_MEAN,
                                 "potential": _UNNORMALIZABLE, "orders": [1],
                                 "derivative_families": {"count": 1, "depth": 1}}))
+    assert _run(["pressure", "--config", path, "--out", tmp_path]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "pressure_report.json").read_text())
+    assert report["pressure"] == pytest.approx(159.4375, rel=1e-15)
+
+
+def test_overflowing_perron_root_exit_3(tmp_path, capsys):
+    """e^709.7 is a float but rho = 2 e^709.7 is not."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "experiment": "pressure",
+                                "sft": {"transition": [[1, 1], [1, 1]]},
+                                "potential": {"kind": "values", "depth": 1,
+                                              "values": {"0": 709.7, "1": 709.7}}}))
     assert _run(["pressure", "--config", path, "--out", tmp_path]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err

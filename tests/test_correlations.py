@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import series_covariance, series_triple, series_variance, stationary_vector
+from conftest import (dense, series_covariance, series_triple, series_variance,
+                      stationary_vector)
 from thermoflow import correlations, errors, transfer
 from thermoflow.correlations import (EquilibriumContext, birkhoff_moment, covariance,
                                      project_mean_zero, triple_covariance, variance)
@@ -254,6 +255,8 @@ ORACLE_CASES = {
     "full3-d3": (lambda: full_shift(3), (38, 3, 0.4), 3, None),
     "full2-d7-dense": (lambda: full_shift(2), (39, 2, 0.5), 7, "dense"),
     "full2-d7-sparse": (lambda: full_shift(2), (39, 2, 0.5), 7, "sparse"),
+    # a 128-word (CSR) context over the 64-word (dense) base of a depth-6 potential
+    "full2-d7-over-d6": (lambda: full_shift(2), (41, 6, 0.5), 7, None),
 }
 
 
@@ -283,6 +286,10 @@ def test_exact_sums_match_truncated_series(case, monkeypatch):
              (triple_covariance(*gs, m, wn, ctx=ctx), series_triple(ctx, vecs, N))]
     if branch is not None:
         assert isinstance(ctx._factor[0], np.ndarray) == (branch == "dense")
+    a, _, inv_norm = ctx._factor
+    if isinstance(a, np.ndarray):
+        # the dense norm is exact, not a LAPACK estimate (which can be below it)
+        assert inv_norm == np.abs(np.linalg.inv(a)).sum(axis=0).max()
     if branch == "sparse":
         # the bordered inverse maps the constraint row to 1, so its full norm is >= n
         assert ctx._factor[2] < len(ctx.m) / 2
@@ -340,7 +347,7 @@ def test_context_gap_is_the_minimal_solve_at_every_depth():
     ARPACK at 16,384 words cannot make the gap vary between calls."""
     s = full_shift(2)
     w = random_function(s, 2, np.random.default_rng(19), scale=0.6)
-    lam = sorted(np.abs(np.linalg.eigvals(ruelle_matrix(s, w).matrix.toarray())))
+    lam = sorted(np.abs(np.linalg.eigvals(dense(ruelle_matrix(s, w).matrix))))
     exact = lam[-2] / lam[-1]
     wn, _ = _setup(s, w)
     gaps = {EquilibriumContext(s, wn, depth=depth).gap for depth in range(2, 15)}

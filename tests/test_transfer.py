@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from conftest import coo_ruelle_matrix, stationary_vector
+from conftest import coo_ruelle_matrix, dense, stationary_vector
 from thermoflow import errors, transfer
 from thermoflow.correlations import EquilibriumContext
+from thermoflow.derivatives import _prepare
 from thermoflow.sft import (DepthKFunction, coboundary, constant_function, full_shift,
                             golden_mean_shift, new_sft, random_function)
 from thermoflow.transfer import (_perron, equilibrium_measure, normalize_potential,
@@ -19,20 +20,20 @@ PHI = (1 + math.sqrt(5)) / 2
 def test_ruelle_matrix_full_shift_zero_potential():
     s = full_shift(2)
     rm = ruelle_matrix(s, constant_function(s, 0.0))
-    assert np.allclose(rm.matrix.toarray(), [[1, 1], [1, 1]])
+    assert np.allclose(dense(rm.matrix), [[1, 1], [1, 1]])
 
 
 def test_ruelle_matrix_golden_mean_is_transition_transpose():
     s = golden_mean_shift()
     rm = ruelle_matrix(s, constant_function(s, 0.0))
-    assert np.allclose(rm.matrix.toarray(), np.array(s.transition).T)
+    assert np.allclose(dense(rm.matrix), np.array(s.transition).T)
 
 
 def test_ruelle_matrix_constant_scaling():
     s = full_shift(2)
     c = 0.37
-    base = ruelle_matrix(s, constant_function(s, 0.0)).matrix.toarray()
-    scaled = ruelle_matrix(s, constant_function(s, c)).matrix.toarray()
+    base = dense(ruelle_matrix(s, constant_function(s, 0.0)).matrix)
+    scaled = dense(ruelle_matrix(s, constant_function(s, c)).matrix)
     assert np.allclose(scaled, math.exp(c) * base)
 
 
@@ -59,14 +60,6 @@ def _shift(name):
     return s
 
 
-def _assert_same_csr(a, b):
-    assert a.shape == b.shape
-    assert (a != b).nnz == 0
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.data, b.data)
-
-
 SHIFTS = ["golden", "full2", "full3", "full4", "random"]
 
 
@@ -74,8 +67,9 @@ SHIFTS = ["golden", "full2", "full3", "full4", "random"]
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_ruelle_matrix_is_bit_identical_to_the_per_edge_build(name, depth):
     """The cached pattern plus one exp per word of w gives the per-edge COO build
-    exactly: for a potential of the matrix's depth, for a depth-1 one lifted by
-    depth=, and for one a level deeper, whose weights sit on the edges."""
+    exactly, dense up to DENSE_WORDS words and CSR above: for a potential of the
+    matrix's depth, for a depth-1 one lifted by depth=, and for one a level
+    deeper, whose weights sit on the edges."""
     s = _shift(name)
     rng = np.random.default_rng([depth, 31])
     for w, kw in ((random_function(s, depth, rng), {}),
@@ -84,7 +78,8 @@ def test_ruelle_matrix_is_bit_identical_to_the_per_edge_build(name, depth):
         words, oracle = coo_ruelle_matrix(s, w, **kw)
         rm = ruelle_matrix(s, w, **kw)
         assert rm.depth == depth and rm.words == words
-        _assert_same_csr(rm.matrix, oracle)
+        assert isinstance(rm.matrix, np.ndarray) == (len(words) <= transfer.DENSE_WORDS)
+        assert np.array_equal(dense(rm.matrix), oracle.toarray())
 
 
 @pytest.mark.parametrize("value,what", [(800.0, "overflows a float"),
@@ -124,7 +119,7 @@ def test_minimal_ruelle_matrix_has_the_nonzero_spectrum_of_the_depth_of_w(name, 
     w = random_function(s, depth, np.random.default_rng([depth, 23]), scale=0.7)
     low, full = ruelle_matrix(s, w, depth=depth - 1), ruelle_matrix(s, w)
     assert (low.depth, full.depth) == (depth - 1, depth)
-    a, b = (np.linalg.eigvals(rm.matrix.toarray()) for rm in (low, full))
+    a, b = (np.linalg.eigvals(dense(rm.matrix)) for rm in (low, full))
     rho = np.max(np.abs(a))
     a, b = a[np.abs(a) > 1e-6 * rho], b[np.abs(b) > 1e-6 * rho]
     assert len(a) == len(b) > 0
@@ -135,7 +130,7 @@ def test_minimal_ruelle_matrix_has_the_nonzero_spectrum_of_the_depth_of_w(name, 
 def _dense_rpf(matrix):
     """(rho, h, nu, ratio) from numpy eigendecompositions of a matrix and its
     transpose, normalized as `rpf` normalizes: sum(nu) = 1, <nu, h> = 1."""
-    a = matrix.toarray()
+    a = dense(matrix)
     lam, right = np.linalg.eig(a)
     lam_t, left = np.linalg.eig(a.T)
     order = np.argsort(-np.abs(lam))
@@ -179,17 +174,28 @@ def test_rpf_lifted_from_the_minimal_solve_matches_a_dense_solve_at_its_depth(na
 
 
 def test_ruelle_matrices_of_one_shift_and_depth_share_no_arrays():
-    """Writing one matrix's data or indices leaves the other and later builds alone."""
-    s = golden_mean_shift()
-    w = random_function(s, 3, np.random.default_rng(4))
-    a, b = ruelle_matrix(s, w).matrix, ruelle_matrix(s, w).matrix
-    for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)):
-        assert not np.shares_memory(x, y)
-    a.data[:] = 7.0
-    a.indices[:] = 0
-    _, oracle = coo_ruelle_matrix(s, w)
-    _assert_same_csr(b, oracle)
-    _assert_same_csr(ruelle_matrix(s, w).matrix, oracle)
+    """Writing one matrix's entries or edge weights leaves the other and later builds
+    alone: 5 golden-mean words (dense) and 128 full-2-shift words (CSR). The
+    weights are the entries on the edges, in the order of the (depth+1)-words."""
+    for s, depth in ((golden_mean_shift(), 3), (full_shift(2), 7)):
+        w = random_function(s, depth, np.random.default_rng(4))
+        a, b = ruelle_matrix(s, w), ruelle_matrix(s, w)
+
+        def arrays(rm):
+            mat = rm.matrix
+            parts = [mat] if isinstance(mat, np.ndarray) else [mat.data, mat.indices,
+                                                              mat.indptr]
+            return parts + [rm.weights]
+
+        for x, y in zip(arrays(a), arrays(b)):
+            assert not np.shares_memory(x, y)
+        for x in arrays(a):
+            x[:] = 7
+        _, oracle = coo_ruelle_matrix(s, w)
+        _, _, head, tail = transfer._words(s, depth + 1)
+        for rm in (b, ruelle_matrix(s, w)):
+            assert np.array_equal(dense(rm.matrix), oracle.toarray())
+            assert np.array_equal(dense(rm.matrix)[tail, head], rm.weights)
 
 
 def test_rpf_full_shift():
@@ -418,10 +424,10 @@ def test_perron_dense_and_arpack_agree(monkeypatch, seed):
     for depth in (2, 3):
         rm = ruelle_matrix(s, random_function(s, depth, rng, scale=0.6))
         monkeypatch.setattr(transfer, "DENSE_WORDS", 10 ** 6)
-        dense = _perron(rm.matrix)
+        eig = _perron(dense(rm.matrix))
         monkeypatch.setattr(transfer, "DENSE_WORDS", 0)
         arpack = _perron(rm.matrix)
-        rho, h, nu, ratio = dense
+        rho, h, nu, ratio = eig
         assert arpack[0] == pytest.approx(rho, abs=1e-12 * rho)
         assert np.max(np.abs(arpack[1] - h)) < 1e-12
         assert np.max(np.abs(arpack[2] - nu)) < 1e-12
@@ -431,8 +437,26 @@ def test_perron_dense_and_arpack_agree(monkeypatch, seed):
         assert nu @ h == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1, 2, 3, 5])
+@pytest.mark.parametrize("name", ["golden", "full2", "full3"])
+def test_perron_vectors_are_accurate_entry_by_entry(name, scale):
+    """Potentials with a range of several units make h span up to 3e17; an
+    eigensolver alone leaves an error near eps max(h) in every entry, which turned
+    small entries nonpositive or left w' unnormalized (7 of the 180 cases of the
+    three shifts at scale 3, 28 at scale 5). Refined, every h is positive, and the
+    normalized potential of each depth-2..4 potential, 20 seeds each, has row sums
+    within 5e-14 of 1, far inside `require_normalized`'s 1e-8."""
+    s = _shift(name)
+    for depth in (2, 3, 4):
+        for seed in range(20):
+            w = random_function(s, depth, np.random.default_rng(seed), scale=scale)
+            base = _prepare(w, depth)
+            assert min(base.data.eigenfunction.values.values()) > 0
+            assert base.ctx.rm.normalization_defect() <= 5e-14
+
+
 def _eigvals_ratio(matrix):
-    lam = sorted(np.linalg.eigvals(matrix.toarray()), key=abs, reverse=True)
+    lam = sorted(np.linalg.eigvals(dense(matrix)), key=abs, reverse=True)
     return abs(lam[1]) / abs(lam[0]), lam[1]
 
 
