@@ -13,7 +13,9 @@ For every checkout this runs, from that checkout's root and with its own
 - the Tier-1 suite, `python -m pytest -q`, timed the same way.
 
 It also records each checkout's `src_lines`, the line count of
-`src/thermoflow/*.py` (as `cat src/thermoflow/*.py | wc -l` counts it).
+`src/thermoflow/*.py` (as `cat src/thermoflow/*.py | wc -l` counts it), and
+`src_lines_by_module`, the same count per file, so that a comparison shows where
+lines moved.
 
 Each part runs `--repeats` times, and each repeat runs the checkouts in turn,
 alternating which goes first. The file holds every run, each metric's median
@@ -93,8 +95,9 @@ def _commit(root: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def _src_lines(root: Path) -> int:
-    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "thermoflow").glob("*.py"))
+def _src_lines_by_module(root: Path) -> dict:
+    return {p.name: p.read_bytes().count(b"\n")
+            for p in sorted((root / "src" / "thermoflow").glob("*.py"))}
 
 
 def _summary(runs: list) -> dict:
@@ -180,7 +183,8 @@ def main(argv=None) -> int:
         r = runs[name]
         result["checkouts"][name] = {
             "commit": _commit(root),
-            "src_lines": _src_lines(root),
+            "src_lines": sum(_src_lines_by_module(root).values()),
+            "src_lines_by_module": _src_lines_by_module(root),
             "workloads": {w: {"median": _summary(v), "runs": v}
                           for w, v in r["workloads"].items()},
             "cli": {c: {"median": _summary(v), "runs": v} for c, v in r["cli"].items()},

@@ -23,7 +23,7 @@ from .holonomy import (BaseFrame, ConnectionFamily, FourierSampler, OrbitData,
 from .recursions import (REFERENCE_COUPLINGS, build_completed_relations, build_relations,
                          solve_vanishing)
 from .sft import (DepthKFunction, Sft, admissible_words, constant_function, indicator,
-                  new_sft, random_function)
+                  new_sft, parse_word_key, random_function)
 
 SCHEMA = 1
 
@@ -114,7 +114,7 @@ def _potential_from(config: dict, s: Sft, rng) -> DepthKFunction:
             return random_function(s, depth, rng, scale=scale)
         if kind == "values":
             depth = _integer(spec.get("depth"), "values potential depth", lo=1)
-            vals = {tuple(int(ch) for ch in key): _number(v, f"potential value {key}", lo=None)
+            vals = {parse_word_key(s, key): _number(v, f"potential value {key}", lo=None)
                     for key, v in _section(spec, "values", None).items()}
             return DepthKFunction(s, depth, vals)
     except (KeyError, TypeError, ValueError, errors.DepthMismatch) as exc:
@@ -203,7 +203,7 @@ def _flow_function_from(spec: dict, s: Sft, rng) -> FlowFunction | None:
     if kind == "fourier":
         depth = _integer(spec.get("depth"), "flow_function.depth", lo=1)
         try:
-            cylinders = {tuple(int(ch) for ch in key): cyl
+            cylinders = {parse_word_key(s, key): cyl
                          for key, cyl in _section(spec, "cylinders", None).items()}
         except ValueError as exc:
             raise errors.ConfigError(f"bad flow_function.cylinders key: {exc}")

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthMismatch, NoConvergence, NotMeanZero
-from .sft import DepthKFunction, Sft
+from .sft import DepthKFunction, Sft, _word_table
 from .transfer import (DENSE_WORDS, EPS, MarkovMeasure, RuelleMatrix, require_normalized,
-                       ruelle_matrix, _lift, _perron, _words)
+                       ruelle_matrix, _lift, _perron)
 
 MEAN_ZERO_TOL = 1e-8
 
@@ -195,45 +195,29 @@ def birkhoff_moment(ctx: EquilibriumContext, gs, n: int) -> float:
     """Exact E_m[prod_i S_n(g_i)] by dynamic programming over the word chain.
 
     Independent cross-check for the correlation sums: it never applies the
-    transfer operator to the g's, only the one-step conditional measure.
+    transfer operator to the g's, only the one-step conditional measure
+    p(x) = m(x) / m(x[:-1]) on the (depth+1)-words x, read from m lifted one level.
+    The state holds, per window u and subset s of the factors, the joint moment
+    E[1_u prod_{i in s} S(g_i)]; one step moves each window u = x[:-1] to x[1:].
     """
     k = len(gs)
     if k > 3:
         raise ValueError("at most three factors")
-    words = ctx.rm.words
-    index = ctx.rm.index
     vecs = [ctx.vector(g) for g in gs]
-    # one-step window transition probabilities p(u -> u[1:]+(b,)), from m lifted
-    # one level
-    m_deep = _lift(ctx.rm, ctx.m, ctx.depth + 1)
-    m_here = ctx.m
-    trans: list = [dict() for _ in words]
-    for j, wd in enumerate(_words(ctx.sft, ctx.depth + 1)[0]):
-        u = wd[:-1]
-        v = wd[1:]
-        iu = index[u]
-        weight = m_deep[j]
-        if m_here[iu] > 0:
-            trans[iu][index[v]] = trans[iu].get(index[v], 0.0) + weight / m_here[iu]
-    # state: for each window, joint moments E[1_window * prod_{i in subset} A_i]
+    table = _word_table(ctx.sft, ctx.depth + 1)
+    head, tail, m = table.head, table.tail, ctx.m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(m[head] > 0, _lift(ctx.rm, m, ctx.depth + 1) / m[head], 0.0)
     subsets = _subsets(range(k))
-    phi = {s: np.zeros(len(words)) for s in subsets}
-    phi[frozenset()] = m_here.copy()
+    # coefficient of phi[sub] in the update of phi[s]: prod_{i in s - sub} g_i
+    coeff = {(s, sub): np.prod([vecs[i] for i in s - sub], axis=0)
+             for s in subsets for sub in _subsets(s)}
+    phi = {s: np.zeros(len(m)) for s in subsets}
+    phi[frozenset()] = m.copy()
     for _ in range(n):
-        new = {s: np.zeros(len(words)) for s in subsets}
-        for iu in range(len(words)):
-            if m_here[iu] == 0 and all(phi[s][iu] == 0 for s in subsets):
-                continue
-            for iv, p in trans[iu].items():
-                for s in subsets:
-                    acc = 0.0
-                    for sub in _subsets(s):
-                        coeff = 1.0
-                        for i in s - sub:
-                            coeff *= vecs[i][iu]
-                        acc += coeff * phi[sub][iu]
-                    new[s][iv] += p * acc
-        phi = new
+        phi = {s: np.bincount(tail, p * sum(coeff[s, sub] * phi[sub]
+                                            for sub in _subsets(s))[head], minlength=len(m))
+               for s in subsets}
     return float(phi[frozenset(range(k))].sum())
 
 

@@ -40,6 +40,14 @@ class DifferentialExpansion:
         return out if np.ndim(out) else complex(out)
 
 
+def paired_indices(d1: int, d2: int, d3: int, n: int) -> tuple:
+    """The two (T-index, S-index) pairs that rotation averaging of expansions of
+    degrees d1 at 0, d2 at T and d3 at S keeps at index n: (n, n + ka), the S
+    coefficient conjugated, and (n + kb, n), the T one conjugated, with offsets
+    ka = d1 + d2 - d3 and kb = d1 + d3 - d2 (so n = 0 gives (0, ka), (kb, 0))."""
+    return (n, n + d1 + d2 - d3), (n + d1 + d3 - d2, n)
+
+
 @dataclass(frozen=True)
 class AngularReduction:
     """Theta-averaged triple product as a bivariate series in (T, S).
@@ -74,20 +82,19 @@ def angular_triple_reduce(e1: DifferentialExpansion, e2: DifferentialExpansion,
     origin); the surviving terms pair indices with offset d1 + d2 - d3 one way
     and d1 + d3 - d2 the other.
     """
-    d1, d2, d3 = e1.degree, e2.degree, e3.degree
+    degs = d1, d2, d3 = e1.degree, e2.degree, e3.degree
     x0 = e1.coeffs[0] if e1.coeffs else 0.0
-    ka = d1 + d2 - d3
-    kb = d1 + d3 - d2
+    (_, ka), (kb, _) = paired_indices(*degs, 0)
     if ka < 0 or kb < 0:
         raise DegreeMismatch("incompatible degrees")
-    terms_a = []
-    for n, y in enumerate(e2.coeffs):
-        z = e3.coeffs[n + ka] if n + ka < len(e3.coeffs) else 0.0
-        terms_a.append(float(np.real(x0 * y * np.conj(z))))
-    terms_b = []
-    for n, z in enumerate(e3.coeffs):
-        y = e2.coeffs[n + kb] if n + kb < len(e2.coeffs) else 0.0
-        terms_b.append(float(np.real(x0 * np.conj(y) * z)))
+
+    def coeff(e, i):
+        return e.coeffs[i] if i < len(e.coeffs) else 0.0
+
+    terms_a = [float(np.real(x0 * coeff(e2, i) * np.conj(coeff(e3, j))))
+               for i, j in (paired_indices(*degs, n)[0] for n in range(len(e2.coeffs)))]
+    terms_b = [float(np.real(x0 * np.conj(coeff(e2, i)) * coeff(e3, j)))
+               for i, j in (paired_indices(*degs, n)[1] for n in range(len(e3.coeffs)))]
     return AngularReduction(deg2=d2, deg3=d3, offset_a=ka, offset_b=kb,
                             terms_a=tuple(terms_a), terms_b=tuple(terms_b))
 

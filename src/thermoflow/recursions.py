@@ -25,6 +25,7 @@ from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 
+from .diskseries import paired_indices
 from .errors import NoKernelCertificate, UnsupportedCoupling
 from .ratseries import LinForm, Series, add_term, lin_series, tanh_multiple
 
@@ -101,15 +102,16 @@ _COMPLETED_LETTERS = {
 
 
 def _offsets(X, Y, Z, degs):
-    return degs[X] + degs[Y] - degs[Z], degs[X] + degs[Z] - degs[Y]
+    (_, ka), (kb, _) = paired_indices(degs[X], degs[Y], degs[Z], 0)
+    return ka, kb
 
 
 def _pairs(X, Y, Z, degs, n):
-    """The two coefficient triples that X at 0, Y at T and Z at S pair at index n:
-    (letter, index, conjugated) entries, Y_n with Z_{n+ka} and Y_{n+kb} with Z_n."""
-    ka, kb = _offsets(X, Y, Z, degs)
-    return (((X, 0, 0), (Y, n, 0), (Z, n + ka, 1)),
-            ((X, 0, 0), (Y, n + kb, 1), (Z, n, 0)))
+    """The two coefficient triples that X at 0, Y at T and Z at S pair at index n
+    (`diskseries.paired_indices`): (letter, index, conjugated) entries, Y_n with
+    Z_{n+ka} and Y_{n+kb} with Z_n."""
+    (i, j), (k, l) = paired_indices(degs[X], degs[Y], degs[Z], n)
+    return ((X, 0, 0), (Y, i, 0), (Z, j, 1)), ((X, 0, 0), (Y, k, 1), (Z, l, 0))
 
 
 # AB and EF: (index offset k of the second family, power p of the s = t/2 row).

@@ -5,25 +5,19 @@ threads; all operations are pure functions of their inputs.
 """
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+import operator
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 
 from .errors import CapacityExceeded, DepthMismatch, EmptyRowOrColumn, WordTooShort
 
 DEFAULT_WORD_BUDGET = 2 ** 24
-
-Word = tuple  # finite admissible symbol sequence, stored as a tuple of ints
-_REAL_TYPES = (float, int, np.floating, np.integer)  # values whose imaginary part is 0
-
-
-def _int_matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
 
 
 @dataclass(frozen=True)
@@ -42,14 +36,10 @@ class Sft:
         return tuple(b for b in range(self.alphabet_size) if self.transition[a][b])
 
     def word_count(self, k: int) -> int:
-        """Number of admissible k-words (sum of entries of transition^(k-1))."""
+        """Number of admissible k-words (sum of entries of transition^(k-1), exact)."""
         if k < 1:
             return 0
-        power = tuple(tuple(1 if i == j else 0 for j in range(self.alphabet_size))
-                      for i in range(self.alphabet_size))
-        for _ in range(k - 1):
-            power = _int_matmul(power, self.transition)
-        return sum(sum(row) for row in power)
+        return int(np.linalg.matrix_power(np.array(self.transition, dtype=object), k - 1).sum())
 
     def to_json(self) -> str:
         return json.dumps(
@@ -81,13 +71,12 @@ def new_sft(transition) -> Sft:
             raise EmptyRowOrColumn(f"symbol {i} has no successor")
         if not any(rows[j][i] for j in range(n)):
             raise EmptyRowOrColumn(f"symbol {i} has no predecessor")
-    mixing_power = None
-    power = rows
+    mixing_power, power = None, np.array(rows)
     for m in range(1, n * n + 1):
-        if all(x > 0 for row in power for x in row):
+        if power.all():
             mixing_power = m
             break
-        power = _int_matmul(power, rows)
+        power = (power @ rows > 0).astype(int)
     return Sft(alphabet_size=n, transition=rows, mixing_power=mixing_power)
 
 
@@ -99,36 +88,84 @@ def golden_mean_shift() -> Sft:
     return new_sft([[1, 1], [1, 0]])
 
 
-# (transition, k) -> (words, word set): the admissible k-words in lexicographic
-# order and as a frozenset. Sft is frozen, so an entry never goes stale.
+@dataclass(frozen=True)
+class WordTable:
+    """The admissible k-words of one shift in lexicographic order, their positions,
+    and for k >= 2 the positions of each word's x[:-1] (`head`) and x[1:] (`tail`)
+    among the (k-1)-words."""
+
+    words: tuple
+    index: Mapping
+    head: np.ndarray | None
+    tail: np.ndarray | None
+
+
+# (transition, k) -> WordTable. Sft is frozen, so an entry never goes stale.
 _WORD_TABLE: dict = {}
 
 
-def _word_table(sft: Sft, k: int, budget: int) -> tuple:
+def _word_table(sft: Sft, k: int, budget: int = DEFAULT_WORD_BUDGET) -> WordTable:
+    """The one table of admissible k-words, built from the (k-1)-words (each word
+    followed by its successors in order, so the order stays lexicographic)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     key = (sft.transition, k)
     table = _WORD_TABLE.get(key)
-    count = sft.word_count(k) if table is None else len(table[0])
+    count = sft.word_count(k) if table is None else len(table.words)
     if count > budget:
         raise CapacityExceeded(f"{count} {k}-words exceed budget {budget}")
     if table is None:
-        words = []
-        stack = [(a,) for a in reversed(range(sft.alphabet_size))]
-        while stack:
-            w = stack.pop()
-            if len(w) == k:
-                words.append(w)
-                continue
-            for b in reversed(sft.successors(w[-1])):
-                stack.append(w + (b,))
-        table = _WORD_TABLE[key] = (tuple(words), frozenset(words))
+        if k == 1:
+            words, head, tail = tuple((a,) for a in range(sft.alphabet_size)), None, None
+        else:
+            sub = _word_table(sft, k - 1, budget)
+            words = tuple(u + (b,) for u in sub.words for b in sft.successors(u[-1]))
+            head = np.array([sub.index[x[:-1]] for x in words])
+            tail = np.array([sub.index[x[1:]] for x in words])
+        index = MappingProxyType(dict(zip(words, range(len(words)))))
+        table = _WORD_TABLE[key] = WordTable(words, index, head, tail)
     return table
+
+
+@functools.cache
+def _prefix(sft: Sft, k: int, j: int) -> np.ndarray:
+    """The position of x[:j] among the j-words, per k-word x (j <= k)."""
+    return (np.arange(len(_word_table(sft, k).words)) if k == j
+            else _prefix(sft, k - 1, j)[_word_table(sft, k).head])
 
 
 def admissible_words(sft: Sft, k: int, budget: int = DEFAULT_WORD_BUDGET) -> list:
     """All admissible k-words in lexicographic order, as a new list."""
-    return list(_word_table(sft, k, budget)[0])
+    return list(_word_table(sft, k, budget).words)
+
+
+def word_key(sft: Sft, word) -> str:
+    """A word as a JSON key: its symbols as digits, comma-separated above 10 symbols."""
+    return ("" if sft.alphabet_size <= 10 else ",").join(str(a) for a in word)
+
+
+def parse_word_key(sft: Sft, key: str) -> tuple:
+    """The word that `word_key` writes as `key`; ValueError if a symbol is no integer."""
+    return tuple(int(a) for a in (key if sft.alphabet_size <= 10 else key.split(",")))
+
+
+class WordMap(Mapping):
+    """Read-only view of an array of per-word values, keyed by the words of its table."""
+
+    __slots__ = ("table", "array")
+
+    def __init__(self, table: WordTable, array: np.ndarray):
+        array.flags.writeable = False
+        self.table, self.array = table, array
+
+    def __getitem__(self, word):
+        return self.array.item(self.table.index[word])
+
+    def __iter__(self):
+        return iter(self.table.words)
+
+    def __len__(self):
+        return len(self.table.words)
 
 
 def _min_rotation(cycle: tuple) -> tuple:
@@ -177,22 +214,38 @@ def periodic_orbits(sft: Sft, max_period: int, budget: int = DEFAULT_WORD_BUDGET
     return orbits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthKFunction:
     """Locally constant function determined by the first `depth` symbols.
 
-    `values` has exactly the admissible depth-words of the shift as keys.
-    These are the computable stand-ins for Holder functions; refining the
-    depth refines the approximation.
+    `array` holds one value per admissible depth-word, in the order of the
+    shift's word table, and is read-only; `values` reads it as a Mapping keyed
+    by the words. The constructor takes such a Mapping, whose keys must be
+    exactly the admissible words, or an array in table order, which it keeps
+    without a copy. These are the computable stand-ins for Holder functions;
+    refining the depth refines the approximation.
     """
 
     sft: Sft
     depth: int
-    values: Mapping[tuple, complex] = field(hash=False)
+    array: np.ndarray
 
-    def __post_init__(self):
-        if self.values.keys() != _word_table(self.sft, self.depth, DEFAULT_WORD_BUDGET)[1]:
-            raise DepthMismatch("value table keys must be exactly the admissible words")
+    def __init__(self, sft: Sft, depth: int, values):
+        table = _word_table(sft, depth)
+        if not isinstance(values, np.ndarray):
+            if values.keys() != table.index.keys():
+                raise DepthMismatch("value table keys must be exactly the admissible words")
+            values = np.array([values[w] for w in table.words])
+        elif values.shape != (len(table.words),):
+            raise DepthMismatch(f"need one value per {depth}-word, got shape {values.shape}")
+        values.flags.writeable = False
+        object.__setattr__(self, "sft", sft)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "array", values)
+
+    @property
+    def values(self) -> WordMap:
+        return WordMap(_word_table(self.sft, self.depth), self.array)
 
     def __call__(self, word: tuple) -> complex:
         if len(word) < self.depth:
@@ -204,67 +257,64 @@ class DepthKFunction:
             raise DepthMismatch("cannot lower depth")
         if depth == self.depth:
             return self
-        vals = {w: self.values[w[: self.depth]] for w in admissible_words(self.sft, depth)}
-        return DepthKFunction(self.sft, depth, vals)
+        return DepthKFunction(self.sft, depth, self.array[_prefix(self.sft, depth, self.depth)])
 
     def compose_shift(self) -> "DepthKFunction":
         """f o sigma, recorded at depth+1."""
         k = self.depth + 1
-        vals = {w: self.values[w[1:]] for w in admissible_words(self.sft, k)}
-        return DepthKFunction(self.sft, k, vals)
+        return DepthKFunction(self.sft, k, self.array[_word_table(self.sft, k).tail])
 
     def map(self, fn: Callable[[complex], complex]) -> "DepthKFunction":
-        return DepthKFunction(self.sft, self.depth, {w: fn(v) for w, v in self.values.items()})
+        return DepthKFunction(self.sft, self.depth, np.array([fn(v) for v in self.array.tolist()]))
 
+    @np.errstate(over="ignore", invalid="ignore")   # inf and nan as Python floats give them
     def _binary(self, other, op):
         if isinstance(other, DepthKFunction):
             k = max(self.depth, other.depth)
-            a, b = self.promote(k), other.promote(k)
-            return DepthKFunction(self.sft, k,
-                                  {w: op(a.values[w], b.values[w]) for w in a.values})
-        return DepthKFunction(self.sft, self.depth,
-                              {w: op(v, other) for w, v in self.values.items()})
+            return DepthKFunction(self.sft, k, op(self.promote(k).array, other.promote(k).array))
+        return DepthKFunction(self.sft, self.depth, op(self.array, other))
 
     def __add__(self, other):
-        return self._binary(other, lambda x, y: x + y)
+        return self._binary(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda x, y: x - y)
+        return self._binary(other, operator.sub)
 
     def __neg__(self):
-        return self.map(lambda x: -x)
+        return DepthKFunction(self.sft, self.depth, -self.array)
 
     def __mul__(self, c):
-        return self.map(lambda x: x * c)
+        """A scalar multiple, or the product with another function."""
+        if self.array.dtype.kind == "c" and isinstance(c, complex):
+            return self.map(lambda x: x * c)   # numpy's complex product rounds differently
+        return self._binary(c, operator.mul)
 
     __rmul__ = __mul__
 
     def sup_norm(self) -> float:
-        return max(abs(v) for v in self.values.values())
+        return max(abs(v) for v in self.array.tolist())
 
     def is_real(self, tol: float = 0.0) -> bool:
-        """True if no value has an imaginary part larger than tol in size. Real-typed
-        values pass exactly when 0 <= tol; only the others go through complex()."""
-        others = [v for v in self.values.values() if not isinstance(v, _REAL_TYPES)]
-        if len(others) < len(self.values) and not 0.0 <= tol:
-            return False
-        return all(abs(complex(v).imag) <= tol for v in others)
+        """True if no value has an imaginary part larger than tol in size; a real
+        array passes exactly when 0 <= tol."""
+        if self.array.dtype.kind != "c":
+            return 0.0 <= tol
+        return bool(np.all(np.abs(self.array.imag) <= tol))
 
 
 def constant_function(sft: Sft, c, depth: int = 1) -> DepthKFunction:
-    return DepthKFunction(sft, depth, {w: c for w in admissible_words(sft, depth)})
+    return DepthKFunction(sft, depth, np.full(len(_word_table(sft, depth).words), c))
 
 
 def indicator(sft: Sft, symbol: int) -> DepthKFunction:
-    return DepthKFunction(sft, 1, {(a,): 1.0 if a == symbol else 0.0
-                                   for a in range(sft.alphabet_size)})
+    return DepthKFunction(sft, 1, np.where(np.arange(sft.alphabet_size) == symbol, 1.0, 0.0))
 
 
 def random_function(sft: Sft, depth: int, rng, scale: float = 1.0) -> DepthKFunction:
-    return DepthKFunction(sft, depth, {w: float(rng.normal(0.0, scale))
-                                       for w in admissible_words(sft, depth)})
+    """Values drawn N(0, scale) in word order (the same draws as one scalar draw per word)."""
+    return DepthKFunction(sft, depth, rng.normal(0.0, scale, len(_word_table(sft, depth).words)))
 
 
 def coboundary(v: DepthKFunction) -> DepthKFunction:
@@ -274,13 +324,14 @@ def coboundary(v: DepthKFunction) -> DepthKFunction:
 
 def birkhoff_sum(f: DepthKFunction, w, n: int):
     """S_n(f, w) = sum_{i<n} f(sigma^i w); periodic orbits are read cyclically."""
+    index, vals = _word_table(f.sft, f.depth).index, f.array.tolist()
     if isinstance(w, PeriodicOrbit):
-        return sum(f.values[w.window(i, f.depth)] for i in range(n))
+        return sum(vals[index[w.window(i, f.depth)]] for i in range(n))
     w = tuple(w)
     if len(w) < n + f.depth - 1:
         raise WordTooShort(
             f"word of length {len(w)} too short for S_{n} at depth {f.depth}")
-    return sum(f.values[w[i: i + f.depth]] for i in range(n))
+    return sum(vals[index[w[i: i + f.depth]]] for i in range(n))
 
 
 @dataclass(frozen=True)

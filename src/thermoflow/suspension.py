@@ -18,7 +18,7 @@ import numpy as np
 
 from .derivatives import PotentialFamily, _central_difference, _prepare
 from .errors import NoConvergence
-from .sft import DepthKFunction, Sft, admissible_words, constant_function
+from .sft import DepthKFunction, Sft, constant_function
 from .transfer import equilibrium_measure, rpf
 
 # The flow-pressure root tolerance |P| and Newton step budget.
@@ -32,11 +32,8 @@ class SuspensionFlow:
     roof: DepthKFunction
 
     def __post_init__(self):
-        if min(float(np.real(v)) for v in self.roof.values.values()) <= 0:
+        if self.roof.array.real.min() <= 0:
             raise ValueError("roof function must be strictly positive")
-
-    def roof_at(self, word) -> float:
-        return float(np.real(self.roof.values[tuple(word[: self.roof.depth])]))
 
 
 @dataclass
@@ -68,9 +65,8 @@ def hat_function(flow: SuspensionFlow, F: FlowFunction | None) -> DepthKFunction
     on x's cylinder; F = None is the zero function, at the depth of the roof."""
     if F is None:
         return constant_function(flow.sft, 0.0, depth=flow.roof.depth)
-    depth = max(F.depth, flow.roof.depth)
-    return DepthKFunction(flow.sft, depth, {w: flow.roof_at(w) * F.mean[w[:F.depth]]
-                                            for w in admissible_words(flow.sft, depth)})
+    roof = DepthKFunction(flow.sft, flow.roof.depth, flow.roof.array.real)
+    return roof * (F.mean[()] if F.depth == 0 else DepthKFunction(flow.sft, F.depth, F.mean))
 
 
 def flow_measure_factor(m, roof: DepthKFunction) -> float:
@@ -94,7 +90,7 @@ def flow_pressure(flow: SuspensionFlow, F: FlowFunction | None) -> float:
     """
     s, roof = flow.sft, flow.roof
     hat = hat_function(flow, F)
-    c = min(float(np.real(v)) / flow.roof_at(w) for w, v in hat.values.items())
+    c = float((hat.array.real / roof.promote(hat.depth).array.real).min())
     for _ in range(_NEWTON_STEPS):
         w = hat - roof * c
         data = rpf(s, w)

@@ -6,17 +6,17 @@ DENSE_WORDS words and CSR above; its simple dominant eigenvalue gives the pressu
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .errors import (DepthMismatch, NoConvergence, NonFiniteValue, NonPositiveEigenfunction,
                      NotMixing, NotNormalized, PotentialOverflow)
-from .sft import DepthKFunction, Sft, admissible_words
+from .sft import DepthKFunction, Sft, WordMap, _prefix, _word_table, word_key
 
 # Largest operator held as a dense matrix and solved by `np.linalg.eigvals` plus two
 # linear solves; CSR and ARPACK above. It counts the words of the smallest invariant
@@ -40,59 +40,24 @@ class RuelleMatrix:
         return self.matrix @ vec
 
     def vector_of(self, f: DepthKFunction) -> np.ndarray:
-        g = f.promote(self.depth)
-        return np.array([g.values[w] for w in self.words])
+        """f's values on the words of this matrix (read-only)."""
+        return f.promote(self.depth).array
 
     def normalization_defect(self) -> float:
         """max |row sum - 1|: zero exactly when L 1 = 1."""
         return float(np.max(np.abs(self.matrix.sum(axis=1) - 1.0)))
 
 
-# (transition, k) -> (words, index, head, tail): the admissible k-words, their
-# positions, and for k >= 2 the positions of each word's x[:k-1] and x[1:] among
-# the (k-1)-words. Sft is frozen, so an entry never goes stale.
-_WORDS: dict = {}
-
-# (transition, k, j) -> the position of x[:j] among the j-words, per k-word x.
-_PREFIX: dict = {}
-
-# (transition, k) -> (edges, indices, indptr): L's CSR pattern on k-words, and for
-# each stored entry the position of its edge among the (k+1)-words. Entry (u, v)
-# is the edge x = (v[0],) + u, so u = x[1:] is its row and v = x[:k] its column.
-_PATTERN: dict = {}
-
-
-def _words(sft: Sft, k: int) -> tuple:
-    key = (sft.transition, k)
-    if key not in _WORDS:
-        words = tuple(admissible_words(sft, k))
-        index = MappingProxyType({u: i for i, u in enumerate(words)})
-        head = tail = None
-        if k > 1:
-            sub = _words(sft, k - 1)[1]
-            head = np.array([sub[x[:-1]] for x in words])
-            tail = np.array([sub[x[1:]] for x in words])
-        _WORDS[key] = (words, index, head, tail)
-    return _WORDS[key]
-
-
-def _prefix(sft: Sft, k: int, j: int) -> np.ndarray:
-    key = (sft.transition, k, j)
-    if key not in _PREFIX:
-        _PREFIX[key] = (np.arange(len(_words(sft, k)[0])) if k == j
-                        else _prefix(sft, k - 1, j)[_words(sft, k)[2]])
-    return _PREFIX[key]
-
-
+@functools.cache   # Sft is frozen, so an entry never goes stale
 def _pattern(sft: Sft, k: int) -> tuple:
-    key = (sft.transition, k)
-    if key not in _PATTERN:
-        n = len(_words(sft, k)[0])
-        _, _, head, tail = _words(sft, k + 1)
-        edges = np.lexsort((head, tail))
-        indptr = np.append(0, np.cumsum(np.bincount(tail, minlength=n)))
-        _PATTERN[key] = (edges, head[edges].astype(np.int32), indptr.astype(np.int32))
-    return _PATTERN[key]
+    """(edges, indices, indptr): L's CSR pattern on k-words, and for each stored
+    entry the position of its edge among the (k+1)-words. Entry (u, v) is the edge
+    x = (v[0],) + u, so u = x[1:] is its row and v = x[:k] its column."""
+    n = len(_word_table(sft, k).words)
+    head, tail = _word_table(sft, k + 1).head, _word_table(sft, k + 1).tail
+    edges = np.lexsort((head, tail))
+    indptr = np.append(0, np.cumsum(np.bincount(tail, minlength=n)))
+    return edges, head[edges].astype(np.int32), indptr.astype(np.int32)
 
 
 def _exp_table(sft: Sft, w: DepthKFunction, k: int) -> np.ndarray:
@@ -101,11 +66,10 @@ def _exp_table(sft: Sft, w: DepthKFunction, k: int) -> np.ndarray:
     it weighs."""
     def named(i: int):
         n = max(k, w.depth)
-        return _words(sft, n)[0][np.flatnonzero(_prefix(sft, n, w.depth) == i)[0]]
+        return _word_table(sft, n).words[np.flatnonzero(_prefix(sft, n, w.depth) == i)[0]]
 
     weights = []
-    for i, p in enumerate(_words(sft, w.depth)[0]):
-        x = w.values[p]
+    for i, x in enumerate(w.array.tolist()):
         try:
             weight = math.exp(x.real)
         except OverflowError:
@@ -134,17 +98,18 @@ def ruelle_matrix(sft: Sft, w: DepthKFunction, depth: int | None = None) -> Ruel
     if not w.is_real(1e-12):
         raise ValueError("transfer operator potentials must be real-valued")
     k = max(w.depth if depth is None else depth, w.depth - 1, 1)
-    words, index = _words(sft, k)[:2]
-    n = len(words)
+    table = _word_table(sft, k)
+    n = len(table.words)
     weights = _exp_table(sft, w, k)[_prefix(sft, k + 1, w.depth)]
     if n <= DENSE_WORDS:
-        head, tail = _words(sft, k + 1)[2:]
+        head, tail = _word_table(sft, k + 1).head, _word_table(sft, k + 1).tail
         mat = np.bincount(tail * n + head, weights, minlength=n * n).reshape(n, n)
     else:
         import scipy.sparse as sp
         edges, indices, indptr = _pattern(sft, k)
         mat = sp.csr_matrix((weights[edges], indices.copy(), indptr.copy()), shape=(n, n))
-    return RuelleMatrix(sft=sft, depth=k, words=words, index=index, matrix=mat, weights=weights)
+    return RuelleMatrix(sft=sft, depth=k, words=table.words, index=table.index, matrix=mat,
+                        weights=weights)
 
 
 def _lift(rm: RuelleMatrix, nu: np.ndarray, depth: int, rho: float = 1.0) -> np.ndarray:
@@ -157,37 +122,34 @@ def _lift(rm: RuelleMatrix, nu: np.ndarray, depth: int, rho: float = 1.0) -> np.
     """
     k = rm.depth
     for j in range(k + 1, depth + 1):
-        nu = rm.weights[_prefix(rm.sft, j, k + 1)] * nu[_words(rm.sft, j)[3]] / rho
+        nu = rm.weights[_prefix(rm.sft, j, k + 1)] * nu[_word_table(rm.sft, j).tail] / rho
     return nu
 
 
 @dataclass(frozen=True)
 class RpfData:
-    """Leading spectral data of a Ruelle operator."""
+    """Leading spectral data of a Ruelle operator; `adjoint_measure` is nu on the
+    depth-words, read-only."""
 
     rho: float
     eigenfunction: DepthKFunction
-    adjoint_measure: dict
+    adjoint_measure: WordMap
     pressure: float
     gap_estimate: float
     residual: float
     depth: int
 
     def to_json(self) -> str:
-        sep = "" if self.eigenfunction.sft.alphabet_size <= 10 else ","
-
-        def key(w):
-            return sep.join(str(sym) for sym in w)
-
+        sft = self.eigenfunction.sft
         return json.dumps({
             "rho": self.rho,
             "pressure": self.pressure,
             "gap_estimate": self.gap_estimate,
             "residual": self.residual,
             "depth": self.depth,
-            "eigenfunction": {key(w): float(np.real(v))
+            "eigenfunction": {word_key(sft, w): float(np.real(v))
                               for w, v in self.eigenfunction.values.items()},
-            "adjoint_measure": {key(w): v for w, v in self.adjoint_measure.items()},
+            "adjoint_measure": {word_key(sft, w): v for w, v in self.adjoint_measure.items()},
         }, sort_keys=True)
 
 
@@ -205,9 +167,9 @@ def _perron(matrix):
     if n <= DENSE_WORDS:
         try:
             lam = np.linalg.eigvals(matrix)
-            order = np.argsort(-np.abs(lam))
+            top = np.argmax(lam.real)   # rho, even where rounding gives -rho the larger modulus
             border, e = np.ones((n + 1, n + 1)), np.eye(n + 1)[n]
-            border[:n, :n], border[n, n] = matrix - np.diag(np.full(n, lam[order[0]].real)), 0
+            border[:n, :n], border[n, n] = matrix - np.diag(np.full(n, lam[top].real)), 0
             h, nu = np.linalg.solve(border, e)[:n], np.linalg.solve(border.T, e)[:n]
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"dense Perron solve on {n} words: {exc}") from exc
@@ -219,16 +181,16 @@ def _perron(matrix):
             _, left = eigs(matrix.T, k=1, which="LM", v0=ones, tol=0)
         except ArpackNoConvergence as exc:
             raise NoConvergence(f"ARPACK on {n} words: {exc}") from exc
-        order = np.argsort(-np.abs(lam))
-        h, nu = right[:, order[0]], left[:, 0]
-    rho = float(lam[order[0]].real)
+        top = np.argmax(lam.real)
+        h, nu = right[:, top], left[:, 0]
+    rho = float(lam[top].real)
     h, nu = _refine(matrix, h), _refine(matrix.T, nu)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nu = nu / nu.sum()
         h = h / (nu @ h)
     if not (math.isfinite(rho) and np.isfinite(h).all() and np.isfinite(nu).all()):
         raise NonFiniteValue(f"Perron data of {n} words is not finite (rho = {rho:.3e})")
-    ratio = float(np.abs(lam[order[1]]) / rho) if n > 1 else 0.0
+    ratio = float(np.abs(np.delete(lam, top)).max() / rho) if n > 1 else 0.0
     return rho, h, nu, ratio
 
 
@@ -272,10 +234,8 @@ def rpf(sft: Sft, w: DepthKFunction, depth: int | None = None) -> RpfData:
     rm, rho, h, nu, ratio = _solve(sft, w)
     resid = np.max(np.abs(rm.apply(h) - rho * h)) / np.max(h)
     k = max(w.depth, depth or 1, 1)
-    words = _words(sft, k)[0]
-    h, nu = h[_prefix(sft, k, rm.depth)], _lift(rm, nu, k, rho)
-    return RpfData(rho=rho, eigenfunction=DepthKFunction(sft, k, dict(zip(words, h))),
-                   adjoint_measure=dict(zip(words, nu.tolist())),
+    return RpfData(rho=rho, eigenfunction=DepthKFunction(sft, k, h[_prefix(sft, k, rm.depth)]),
+                   adjoint_measure=WordMap(_word_table(sft, k), _lift(rm, nu, k, rho)),
                    pressure=float(np.log(rho)), gap_estimate=ratio, residual=float(resid),
                    depth=k)
 
@@ -292,31 +252,32 @@ def normalize_potential(sft: Sft, w: DepthKFunction, data: RpfData) -> DepthKFun
     L_{w'} still acts on functions of the depth of w (`ruelle_matrix` goes down
     to depth(w') - 1), so a context for w' need not be deeper than w.
     """
-    h = data.eigenfunction
-    if any(v <= 0 for v in h.values.values()):
+    h = data.eigenfunction.array.real
+    if np.any(h <= 0):
         raise NonPositiveEigenfunction("cannot normalize with nonpositive eigenfunction")
-    log_h = h.map(lambda x: math.log(x.real if isinstance(x, complex) else x))
+    log_h = DepthKFunction(sft, data.eigenfunction.depth,
+                           np.array([math.log(x) for x in h.tolist()]))
     return w + log_h - log_h.compose_shift() - data.pressure
 
 
 @dataclass(frozen=True)
 class MarkovMeasure:
-    """Nonnegative weights on admissible depth-words summing to one."""
+    """Nonnegative weights on admissible depth-words summing to one (read-only)."""
 
     sft: Sft
     depth: int
-    weights: dict
+    weights: WordMap
 
     def integrate(self, f: DepthKFunction):
+        """sum_x m(x) f(x), left to right in word order."""
         if f.depth > self.depth:
             raise DepthMismatch(
                 f"measure depth {self.depth} < function depth {f.depth}")
-        return sum(m * f.values[w[: f.depth]] for w, m in self.weights.items())
+        return sum((self.weights.array * f.promote(self.depth).array).tolist())
 
     def to_json(self) -> str:
-        sep = "" if self.sft.alphabet_size <= 10 else ","
-        return json.dumps({sep.join(str(s) for s in w): v
-                           for w, v in self.weights.items()}, sort_keys=True)
+        return json.dumps({word_key(self.sft, w): v for w, v in self.weights.items()},
+                          sort_keys=True)
 
 
 def equilibrium_measure(sft: Sft, w: DepthKFunction, data: RpfData | None = None,
@@ -324,12 +285,9 @@ def equilibrium_measure(sft: Sft, w: DepthKFunction, data: RpfData | None = None
     """Equilibrium weights h * nu on depth-words, normalized to a probability."""
     if data is None:
         data = rpf(sft, w, depth=depth)
-    h = data.eigenfunction
-    raw = {wd: data.adjoint_measure[wd] * float(np.real(h.values[wd]))
-           for wd in data.adjoint_measure}
-    total = sum(raw.values())
+    raw = data.adjoint_measure.array * data.eigenfunction.array.real
     return MarkovMeasure(sft=sft, depth=data.depth,
-                         weights={wd: v / total for wd, v in raw.items()})
+                         weights=WordMap(data.adjoint_measure.table, raw / sum(raw.tolist())))
 
 
 def require_normalized(rm: RuelleMatrix, tol: float = 1e-8):

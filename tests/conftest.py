@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from thermoflow import correlations, holonomy, transfer
+from thermoflow import correlations, holonomy, sft, transfer
 from thermoflow.correlations import EquilibriumContext
 from thermoflow.derivatives import PotentialFamily
 from thermoflow.diskgeom import UnitTangent
 from thermoflow.ratseries import LinForm
-from thermoflow.sft import admissible_words, random_function
+from thermoflow.sft import (admissible_words, full_shift, golden_mean_shift, new_sft,
+                            random_function)
 from thermoflow.transfer import normalize_potential, pressure, rpf
 
 
@@ -351,3 +352,85 @@ def per_mode_sampler(sampler, t):
     for k, c in sorted(sampler.modes.items()):
         out += c * np.exp(1j * (2 * math.pi * k / sampler.l) * t)
     return out
+
+
+# Dict oracle for `sft.DepthKFunction`: the per-word formulas of its former dict form,
+# on {word: value} tables keyed by the admissible words.
+
+def dict_promote(s, depth, vals, k):
+    return {w: vals[w[:depth]] for w in admissible_words(s, k)}
+
+
+def dict_compose_shift(s, depth, vals):
+    return {w: vals[w[1:]] for w in admissible_words(s, depth + 1)}
+
+
+def dict_binary(s, depth, vals, other, op):
+    """(depth, values) of op(f, other), other a (depth, values) pair or a scalar."""
+    if isinstance(other, tuple):
+        k = max(depth, other[0])
+        a, b = dict_promote(s, depth, vals, k), dict_promote(s, other[0], other[1], k)
+        return k, {w: op(a[w], b[w]) for w in a}
+    return depth, {w: op(v, other) for w, v in vals.items()}
+
+
+def dict_sup_norm(vals):
+    return max(abs(v) for v in vals.values())
+
+
+def dict_is_real(vals, tol):
+    others = [v for v in vals.values()
+              if not isinstance(v, (float, int, np.floating, np.integer))]
+    if len(others) < len(vals) and not 0.0 <= tol:
+        return False
+    return all(abs(complex(v).imag) <= tol for v in others)
+
+
+def mixing_shift(n, seed):
+    """A seeded mixing n-symbol shift that is not the full shift."""
+    rng = np.random.default_rng(seed)
+    while True:
+        t = rng.integers(0, 2, (n, n))
+        if not t.all() and t.any(axis=0).all() and t.any(axis=1).all():
+            s = new_sft(t.tolist())
+            if s.is_mixing:
+                return s
+
+
+# The shifts the array-form tests run on, by name.
+SHIFTS = {"golden": golden_mean_shift, "full2": lambda: full_shift(2),
+          "full3": lambda: full_shift(3), "full4": lambda: full_shift(4),
+          "mixing3": lambda: mixing_shift(3, 30)}
+
+
+# Loop oracle for `correlations.birkhoff_moment`: the dynamic programme one window,
+# one transition and one subset at a time.
+
+def loop_birkhoff_moment(ctx, gs, n):
+    k = len(gs)
+    words, index = ctx.rm.words, ctx.rm.index
+    vecs = [ctx.vector(g) for g in gs]
+    m_deep = transfer._lift(ctx.rm, ctx.m, ctx.depth + 1)
+    m_here = ctx.m
+    trans = [dict() for _ in words]
+    for j, wd in enumerate(sft._word_table(ctx.sft, ctx.depth + 1).words):
+        iu, iv = index[wd[:-1]], index[wd[1:]]
+        if m_here[iu] > 0:
+            trans[iu][iv] = trans[iu].get(iv, 0.0) + m_deep[j] / m_here[iu]
+    subsets = correlations._subsets(range(k))
+    phi = {s: np.zeros(len(words)) for s in subsets}
+    phi[frozenset()] = m_here.copy()
+    for _ in range(n):
+        new = {s: np.zeros(len(words)) for s in subsets}
+        for iu in range(len(words)):
+            for iv, p in trans[iu].items():
+                for s in subsets:
+                    acc = 0.0
+                    for sub in correlations._subsets(s):
+                        coeff = 1.0
+                        for i in s - sub:
+                            coeff *= vecs[i][iu]
+                        acc += coeff * phi[sub][iu]
+                    new[s][iv] += p * acc
+        phi = new
+    return float(phi[frozenset(range(k))].sum())

@@ -55,3 +55,16 @@ def test_compare_flags_a_gain_by_wins_and_gap(other, gain):
     base = _runs([1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.03, 0.97, 1.01, 0.99])
     row = bench._compare(base, _runs(other), {"wall_s": 0.25})["wall_s"]
     assert row["gain"] is gain
+
+
+def test_src_lines_by_module_counts_each_file_and_sums_to_src_lines(tmp_path):
+    pkg = tmp_path / "src" / "thermoflow"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")      # no final newline: wc -l counts 0
+    (pkg / "notes.txt").write_text("not python\n")
+    assert bench._src_lines_by_module(tmp_path) == {"a.py": 2, "b.py": 0}
+    root = Path(__file__).resolve().parent.parent
+    by_module = bench._src_lines_by_module(root)
+    assert "sft.py" in by_module and sum(by_module.values()) == sum(
+        p.read_text().count("\n") for p in (root / "src" / "thermoflow").glob("*.py"))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -581,3 +582,59 @@ def test_pressure_potential_fields_never_raise(tmp_path_factory, potential):
                                "potential": potential, "orders": [1],
                                "derivative_families": {"count": 1, "depth": 1}}))
     assert _run(["pressure", "--config", cfg, "--out", out]) in (0, 2, 3)
+
+
+FULL11 = {"transition": [[1] * 11 for _ in range(11)]}
+
+
+def _full11_keys(depth):
+    return [",".join(map(str, w)) for w in itertools.product(range(11), repeat=depth)]
+
+
+def test_eleven_symbol_words_are_comma_separated_keys(tmp_path):
+    """Above 10 symbols a config word is written as `to_json` writes it, "10,0";
+    a `values` potential and `fourier` cylinders both read that form."""
+    potential = {"kind": "values", "depth": 2,
+                 "values": {k: 0.01 * i for i, k in enumerate(_full11_keys(2))}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "pressure", "sft": FULL11,
+                               "potential": potential, "orders": []}))
+    assert _run(["pressure", "--config", cfg, "--out", tmp_path]) == 0
+    flow = {"kind": "fourier", "depth": 1,
+            "cylinders": {k: {"const": 0.1 * i} for i, k in enumerate(_full11_keys(1))}}
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "suspension", "sft": FULL11,
+                               "flow_function": flow, "orders": []}))
+    assert _run(["suspension", "--config", cfg, "--out", tmp_path]) == 0
+
+
+@pytest.mark.parametrize("sft_spec,key", [(FULL11, "100"), (FULL11, "1,x"), (FULL11, "1;0"),
+                                          (GOLDEN_MEAN, "0,1"), (GOLDEN_MEAN, "0x")])
+def test_malformed_word_key_exit_2(tmp_path, capsys, sft_spec, key):
+    """A key that is not a word in the key form of its shift is a config error."""
+    n = len(sft_spec["transition"])
+    keys = _full11_keys(2) if n == 11 else ["00", "01", "10"]
+    values = {k: 0.0 for k in keys[1:]} | {key: 0.0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "pressure", "sft": sft_spec,
+                               "potential": {"kind": "values", "depth": 2, "values": values}}))
+    assert _run(["pressure", "--config", cfg, "--out", tmp_path]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    flow = {"kind": "fourier", "depth": 2, "cylinders": {k: {} for k in values}}
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "suspension", "sft": sft_spec,
+                               "flow_function": flow}))
+    assert _run(["suspension", "--config", cfg, "--out", tmp_path]) == 2
+
+
+def test_perron_root_tied_in_modulus_with_its_negative_exit_0(tmp_path, capsys):
+    """Entries e^60.98, e^-64.07 and e^310.6 leave eigenvalues +-rho that tie in
+    modulus after rounding; rho is the one of largest real part, and P is
+    (w01 + w10) / 2 to double precision."""
+    values = {"00": 60.97915723, "01": -64.0708587, "10": 310.60498546}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "experiment": "pressure", "sft": GOLDEN_MEAN,
+                                "potential": {"kind": "values", "depth": 2, "values": values},
+                                "orders": [1], "derivative_families": {"count": 1, "depth": 1}}))
+    assert _run(["pressure", "--config", path, "--out", tmp_path]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "pressure_report.json").read_text())
+    assert report["pressure"] == pytest.approx((values["01"] + values["10"]) / 2, rel=1e-15)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (dense, series_covariance, series_triple, series_variance,
-                      stationary_vector)
+from conftest import (SHIFTS, dense, loop_birkhoff_moment, series_covariance,
+                      series_triple, series_variance, stationary_vector)
 from thermoflow import correlations, errors, transfer
 from thermoflow.correlations import (EquilibriumContext, birkhoff_moment, covariance,
                                      project_mean_zero, triple_covariance, variance)
@@ -388,3 +388,20 @@ def test_variance_path_solves_only_minimal_matrices(monkeypatch):
     rep = variance(project_mean_zero(g, m), m, wn)
     assert sizes == [64, 256]
     assert math.isfinite(rep.value) and rep.value > 0.0
+
+
+@pytest.mark.parametrize("shift,depth", [("golden", 2), ("golden", 4), ("full2", 3),
+                                         ("full3", 2), ("mixing3", 3)])
+def test_birkhoff_moment_matches_the_loop_oracle(shift, depth):
+    """The bincount update against the window-by-window loop of tests/conftest.py,
+    for one to three factors of depth up to the context's, to 1e-12 relative."""
+    s = SHIFTS[shift]()
+    rng = np.random.default_rng(depth)
+    w = random_function(s, depth, rng, scale=0.4)
+    ctx = EquilibriumContext(s, _setup(s, w)[0], depth=depth)
+    gs = [random_function(s, d, rng) + 0.5 for d in (1, depth, max(depth - 1, 1))]
+    for k in (1, 2, 3):
+        for n in (1, 2, 7):
+            want = loop_birkhoff_moment(ctx, gs[:k], n)
+            assert abs(want) > 1e-3
+            assert birkhoff_moment(ctx, gs[:k], n) == pytest.approx(want, rel=1e-12, abs=0)

@@ -1,8 +1,12 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (SHIFTS, dict_binary, dict_compose_shift, dict_is_real, dict_promote,
+                      dict_sup_norm)
 from thermoflow import errors, sft
 from thermoflow.sft import (admissible_words, birkhoff_sum, coboundary, constant_function,
                             full_shift, golden_mean_shift, indicator,
@@ -270,3 +274,94 @@ def test_is_real_tolerance_edge_on_complex_values():
         fails = sft.DepthKFunction(s, 1, {(0,): cast(1.0), (1,): cast(complex(2.0, 1e-11))})
         assert passes.is_real(1e-12) and not passes.is_real(0.0)
         assert not fails.is_real(1e-12)
+
+
+# The array form of DepthKFunction against the dict formulas of tests/conftest.py,
+# bit for bit: the same Python type, real and imaginary parts, per word.
+
+def _bits(x):
+    z = complex(x)
+    return type(x), z.real.hex(), z.imag.hex()
+
+
+def _same(f, depth, vals):
+    assert f.depth == depth and list(f.values) == list(vals)
+    assert [_bits(v) for v in f.values.values()] == [_bits(v) for v in vals.values()]
+
+
+_DRAW = {"float": lambda rng: float(rng.normal()),
+         "int": lambda rng: int(rng.integers(-50, 50)),
+         "complex": lambda rng: complex(rng.normal(), rng.normal())}
+
+
+@pytest.mark.parametrize("kind_g", sorted(_DRAW))
+@pytest.mark.parametrize("kind_f", sorted(_DRAW))
+@pytest.mark.parametrize("shift", sorted(SHIFTS))
+def test_array_form_matches_the_dict_formulas(shift, kind_f, kind_g):
+    s = SHIFTS[shift]()
+    rng = np.random.default_rng([len(shift), len(kind_f), len(kind_g)])
+    for depth in range(1, 6):
+        other = int(rng.integers(1, 6))
+        fv = {w: _DRAW[kind_f](rng) for w in admissible_words(s, depth)}
+        gv = {w: _DRAW[kind_g](rng) for w in admissible_words(s, other)}
+        f, g = sft.DepthKFunction(s, depth, fv), sft.DepthKFunction(s, other, gv)
+        c = _DRAW[kind_g](rng)
+        _same(f, depth, fv)
+        for k in range(depth, 6):
+            _same(f.promote(k), k, dict_promote(s, depth, fv, k))
+        _same(f.compose_shift(), depth + 1, dict_compose_shift(s, depth, fv))
+        for op in (operator.add, operator.sub):
+            _same(op(f, g), *dict_binary(s, depth, fv, (other, gv), op))
+            _same(op(f, c), *dict_binary(s, depth, fv, c, op))
+        _same(c + f, *dict_binary(s, depth, fv, c, operator.add))
+        _same(f * c, *dict_binary(s, depth, fv, c, operator.mul))
+        _same(c * f, *dict_binary(s, depth, fv, c, operator.mul))
+        _same(-f, depth, {w: -v for w, v in fv.items()})
+        _same(f.map(lambda x: 3 * x - 1), depth, {w: 3 * v - 1 for w, v in fv.items()})
+        for w in admissible_words(s, depth + 2):
+            assert _bits(f(w)) == _bits(fv[w[:depth]])
+        assert _bits(f.sup_norm()) == _bits(dict_sup_norm(fv))
+        for tol in (0.0, 1e-12, -1.0, float("nan")):
+            assert f.is_real(tol) == dict_is_real(fv, tol)
+
+
+def test_depth_function_values_are_read_only():
+    s = golden_mean_shift()
+    f = random_function(s, 2, np.random.default_rng(1))
+    assert not f.array.flags.writeable
+    with pytest.raises(ValueError):
+        f.array[0] = 1.0
+    with pytest.raises(TypeError):
+        f.values[(0, 0)] = 1.0
+    g = sft.DepthKFunction(s, 2, dict(f.values))
+    assert g.array.tolist() == f.array.tolist() and g != f   # equality is identity
+    with pytest.raises(errors.DepthMismatch):
+        sft.DepthKFunction(s, 2, np.zeros(4))
+
+
+def test_random_function_draws_one_value_per_word_in_order():
+    s = full_shift(3)
+    rng = np.random.default_rng(11)
+    f = random_function(s, 3, np.random.default_rng(11), scale=0.7)
+    assert f.array.tolist() == [float(rng.normal(0.0, 0.7)) for _ in admissible_words(s, 3)]
+
+
+@pytest.mark.parametrize("shift", sorted(SHIFTS))
+def test_word_table_positions(shift):
+    """One table per (shift, k): words in lexicographic order, their index, and the
+    positions of x[:-1], x[1:] and every prefix x[:j]."""
+    s = SHIFTS[shift]()
+    for k in range(1, 6):
+        table = sft._word_table(s, k)
+        assert table is sft._word_table(s, k)
+        assert list(table.words) == sorted(table.words) == admissible_words(s, k)
+        assert all(table.index[x] == i for i, x in enumerate(table.words))
+        if k == 1:
+            assert table.head is None and table.tail is None
+            continue
+        sub = sft._word_table(s, k - 1).words
+        assert [sub[i] for i in table.head] == [x[:-1] for x in table.words]
+        assert [sub[i] for i in table.tail] == [x[1:] for x in table.words]
+        for j in range(1, k + 1):
+            words_j = sft._word_table(s, j).words
+            assert [words_j[i] for i in sft._prefix(s, k, j)] == [x[:j] for x in table.words]

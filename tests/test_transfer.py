@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from conftest import coo_ruelle_matrix, dense, stationary_vector
-from thermoflow import errors, transfer
+from thermoflow import errors, sft, transfer
 from thermoflow.correlations import EquilibriumContext
 from thermoflow.derivatives import _prepare
 from thermoflow.sft import (DepthKFunction, coboundary, constant_function, full_shift,
@@ -192,7 +192,8 @@ def test_ruelle_matrices_of_one_shift_and_depth_share_no_arrays():
         for x in arrays(a):
             x[:] = 7
         _, oracle = coo_ruelle_matrix(s, w)
-        _, _, head, tail = transfer._words(s, depth + 1)
+        table = sft._word_table(s, depth + 1)
+        head, tail = table.head, table.tail
         for rm in (b, ruelle_matrix(s, w)):
             assert np.array_equal(dense(rm.matrix), oracle.toarray())
             assert np.array_equal(dense(rm.matrix)[tail, head], rm.weights)
