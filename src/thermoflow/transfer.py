@@ -60,6 +60,18 @@ def _pattern(sft: Sft, k: int) -> tuple:
     return edges, head[edges].astype(np.int32), indptr.astype(np.int32)
 
 
+@functools.cache   # Sft is frozen, so an entry never goes stale
+def _cylinders(sft: Sft, k: int, j: int) -> tuple:
+    """(prefix, first): the position of x[:j] among the j-words per k-word x, and the
+    first k-word of each j-cylinder. The k-words are in lexicographic order, so each
+    cylinder is one run, starting at `first` (read-only)."""
+    prefix = _prefix(sft, k, j)
+    first = np.searchsorted(prefix, np.arange(len(_word_table(sft, j).words)))
+    prefix.setflags(write=False)
+    first.setflags(write=False)
+    return prefix, first
+
+
 def _exp_table(sft: Sft, w: DepthKFunction, k: int) -> np.ndarray:
     """e^w on the words of w, in their cached order. An overflow, a non-finite w or
     a zero (which would drop a transition) names the first max(k, depth(w))-word
@@ -153,23 +165,33 @@ class RpfData:
         }, sort_keys=True)
 
 
+def _border(matrix: np.ndarray, rho: float) -> np.ndarray:
+    """The bordered [[L - rho I, 1], [1^T, 0]] of a dense L. It is nonsingular when rho
+    is a simple eigenvalue whose right and left vectors pair nonzero with 1; solved
+    against e_n it gives the right vector, and its transpose the left one, each with
+    sum 1 (L - rho I + 1 1^T would round the 1s away against huge entries)."""
+    n = matrix.shape[0]
+    border = np.ones((n + 1, n + 1))
+    border[:n, :n], border[n, n] = matrix - np.diag(np.full(n, rho)), 0
+    return border
+
+
 def _perron(matrix):
     """(rho, h, nu, ratio): the leading spectral data of a primitive matrix.
 
     rho is the Perron root, h the right and nu the left Perron vector with sum(nu) = 1
-    and <nu, h> = 1, and ratio = |lambda_2| / rho is exact. Up to DENSE_WORDS rows rho
-    and the ratio come from `eigvals`, and h and nu from one solve each of the bordered
-    [[L - rho I, 1], [1^T, 0]] and its transpose (nonsingular as rho is simple and h, nu
-    pair positively with 1; L - rho I + 1 1^T would round the 1s away against huge
-    entries); above, from ARPACK. `_refine` polishes both vectors. A failed solve
-    raises NoConvergence, a non-finite result NonFiniteValue."""
+    and <nu, h> = 1, and ratio = |lambda_2| / rho is the ratio of the computed
+    eigenvalues, so a lambda_2 equal to rho in modulus can round it to just above 1.
+    Up to DENSE_WORDS rows rho and the ratio come from `eigvals`, and h and nu from one
+    solve each of `_border` and its transpose; above, from ARPACK. `_refine` polishes
+    both vectors. A failed solve raises NoConvergence, a non-finite result
+    NonFiniteValue."""
     n = matrix.shape[0]
     if n <= DENSE_WORDS:
         try:
             lam = np.linalg.eigvals(matrix)
             top = np.argmax(lam.real)   # rho, even where rounding gives -rho the larger modulus
-            border, e = np.ones((n + 1, n + 1)), np.eye(n + 1)[n]
-            border[:n, :n], border[n, n] = matrix - np.diag(np.full(n, lam[top].real)), 0
+            border, e = _border(matrix, lam[top].real), np.eye(n + 1)[n]
             h, nu = np.linalg.solve(border, e)[:n], np.linalg.solve(border.T, e)[:n]
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"dense Perron solve on {n} words: {exc}") from exc
@@ -177,7 +199,8 @@ def _perron(matrix):
         from scipy.sparse.linalg import ArpackNoConvergence, eigs
         ones = np.ones(n)
         try:
-            lam, right = eigs(matrix, k=2, which="LM", v0=ones, tol=0)
+            # 40 Lanczos vectors, not 20: at 20 ARPACK fails on golden-mean depth-15 draws
+            lam, right = eigs(matrix, k=2, which="LM", v0=ones, tol=0, ncv=min(n - 1, 40))
             _, left = eigs(matrix.T, k=1, which="LM", v0=ones, tol=0)
         except ArpackNoConvergence as exc:
             raise NoConvergence(f"ARPACK on {n} words: {exc}") from exc
@@ -248,15 +271,15 @@ def pressure(sft: Sft, w: DepthKFunction, depth: int | None = None) -> float:
 def normalize_potential(sft: Sft, w: DepthKFunction, data: RpfData) -> DepthKFunction:
     """w' = w + log h - log h o sigma - log rho, so that L_{w'} 1 = 1.
 
-    The depth grows by one because of the shifted eigenfunction term, but
-    L_{w'} still acts on functions of the depth of w (`ruelle_matrix` goes down
-    to depth(w') - 1), so a context for w' need not be deeper than w.
+    h is a function of depth max(depth(w) - 1, 1), the words `_solve` found it on, and
+    log h is taken there, so w' has depth max(depth(w), 2): its smallest invariant
+    word space is that of w, and a context for w' need not be deeper than w.
     """
-    h = data.eigenfunction.array.real
+    low = max(w.depth - 1, 1)
+    h = data.eigenfunction.array.real[_cylinders(sft, data.eigenfunction.depth, low)[1]]
     if np.any(h <= 0):
         raise NonPositiveEigenfunction("cannot normalize with nonpositive eigenfunction")
-    log_h = DepthKFunction(sft, data.eigenfunction.depth,
-                           np.array([math.log(x) for x in h.tolist()]))
+    log_h = DepthKFunction(sft, low, np.array([math.log(x) for x in h.tolist()]))
     return w + log_h - log_h.compose_shift() - data.pressure
 
 

@@ -62,6 +62,39 @@ def solve_counts(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """Records the order of every Perron solve (`transfer._perron`, also as imported
+    by `correlations`), context stationary solve, bordered sparse LU and context
+    factor, keyed "perron", "stationary", "lu" and "factor"; a factor counts its
+    word rows, without the constraint row of the bordered system."""
+    sizes = collections.defaultdict(list)
+
+    def spy(name, fn):
+        def wrapped(matrix, *args):
+            sizes[name].append(matrix.shape[0])
+            return fn(matrix, *args)
+        return wrapped
+
+    perron = spy("perron", transfer._perron)
+    factor = EquilibriumContext.__dict__["_factor"].func
+
+    def sized_factor(self):
+        out = factor(self)
+        sizes["factor"].append(out[0].shape[0] - (not isinstance(out[0], np.ndarray)))
+        return out
+
+    cached = functools.cached_property(sized_factor)
+    cached.__set_name__(EquilibriumContext, "_factor")
+    monkeypatch.setattr(transfer, "_perron", perron)
+    monkeypatch.setattr(correlations, "_perron", perron)
+    monkeypatch.setattr(correlations, "_stationary",
+                        spy("stationary", correlations._stationary))
+    monkeypatch.setattr(correlations, "_bordered_lu", spy("lu", correlations._bordered_lu))
+    monkeypatch.setattr(EquilibriumContext, "_factor", cached)
+    return sizes
+
+
 def random_family_1p(s, rng, depth=2, scale=0.3, mean_zero_d1=True,
                      pressure_zero=False):
     """Cubic-in-s potential family with exact partials at 0."""
@@ -160,6 +193,65 @@ def series_triple(ctx, vecs, N):
                 ring += abs(t)
     r = min(max(ctx.gap, 1e-6), 1.0 - 1e-9)
     return total, (ring + 1e-300) * r / (1.0 - r)
+
+
+# Full-depth oracle for the correlation sums: the fundamental-matrix solve on all the
+# words of the context's depth, with the bound the library stated when it solved there.
+
+class FullDepthSums:
+    """variance / covariance / triple of a context as (value, stated bound), solved at
+    the context's own depth: m from `_perron` on the context's matrix, A = I - L + 1 m^T
+    with one dense inverse up to `transfer.DENSE_WORDS` words, and above the bordered
+    [[I - L, 1], [m^T, 0]] with a sparse LU whose top-left block norm is `onenormest`'s;
+    each column's error, a 1-norm on the context's words, is paired with max |m w|."""
+
+    def __init__(self, ctx):
+        self.ctx, self.m = ctx, stationary_vector(ctx.rm)
+        n, mat = len(self.m), ctx.rm.matrix
+        if n <= transfer.DENSE_WORDS:
+            self.a = np.asarray(np.eye(n) - mat) + self.m
+            inv = np.linalg.inv(self.a)
+            self.solve, self.inv_norm = inv.__matmul__, np.abs(inv).sum(axis=0).max()
+        else:
+            from scipy.sparse.linalg import LinearOperator, onenormest, splu
+            self.a = sp.bmat([[sp.identity(n) - mat, np.ones((n, 1))],
+                              [self.m[None, :], None]], format="csc")
+            lu = splu(self.a)
+            block = LinearOperator(
+                (n, n), dtype=float, matvec=lambda y: lu.solve(np.append(y, 0.0))[:n],
+                rmatvec=lambda y: lu.solve(np.append(y, 0.0), trans="T")[:n])
+            self.solve, self.inv_norm = lu.solve, onenormest(block)
+
+    def sums(self, vecs, lo=0, err_in=0.0):
+        n, eps = len(self.m), np.finfo(float).eps
+        b = vecs - self.m @ vecs
+        rhs = np.vstack([b, np.zeros((self.a.shape[0] - n, b.shape[1]))])
+        x = self.solve(rhs)
+        gamma = (self.a.shape[0] + 1) * eps / (1.0 - (self.a.shape[0] + 1) * eps)
+        resid = np.abs(rhs - self.a @ x) + gamma * (np.abs(rhs) + abs(self.a) @ np.abs(x))
+        err = self.inv_norm * (err_in + resid[:n].sum(axis=0)) + n * resid[n:].sum(axis=0)
+        return x[:n] - lo * b, err + lo * err_in
+
+    def _bound(self, weights, err):
+        return float(np.abs(self.m[:, None] * weights).max(axis=0) @ err)
+
+    def variance(self, v):
+        s1, err = self.sums(v[:, None], lo=1)
+        return self.m @ (v * v) + 2.0 * self.m @ (v * s1[:, 0]), self._bound(v[:, None], 2 * err)
+
+    def covariance(self, v1, v2):
+        v2 = v2 - self.m @ v2
+        s1, err = self.sums(np.column_stack([v1, v2]), lo=1)
+        return (self.m @ (v1 * v2 + s1[:, 0] * v2 + s1[:, 1] * v1),
+                self._bound(np.column_stack([v2, v1]), err))
+
+    def triple(self, v1, v2, v3):
+        h = np.column_stack([v1, v2, v3])
+        i, j, k = np.array(list(itertools.permutations(range(3)))).T
+        inner, err = self.sums(h[:, i], lo=i > j)
+        outer, err = self.sums(inner * h[:, j], lo=j > k,
+                               err_in=np.abs(h[:, j]).max(axis=0) * err)
+        return self.m @ (outer * h[:, k]).sum(axis=1), self._bound(h[:, k], err)
 
 
 # Complex-arithmetic oracle for `holonomy._propagator`: every RK4 step map and

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (SHIFTS, dense, loop_birkhoff_moment, series_covariance,
-                      series_triple, series_variance, stationary_vector)
+from conftest import (SHIFTS, FullDepthSums, dense, loop_birkhoff_moment,
+                      series_covariance, series_triple, series_variance, stationary_vector)
 from thermoflow import correlations, errors, transfer
 from thermoflow.correlations import (EquilibriumContext, birkhoff_moment, covariance,
                                      project_mean_zero, triple_covariance, variance)
@@ -368,26 +368,94 @@ def test_context_m_is_the_stationary_vector_of_its_own_matrix():
             assert abs(ctx.m.sum() - 1.0) <= 1e-14
 
 
-def test_variance_path_solves_only_minimal_matrices(monkeypatch):
+def test_variance_path_solves_only_minimal_matrices(solve_sizes):
     """rpf, the measure and the variance of a depth-4 potential on the full
-    4-shift: one 64-word solve for the potential (its depth-3 space) and one
-    256-word solve for the normalized one (depth 4), nothing deeper."""
+    4-shift: one 64-word Perron solve for the potential (its depth-3 space); the
+    context of the normalized potential sits at depth 4 (256 words), takes m from
+    one 64-word solve and factors 64 words, and nothing solves or factors on 256."""
     s = full_shift(4)
     rng = np.random.default_rng(44)
     w, g = random_function(s, 4, rng, scale=0.3), random_function(s, 4, rng)
-    sizes = []
-    perron = transfer._perron
-
-    def spy(matrix):
-        sizes.append(matrix.shape[0])
-        return perron(matrix)
-
-    monkeypatch.setattr(transfer, "_perron", spy)
-    monkeypatch.setattr(correlations, "_perron", spy)
     wn, m = _setup(s, w)
     rep = variance(project_mean_zero(g, m), m, wn)
-    assert sizes == [64, 256]
+    assert solve_sizes == {"perron": [64], "stationary": [64], "factor": [64]}
     assert math.isfinite(rep.value) and rep.value > 0.0
+
+
+# shift, depth of f0, context depths: the minimal words of w' sit at depth
+# max(depth(f0) - 1, 1); 256 and 512 of them take the sparse branch
+SOLVE_CASES = [("golden", 1, (1, 2, 4)), ("golden", 4, (4, 6)), ("full2", 2, (2, 3, 5)),
+               ("full3", 3, (3, 4)), ("mixing3", 2, (2, 4)), ("full4", 5, (5,)),
+               ("full2", 10, (10, 11))]
+
+
+@pytest.mark.parametrize("shift,depth,contexts", SOLVE_CASES)
+def test_every_context_solve_runs_on_the_minimal_words(shift, depth, contexts, solve_sizes):
+    """Each context's m solve and factor, and its sums, run on the words of depth
+    max(depth(w') - 1, 1) at every context depth; no context runs `_perron`."""
+    s = SHIFTS[shift]()
+    rng = np.random.default_rng(depth)
+    wn, _ = _setup(s, random_function(s, depth, rng, scale=0.4))
+    solve_sizes.clear()
+    low = s.word_count(max(wn.depth - 1, 1))
+    for d in contexts:
+        ctx = EquilibriumContext(s, wn, depth=d)
+        g = random_function(s, d, rng)
+        ctx.variance(g - ctx.integrate(g))
+    branch = {"lu": [low] * len(contexts)} if low > transfer.DENSE_WORDS else {}
+    assert solve_sizes == {"stationary": [low] * len(contexts),
+                           "factor": [low] * len(contexts), **branch}
+
+
+@pytest.mark.parametrize("shift,depth", [("golden", 1), ("golden", 3), ("full2", 2),
+                                         ("full3", 4), ("mixing3", 2)])
+def test_context_without_a_depth_sits_at_the_depth_of_f0(shift, depth, solve_sizes):
+    """EquilibriumContext(sft, w') with no depth sits at depth(w') = max(depth(f0), 2),
+    one level above the minimal words, and factors only those."""
+    s = SHIFTS[shift]()
+    rng = np.random.default_rng(depth)
+    f0 = random_function(s, depth, rng, scale=0.4)
+    wn, _ = _setup(s, f0)
+    solve_sizes.clear()
+    ctx = EquilibriumContext(s, wn)
+    assert ctx.depth == max(depth, 2) and len(ctx.m) == s.word_count(ctx.depth)
+    g = random_function(s, ctx.depth, rng)
+    ctx.variance(g - ctx.integrate(g))
+    low = s.word_count(max(depth - 1, 1))
+    assert solve_sizes == {"stationary": [low], "factor": [low]}
+
+
+# shift, depth of f0, context depth: full 3 and full 4 at depth 4, full 4 at 5, full 2
+# at 10 and 12 and the golden mean at 4 (one level above the minimal words), contexts
+# at the minimal words, and `base_context`'s max(depth(f0) + 1, 3), two or more above
+FULL_DEPTH_CASES = [("full3", 4, 4), ("full4", 4, 4), ("full4", 5, 5), ("full2", 10, 10),
+                    ("full2", 12, 12), ("golden", 4, 4), ("golden", 1, 1), ("full2", 1, 1),
+                    ("golden", 1, 3), ("golden", 2, 3), ("full3", 2, 3), ("full2", 3, 4),
+                    ("golden", 4, 5), ("mixing3", 2, 4), ("full2", 9, 11)]
+
+
+@pytest.mark.parametrize("shift,depth,context", FULL_DEPTH_CASES)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_minimal_word_sums_match_the_full_depth_solve(shift, depth, context, seed):
+    """Variance, covariance and triple against `FullDepthSums`, the fundamental
+    system solved on all the context's words: the two values agree within the sum
+    of their stated bounds, and no stated bound is above the full-depth one. The
+    factors have depths context, context - 1 and 1, so the triple mixes lower
+    limits across its orderings."""
+    s = SHIFTS[shift]()
+    rng = np.random.default_rng(seed)
+    wn, _ = _setup(s, random_function(s, depth, rng, scale=0.4))
+    ctx = EquilibriumContext(s, wn, depth=context)
+    gs = [random_function(s, d, rng) for d in (context, max(context - 1, 1), 1)]
+    gs = [g - ctx.integrate(g) for g in gs]
+    vecs = [ctx.vector(g) for g in gs]
+    oracle = FullDepthSums(ctx)
+    pairs = [(ctx.variance(gs[0]), oracle.variance(vecs[0])),
+             (ctx.covariance(gs[0], gs[1]), oracle.covariance(vecs[0], vecs[1])),
+             (ctx.triple(*gs), oracle.triple(*vecs))]
+    for rep, (value, bound) in pairs:
+        assert abs(rep.value - value) <= rep.tail_bound + bound
+        assert 0.0 < rep.tail_bound <= bound
 
 
 @pytest.mark.parametrize("shift,depth", [("golden", 2), ("golden", 4), ("full2", 3),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from conftest import coo_ruelle_matrix, dense, stationary_vector
+from conftest import SHIFTS as SHIFT_BUILDERS, coo_ruelle_matrix, dense, stationary_vector
 from thermoflow import errors, sft, transfer
 from thermoflow.correlations import EquilibriumContext
 from thermoflow.derivatives import _prepare
@@ -273,6 +273,21 @@ def test_normalize_random_row_sums():
     assert pressure(s, wn) == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("name,depth", [("golden", 1), ("golden", 3), ("full2", 2),
+                                        ("full3", 4), ("mixing3", 3)])
+def test_normalized_potential_takes_log_h_on_the_minimal_words(name, depth):
+    """w' has depth max(depth(w), 2), and promoted one level it equals, bit for bit,
+    w + log h - log h o sigma - P formed from h at depth(w), one level deeper."""
+    s = SHIFT_BUILDERS[name]()
+    w = random_function(s, depth, np.random.default_rng(depth), scale=0.5)
+    data = rpf(s, w)
+    wn = normalize_potential(s, w, data)
+    log_h = data.eigenfunction.map(lambda x: math.log(x.real))
+    deep = w + log_h - log_h.compose_shift() - data.pressure
+    assert wn.depth == max(depth, 2)
+    assert np.array_equal(wn.promote(deep.depth).array, deep.array)
+
+
 def invariance_defect(m) -> float:
     """Max over (depth-1)-words u of |sum_a m(a u) - sum_b m(u b)| for a MarkovMeasure."""
     left: dict = {}
@@ -485,3 +500,28 @@ def test_gap_matches_eigvals_on_random_shifts(seed):
     assert data.gap_estimate == pytest.approx(exact, abs=1e-12)
     ctx = EquilibriumContext(s, normalize_potential(s, w, data))
     assert ctx.gap == pytest.approx(_eigvals_ratio(ctx.rm.matrix)[0], abs=1e-12)
+
+
+def _golden_depth15_draw(seed):
+    """A depth-2 golden-mean potential with |lambda_2| / rho in [0.36, 0.42] plus
+    5e-3 times a depth-15 normal draw: the spectral-large golden-mean input."""
+    s = golden_mean_shift()
+    rng = np.random.default_rng(seed)
+    while True:
+        w2 = DepthKFunction(s, 2, rng.normal(0.0, 0.3, s.word_count(2)))
+        lam = np.sort(np.abs(np.linalg.eigvals(ruelle_matrix(s, w2, depth=2).matrix)))
+        if 0.36 <= lam[-2] / lam[-1] <= 0.42:
+            break
+    return s, w2 + DepthKFunction(s, 15, rng.normal(0.0, 1.0, s.word_count(15))) * 5e-3
+
+
+@pytest.mark.parametrize("seed", [5, 7, 11])
+def test_arpack_converges_on_golden_depth15_draws_with_a_ring_spectrum(seed):
+    """The subdominant spectrum of these draws is a ring, on which ARPACK's k = 2
+    solve with its default 20 Lanczos vectors raised NoConvergence; with 40 each
+    pressure is within 1e-12 of the dense eigvals of the 987 minimal words."""
+    s, w = _golden_depth15_draw(seed)
+    rm = ruelle_matrix(s, w, depth=14)
+    assert rm.matrix.shape == (987, 987)
+    exact = math.log(np.linalg.eigvals(rm.matrix.toarray()).real.max())
+    assert abs(pressure(s, w) - exact) <= 1e-12
