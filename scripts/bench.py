@@ -15,7 +15,10 @@ For every checkout this runs, from that checkout's root and with its own
 It also records each checkout's `src_lines`, the line count of
 `src/thermoflow/*.py` (as `cat src/thermoflow/*.py | wc -l` counts it), and
 `src_lines_by_module`, the same count per file, so that a comparison shows where
-lines moved.
+lines moved; and `src_code_lines` and `src_code_lines_by_module`, which count
+only the lines that hold code (read with `ast` and `tokenize`: no blank lines,
+comments or docstrings), so that deleting prose cannot make a change look
+shorter.
 
 Each part runs `--repeats` times, and each repeat runs the checkouts in turn,
 alternating which goes first. The file holds every run, each metric's median
@@ -34,6 +37,7 @@ between the medians exceeds the first checkout's quartile spread.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -43,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 import numpy
@@ -98,6 +103,32 @@ def _commit(root: Path) -> str | None:
 def _src_lines_by_module(root: Path) -> dict:
     return {p.name: p.read_bytes().count(b"\n")
             for p in sorted((root / "src" / "thermoflow").glob("*.py"))}
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _code_lines(path: Path) -> int:
+    """Lines of a Python file that some token of code starts on or spans: neither
+    blank nor a comment nor part of a module, class or function docstring."""
+    docstrings = [(doc.lineno, doc.col_offset, doc.end_lineno, doc.end_col_offset)
+                  for node in ast.walk(ast.parse(path.read_bytes()))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None
+                  for doc in node.body[:1]]
+    lines = set()
+    with path.open("rb") as f:
+        for tok in tokenize.tokenize(f.readline):
+            if tok.type not in _NOT_CODE and not any(
+                    (l0, c0) <= tok.start and tok.end <= (l1, c1) for l0, c0, l1, c1 in docstrings):
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def _src_code_lines_by_module(root: Path) -> dict:
+    return {p.name: _code_lines(p) for p in sorted((root / "src" / "thermoflow").glob("*.py"))}
 
 
 def _summary(runs: list) -> dict:
@@ -185,6 +216,8 @@ def main(argv=None) -> int:
             "commit": _commit(root),
             "src_lines": sum(_src_lines_by_module(root).values()),
             "src_lines_by_module": _src_lines_by_module(root),
+            "src_code_lines": sum(_src_code_lines_by_module(root).values()),
+            "src_code_lines_by_module": _src_code_lines_by_module(root),
             "workloads": {w: {"median": _summary(v), "runs": v}
                           for w, v in r["workloads"].items()},
             "cli": {c: {"median": _summary(v), "runs": v} for c, v in r["cli"].items()},

@@ -172,7 +172,6 @@ def run_pressure(config: dict, out_dir: Path, seed: int) -> dict:
                     "value": value,
                     "oracle_value": oracle,
                     "abs_err": abs(value - oracle),
-                    "truncation_N": 0,
                     "tail_bound": bound,
                 })
     _write_json(out_dir / "pressure_report.json", report)

@@ -1,18 +1,19 @@
 """Variance, covariance and triple covariance against equilibrium measures.
 
-Correlation sums are evaluated with the normalized transfer operator via
-m(f * g o sigma^j) = m(L^j f * g). L 1 = 1 and m^T L = m^T, so every series
-sum_{j>=0} L^j v over a mean-zero v is the solution x of (I - L) x = v with
-m(x) = 0, i.e. x = (I - L + 1 m^T)^{-1} v (Kemeny & Snell, Finite Markov
-Chains, 1960). L maps depth-j functions to depth-(j - 1) ones down to its
-smallest invariant word space (Parry & Pollicott, Asterisque 187-188), so each
-system is solved there. The sums are exact linear solves with no truncation
-order; each report states an a-posteriori bound from the solve residuals.
+All three are Taylor coefficients of log rho along a family of potentials, from one
+Rayleigh-Schrodinger recursion whose every order is one batch of correlation sums
+sum_{j>=0} L^j v of the normalized transfer operator. L 1 = 1 and m^T L = m^T, so
+each is the solution x of (I - L) x = v with m(x) = 0, i.e. x = (I - L + 1 m^T)^{-1} v
+(Kemeny & Snell, Finite Markov Chains, 1960), solved on the smallest invariant word
+space of L (Parry & Pollicott, Asterisque 187-188) with no truncation order; each
+report states an a-posteriori bound from the solve residuals.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,6 @@ from .transfer import (DENSE_WORDS, EPS, MarkovMeasure, RuelleMatrix, require_no
                        ruelle_matrix, _border, _cylinders, _lift, _perron, _refine)
 
 MEAN_ZERO_TOL = 1e-8
-# the orderings (i, j, k) of three factors, and their lower limits [i > j], [j > k]
-_I, _J, _K = np.array(list(itertools.permutations(range(3)))).T
-_LO_INNER, _LO_OUTER = _I > _J, _J > _K
 
 
 def _gamma(k: int) -> float:
@@ -70,21 +68,12 @@ def _stationary(matrix) -> tuple:
     return m, lu
 
 
-@dataclass(frozen=True)
-class _Levels:
-    """How a context's words sit over the minimal ones, r = depth - low levels up.
-    `prefix` places each word x in its minimal cylinder x[:low] and `first` starts
-    each cylinder; `down` is L^r from the context's words to the minimal ones,
-    whose column sums `weight` are the entries of L^r on each x (None, None, None
-    and 1 when r = 0). For r > 0 the rows of `rounding` @ |b| bound the 1-norms
-    of the rounding of L^r b on the minimal words and of sum_{0<j<r} L^j b."""
-
-    r: int
-    prefix: np.ndarray | None
-    first: np.ndarray | None
-    down: object
-    weight: np.ndarray
-    rounding: np.ndarray | None
+# A context's words r = depth - low levels over the minimal ones: `prefix` places each x in
+# its minimal cylinder x[:low], each starting at `first`; `down` is L^r onto the minimal
+# words, with column sums `weight` (None, None, None and 1 at r = 0), and `between` the
+# column sums of sum_{0<j<r} L^j. For r > 0 the rows of `rounding` @ |b| bound the
+# 1-norms of the rounding of L^r b on the minimal words and of sum_{0<j<r} L^j b.
+_Levels = collections.namedtuple("_Levels", "r prefix first down weight rounding between")
 
 
 class EquilibriumContext:
@@ -133,7 +122,7 @@ class EquilibriumContext:
         low, n = self.base.depth, len(self.m)
         r = self.depth - low
         if r == 0:
-            return _Levels(0, None, None, None, np.ones(n), None)
+            return _Levels(0, None, None, None, np.ones(n), None, np.zeros(n))
         prefix, first = _cylinders(self.sft, self.depth, low)
         suffix = _word_table(self.sft, self.depth).tail   # x[r:] among the minimal words
         for j in range(self.depth - 1, low, -1):
@@ -148,12 +137,13 @@ class EquilibriumContext:
         # L^r b has at most k^r terms per row and L b at most k, k symbols;
         # 1^T L^j . |b| = ||L^j |b| ||_1
         k = self.sft.alphabet_size
-        rounding, cols = np.zeros((2, n)), np.ones(n)
+        rounding, cols, between = np.zeros((2, n)), np.ones(n), np.zeros(n)
         rounding[0] = _gamma(k ** r) * weight
         for j in range(1, r):
             cols = self.rm.matrix.T @ cols
             rounding[1] += _gamma(j * k) * cols
-        return _Levels(r, prefix, first, down, weight, rounding)
+            between += cols
+        return _Levels(r, prefix, first, down, weight, rounding, between)
 
     def _cylinder_max(self, w: np.ndarray) -> np.ndarray:
         """max over the minimal words u of |sum_{x[:low] = u} w(x)|, per column of w."""
@@ -195,21 +185,29 @@ class EquilibriumContext:
                                                           trans="T")[:n])
         return a, solve, onenormest(block)
 
-    def sums(self, vecs: np.ndarray, lo=0, err_in=0.0):
+    @functools.cached_property
+    def _shifted_norm(self) -> float:
+        """||G - I||_1, which carries the error of b into a lo = 1 column y - b at r = 0:
+        exact from the dense inverse (the dense solve is its matmul), else ||G||_1 + 1."""
+        a, solve, inv_norm = self._factor
+        dense = isinstance(a, np.ndarray)
+        return np.abs(solve.__self__ - np.eye(len(a))).sum(axis=0).max() if dense else inv_norm + 1
+
+    def sums(self, vecs: np.ndarray, lo=0, err_in=(0.0, 0.0)):
         """Columns sum_{j>=lo} L^j b, b = v - m(v), over the columns v of `vecs`.
 
         With r = depth - low, sum_{j>=0} L^j b = sum_{j<r} L^j b + promote(y), where
         y = sum_{j>=0} L^j (L^r b) is solved on the minimal words; lo = 1 drops the
         term j = 0. Returns the columns and, per column, err[0] bounding the 1-norm on
-        the minimal words of the error of y up to a multiple of 1 (which pairs to
-        zero with a mean-zero vector), and err[1] bounding the 1-norm of the rounding
-        of the terms j < r. err[0] is the norm of `_factor` times the residual of the
-        solve, the rounding of L^r b and `err_in`, a bound on the 1-norm on the
-        minimal words of the error that v carries into L^r v; the error v carries
-        into the terms j < r is the caller's to bound. The residual counts the
-        rounding of its own evaluation, gamma_{N+1} (|rhs| + |A| |x|) for A of order
-        N (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12), so it is
-        never a bare 0. `lo` and `err_in` may vary by column.
+        the minimal words of the error of y up to a multiple of 1 (which pairs to zero
+        with a mean-zero vector): the norm of `_factor` times the residual of the solve,
+        the rounding of L^r b and err_in[0], the 1-norm there of the error v carries into
+        L^r v (at r = 0 with lo = 1, err_in[0] times `_shifted_norm`); and err[1], the
+        rounding of the terms j < r plus err_in[1], the 1-norm of the error v carries
+        into the terms lo <= j < r. The residual counts the rounding of its own
+        evaluation, gamma_{N+1} (|rhs| + |A| |x|) for A of order N (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 12), so it is never a bare 0. `lo` and
+        `err_in` may vary by column.
         """
         a, solve, inv_norm = self._factor
         lev, n = self._levels, len(self._m_low)
@@ -219,16 +217,78 @@ class EquilibriumContext:
             rhs = np.vstack([rhs, np.zeros((1, rhs.shape[1]))])
         y = solve(rhs)
         resid = np.abs(rhs - a @ y) + _gamma(a.shape[0] + 1) * (np.abs(rhs) + abs(a) @ np.abs(y))
-        err = err_in + resid[:n].sum(axis=0)
+        err = resid[:n].sum(axis=0)
         if lev.r == 0:
-            return y[:n] - lo * b, np.array([inv_norm * err, np.zeros_like(err)])
+            g = np.where(lo, self._shifted_norm, inv_norm) if np.any(err_in[0] * lo) else inv_norm
+            return y[:n] - lo * b, np.array([inv_norm * err + g * err_in[0], np.zeros_like(err)])
         rounding = lev.rounding @ np.abs(b)
-        rounding[0] = inv_norm * (err + rounding[0])
+        rounding[0] = inv_norm * (err + err_in[0] + rounding[0])
+        rounding[1] += err_in[1]
         x = y[lev.prefix] + (1 - lo) * b
         for _ in range(1, lev.r):
             b = self.rm.matrix @ b
             x += b
         return x, rounding
+
+    def _norms(self, w: np.ndarray) -> np.ndarray:
+        """(max_u |sum_{x[:low] = u} w(x)|, max |w|) per column of w, to dot with err."""
+        return np.array([self._cylinder_max(w), np.abs(w).max(axis=0)])
+
+    def _log_rho(self, coeffs: dict, top: tuple) -> tuple:
+        """(p, bound): the Taylor coefficients p_a of P(w' + g(s)) = log rho(s) at s = 0,
+        g(s) = sum_a g_a s^a, for every count vector 0 < a <= top, each with a bound.
+
+        `coeffs` maps count vectors a to the vectors g_a on the context's words (absent
+        ones are 0). rho(s) is a simple eigenvalue of L(s) = L(e^{g(s)} .), analytic in s
+        (Parry & Pollicott, Asterisque 187-188, ch. 4), and the Rayleigh-Schrodinger
+        recursion (Kato, Perturbation Theory for Linear Operators, ch. II 2) gives its
+        coefficients from x_0 = 1, m(x_a) = 0 and c = e^g:
+            lambda_a = m(u_a),  u_a = sum_{0<b<=a} c_b x_{a-b},
+            x_a = sum_{j>=1} L^j u_a - sum_{j>=0} L^j w_a,  w_a = sum_{0<b<a} lambda_b x_{a-b}.
+        c = e^g and p = log lambda follow from a_i c_a = sum_{0<b<=a} b_i g_b c_{a-b},
+        i the first index with a_i > 0. Each level |a| below the top is one `sums` call
+        (lo = 1 for the u_a, lo = 0 for the w_a), into which the errors of the levels
+        below are carried; every error is also paired into the lambdas it enters.
+        """
+        levels, splits = _plan(top)
+        lev, zero = self._levels, np.zeros(len(self.m))
+        c, x, err, lam, lam_err, p, bound, norm = {}, {}, {}, {}, {}, {}, {}, {}
+        for k, level in enumerate(levels):
+            for a in level:
+                c[a] = u = coeffs.get(a, zero) + sum(f * coeffs[b] * c[d]
+                                                     for b, d, f in splits[a] if f and b in coeffs)
+                q = le = bd = 0.0
+                for b, d, f in splits[a]:
+                    u = u + c[b] * x[d]
+                    le += norm[b][0] @ err[d]
+                    q += f * p[b] * lam[d]
+                    bd += f * (abs(p[b]) * lam_err[d] + (abs(lam[d]) + lam_err[d]) * bound[b])
+                x[a], lam[a] = u, self.integrate_vec(u)   # x[a] holds u_a until it is solved
+                p[a], lam_err[a], bound[a] = lam[a] - q, le, le + bd
+            if k == len(levels) - 1:
+                return p, bound
+            # norm[a]: the norms of m c_a and, if a later level is solved, of |c_a| under the
+            # column sums of L^r and of sum_{0<j<r} L^j, which carry an error into u columns
+            n, cs = len(level), np.array([c[a] for a in level]).T
+            w = self.m[:, None] * cs
+            if k + 2 < len(levels):
+                w = np.hstack([w, lev.weight[:, None] * abs(cs), lev.between[:, None] * abs(cs)])
+            norm.update(zip(level, self._norms(w).reshape(2, -1, n).T))
+            if not k:   # the first level: u_a = g_a, carrying no error
+                out, e = self.sums(cs, lo=1)
+            else:   # u_a carries c_b e_d; w_a carries lambda_b e_d + e(lambda_b) x_d, from j = 0
+                under = np.array([lev.weight, lev.between + (lev.r > 0)])
+                ones = self._norms(under.T).T
+                cols = [x[a] for a in level] + [sum(lam[b] * x[d] for b, d, _ in splits[a])
+                                                for a in level]
+                carry = [sum(norm[b][1:] @ err[d] for b, d, _ in splits[a]) for a in level]
+                carry += [sum(abs(lam[b]) * ones @ err[d] + lam_err[b] * (under @ abs(x[d]))
+                              for b, d, _ in splits[a]) for a in level]
+                out, e = self.sums(np.column_stack(cols), lo=np.arange(2 * n) < n,
+                                   err_in=np.column_stack(carry))
+                out, e = out[:, :n] - out[:, n:], e[:, :n] + e[:, n:]
+            x.update(zip(level, out.T))
+            err.update(zip(level, e.T))
 
     def _mean_zero_vector(self, g: DepthKFunction) -> np.ndarray:
         v = self.vector(g)
@@ -237,68 +297,41 @@ class EquilibriumContext:
             raise NotMeanZero(mean)
         return v
 
-    def _bound(self, weights: np.ndarray, err: np.ndarray) -> float:
-        """Bound on the sum over columns of |m(w * e)|, e the error that `sums` bounds
-        by err for the column w of `weights` is paired with: its part on the minimal
-        words against max_u |sum_{x[:low] = u} m(x) w(x)|, the rest against max |m w|."""
-        mw = self.m[:, None] * weights
-        if self._levels.r == 0:
-            return float(np.abs(mw).max(axis=0) @ (err[0] + err[1]))
-        bound = self._cylinder_max(mw) @ err[0]
-        if self._levels.r > 1:   # err[1] is 0 when no term has 0 < j < r
-            bound += np.abs(mw).max(axis=0) @ err[1]
-        return float(bound)
+    def _report(self, coeffs: dict, top: tuple, scale: float = 1.0) -> CorrelationReport:
+        p, bound = self._log_rho(coeffs, top)
+        return CorrelationReport(scale * p[top], truncation=0, tail_bound=scale * bound[top])
 
     def variance(self, g: DepthKFunction) -> CorrelationReport:
-        """Green-Kubo sum m(g^2) + 2 sum_{j>=1} m(g * g o sigma^j) of a mean-zero g."""
-        v = self._mean_zero_vector(g)
-        s1, err = self.sums(v[:, None], lo=1)
-        value = self.integrate_vec(v * v) + 2.0 * self.integrate_vec(v * s1[:, 0])
-        return CorrelationReport(value, truncation=0, tail_bound=self._bound(v[:, None], 2.0 * err))
+        """m(g^2) + 2 sum_{j>=1} m(g * g o sigma^j), g mean zero: twice the (2) coefficient."""
+        return self._report({(1,): self._mean_zero_vector(g)}, (2,), 2.0)
 
     def covariance(self, g1: DepthKFunction, g2: DepthKFunction) -> CorrelationReport:
-        """Symmetric bilinear correlation sum; g2 is projected mean-zero first.
-
-        Cov(g1, g2) = Cov(g1, P_m g2) holds because the cross terms average out,
-        so only g1 needs to be mean zero on input.
-        """
-        v1 = self._mean_zero_vector(g1)
+        """Symmetric bilinear correlation sum, the (1, 1) coefficient of `_log_rho`. As
+        Cov(g1, g2) = Cov(g1, P_m g2), g2 is centred here and only g1 must be mean zero."""
         v2 = self.vector(g2)
-        v2 = v2 - self.integrate_vec(v2)
-        s1, err = self.sums(np.column_stack([v1, v2]), lo=1)
-        value = self.integrate_vec(v1 * v2 + s1[:, 0] * v2 + s1[:, 1] * v1)
-        return CorrelationReport(value, truncation=0,
-                                 tail_bound=self._bound(np.column_stack([v2, v1]), err))
+        return self._report({(1, 0): self._mean_zero_vector(g1),
+                             (0, 1): v2 - self.integrate_vec(v2)}, (1, 1))
 
     def triple(self, g1: DepthKFunction, g2: DepthKFunction,
                g3: DepthKFunction) -> CorrelationReport:
-        """Double correlation sum over all n, m of m(g1 * g2 o sigma^n * g3 o sigma^m).
+        """Double correlation sum over all n, m of m(g1 * g2 o sigma^n * g3 o sigma^m),
+        the discrete third-moment limit (1/n) int (S_n)^3: the (1, 1, 1) coefficient
+        of `_log_rho`, the mixed derivative of P(w' + s1 g1 + s2 g2 + s3 g3) at 0."""
+        units = dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (g1, g2, g3)))
+        return self._report({a: self._mean_zero_vector(g) for a, g in units.items()}, (1, 1, 1))
 
-        This is the discrete form of the third-moment limit (1/n) int (S_n)^3.
-        Each index pair is one ordering (i, j, k) of the factors by shift, ties
-        broken by index, with gaps p, c >= 0; the ordering's share is
-        m(S_c(S_p(h_i) * h_j) * h_k) with lower limits p >= [i > j], c >= [j > k].
 
-        The inner error e = promote(a) + alpha (`sums`) enters the outer sum as
-        h_j e: into L^r (h_j e) on the minimal words with norm at most
-        max_u sum_{x[:low] = u} L^r(x) |h_j(x)| ||a||_1 + max L^r |h_j| ||alpha||_1,
-        with weight [r > 0] - [j > k] as the term c = 0, paired with h_k h_j, and
-        through each of the r - 1 terms 0 < c < r, where |m(h_k L^c f)| <= max |h_k| m(|f|).
-        """
-        h = np.column_stack([self._mean_zero_vector(g) for g in (g1, g2, g3)])
-        hj, hk, lev = h[:, _J], h[:, _K], self._levels
-        inner, e_in = self.sums(h[:, _I], lo=_LO_INNER)
-        carry = lev.weight[:, None] * np.abs(hj)
-        err_in = self._cylinder_max(carry) * e_in[0]
-        if lev.r > 1:   # e_in[1] is 0 otherwise
-            err_in += carry.max(axis=0) * e_in[1]
-        outer, err = self.sums(inner * hj, lo=_LO_OUTER, err_in=err_in)
-        value = self.integrate_vec((outer * hk).sum(axis=1))
-        bound = self._bound(np.hstack([hk, hk * hj * ((lev.r > 0) != _LO_OUTER)]),
-                            np.hstack([err, e_in]))
-        if lev.r > 1:
-            bound += (lev.r - 1) * self._bound(np.abs(hj), e_in * np.abs(hk).max(axis=0))
-        return CorrelationReport(value, truncation=0, tail_bound=bound)
+@functools.cache
+def _plan(top: tuple) -> tuple:
+    """(levels, splits): the count vectors 0 < a <= top by |a| = 1, 2, ..., and per a its
+    splits (b, a - b, b_i / a_i), 0 < b < a, i the first index with a_i > 0."""
+    alphas = sorted((a for a in itertools.product(*(range(t + 1) for t in top)) if any(a)), key=sum)
+    splits = {}
+    for a in alphas:
+        i = next(k for k, ak in enumerate(a) if ak)
+        splits[a] = [(b, d, b[i] / a[i]) for b in alphas
+                     for d in [tuple(map(operator.sub, a, b))] if d in alphas]
+    return [[a for a in alphas if sum(a) == k] for k in range(1, sum(top) + 1)], splits
 
 
 @dataclass(frozen=True)

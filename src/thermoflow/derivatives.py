@@ -1,17 +1,20 @@
 """Pressure derivatives up to third order, their oracles, and the metric assembly.
 
-First derivative: integral of the parameter derivative against the equilibrium
-state. Second: variance plus the second-parameter integral (valid once the
-first derivative vanishes). Third: triple covariance + 3 cov(d1, d2) + the
-third-parameter integral. Each display is written once over a multi-index
-(`_Base.d2`, `_Base.d3`), so pure and mixed derivatives share it. Every formula
-is cross-checkable against central finite differences of the pressure (fd_oracle).
+Each derivative d^alpha P of a family at its base is alpha! times a Taylor coefficient
+of log rho from one Rayleigh-Schrodinger recursion (`EquilibriumContext._log_rho`) over
+the count vector alpha of its parameters, so a pure derivative and its repeated-index
+mixed form are one computation. `pressure_d2` and `pressure_d3` check that the first
+derivatives vanish, the hypothesis of their Green-Kubo displays. Every value can be
+checked against central finite differences of the pressure (fd_oracle).
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from .correlations import EquilibriumContext
 from .errors import DegenerateDenominator, HypothesisViolated
@@ -22,22 +25,17 @@ FIRST_DERIV_TOL = 1e-8
 
 
 def _factorial(alpha) -> int:
-    out = 1
-    for _, reps in itertools.groupby(sorted(alpha)):
-        n = len(list(reps))
-        for i in range(2, n + 1):
-            out *= i
-    return out
+    """alpha! of a multi-index: the product of the factorials of its multiplicities."""
+    return math.prod(math.factorial(alpha.count(i)) for i in set(alpha))
 
 
 @dataclass
 class PotentialFamily:
     """Smooth family of depth-k potentials with partials at parameter zero.
 
-    `partials` maps sorted multi-indices like (0,), (0, 1), (1, 1, 2) to the
-    corresponding parameter derivatives at 0. Families built from a Taylor
-    table have exact partials; `validate` checks them against central finite
-    differences of the evaluator.
+    `partials` maps sorted multi-indices like (0,), (0, 1), (1, 1, 2) to the parameter
+    derivatives at 0; a family built from a Taylor table has them all, exactly, and
+    others fall back on central differences of the evaluator up to order 2.
     """
 
     sft: Sft
@@ -48,7 +46,7 @@ class PotentialFamily:
     complete_partials: bool = False  # absent keys mean identically-zero partials
 
     def at(self, params) -> DepthKFunction:
-        params = tuple(params)
+        params = tuple(map(float, params))
         if len(params) != self.nparams:
             raise ValueError(f"expected {self.nparams} parameters")
         return self.evaluator(params)
@@ -62,18 +60,12 @@ class PotentialFamily:
         return self._fd_partial(key)
 
     def _fd_partial(self, alpha, h: float = 1e-4) -> DepthKFunction:
+        e = np.eye(self.nparams)[list(alpha)] * h
         if len(alpha) == 1:
-            e = _unit(self.nparams, alpha[0], h)
-            g = (self.at(e) - self.at(_neg(e))) * (0.5 / h)
-            return g
+            return (self.at(e[0]) - self.at(-e[0])) * (0.5 / h)
         if len(alpha) == 2:
-            i, j = alpha
-            ei, ej = _unit(self.nparams, i, h), _unit(self.nparams, j, h)
-            pp = self.at(_add(ei, ej))
-            pm = self.at(_add(ei, _neg(ej)))
-            mp = self.at(_add(_neg(ei), ej))
-            mm = self.at(_add(_neg(ei), _neg(ej)))
-            return (pp - pm - mp + mm) * (0.25 / h ** 2)
+            (i, j), f = e, self.at
+            return (f(i + j) - f(i - j) - f(j - i) + f(-i - j)) * (0.25 / h ** 2)
         raise NotImplementedError("third-order fd partials are not provided; "
                                   "supply closed-form partials")
 
@@ -85,9 +77,7 @@ class PotentialFamily:
         def evaluator(params):
             out = f0
             for alpha, g in table.items():
-                coef = 1.0 / _factorial(alpha)
-                for i in alpha:
-                    coef *= params[i]
+                coef = math.prod((params[i] for i in alpha), start=1.0 / _factorial(alpha))
                 if coef != 0.0:
                     out = out + g * coef
             return out
@@ -97,27 +87,12 @@ class PotentialFamily:
                                complete_partials=True)
 
 
-def _unit(n, i, h):
-    return tuple(h if j == i else 0.0 for j in range(n))
-
-
-def _neg(v):
-    return tuple(-x for x in v)
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 @dataclass
 class _Base:
     """One base potential solved once: its RPF data, normalization and context.
 
-    `d1`, `d2` and `d3` return (value, stated error bound of the correlation
-    sums they computed) for any family whose base is this potential; each
-    takes the multi-index of the derivative, so a pure and a mixed derivative
-    of one order share one display.
-    """
+    `d1`, `d2` and `d3` return (value, stated error bound of the correlation sums they
+    computed) for any family with this base; `d2` and `d3` check first derivatives."""
 
     data: RpfData
     ctx: EquilibriumContext
@@ -132,31 +107,23 @@ class _Base:
                 raise HypothesisViolated(f"first derivative in parameter {p}", val)
 
     def d1(self, family: PotentialFamily, params=(0,)):
-        return self.ctx.integrate(family.partial(params)), 0.0
+        """d^params P for a multi-index of any order: alpha! times the `_log_rho`
+        coefficient at the count vector alpha of `params` over its distinct parameters,
+        whose Taylor coefficients are the partials over their alpha!."""
+        ps = sorted(set(params))
+        top = tuple(map(params.count, ps))
+        index = {a: [q for q, k in zip(ps, a) for _ in range(k)]
+                 for a in itertools.product(*(range(k + 1) for k in top))}
+        p, bound = self.ctx._log_rho({a: self.ctx.vector(family.partial(i)) / _factorial(i)
+                                      for a, i in index.items() if i}, top)
+        return _factorial(params) * p[top], _factorial(params) * bound[top]
 
     def d2(self, family: PotentialFamily, params=(0, 0)):
-        """Cov(P d_i f, P d_j f) + int d_ij f dm, with the variance when i == j."""
         self.require_first_derivs_zero(family, params)
-        i, j = params
-        gi = self.centered(family.partial((i,)))
-        corr = (self.ctx.variance(gi) if i == j
-                else self.ctx.covariance(gi, family.partial((j,))))
-        return corr.value + self.ctx.integrate(family.partial(params)), corr.tail_bound
+        return self.d1(family, params)
 
     def d3(self, family: PotentialFamily, params=(0, 0, 0)):
-        """Triple(P d_u f, P d_v f, P d_w f) + the three Cov(P d_a f, d_bc f)
-        + int d_uvw f dm. Each distinct covariance is solved once, so a pure
-        d3 makes one: its three equal terms sum to exactly 3 times it."""
-        self.require_first_derivs_zero(family, params)
-        g = {p: self.centered(family.partial((p,))) for p in params}
-        trip = self.ctx.triple(*(g[p] for p in params))
-        splits = [(params[a], tuple(sorted(params[:a] + params[a + 1:]))) for a in range(3)]
-        cov = {k: self.ctx.covariance(g[k[0]], family.partial(k[1]))
-               for k in dict.fromkeys(splits)}
-        value = sum(cov[k].value for k in splits)
-        bound = sum(cov[k].tail_bound for k in splits)
-        third = self.ctx.integrate(family.partial(params))
-        return trip.value + value + third, trip.tail_bound + bound
+        return self.d2(family, params)
 
 
 def _prepare(f0: DepthKFunction, depth: int, data: RpfData | None = None) -> _Base:
@@ -173,8 +140,9 @@ def _prepare(f0: DepthKFunction, depth: int, data: RpfData | None = None) -> _Ba
 
 def _family_base(*families: PotentialFamily) -> _Base:
     """The base of the first family, deep enough for every f0 and every partial
-    of `families`. The normalized base is one deeper, but its operator acts on
-    functions of the depth of f0 (`ruelle_matrix`), so the context need not be."""
+    of `families`. The normalized base w' has depth max(depth(f0), 2), and its
+    operator acts on functions of any depth down to its minimal words
+    (`ruelle_matrix`), so the context need only hold f0 and the partials."""
     return _prepare(families[0].f0,
                     max(g.depth for f in families for g in (f.f0, *f.partials.values())))
 
@@ -250,15 +218,14 @@ def pressure_metric_d1_terms(du: DepthKFunction, dv: DepthKFunction, dw: DepthKF
                              ctx: EquilibriumContext | None = None) -> float:
     """Three-term first variation of the metric numerator.
 
-    triple(du, dv, dw) + cov(du, dwv) + cov(dv, dwu); depends only on the
-    Livsic class of each component. The sums are taken against the measure of
-    `w_norm` (or `ctx`).
+    triple(du, dv, dw) + cov(du, dwv) + cov(dv, dwu): the (1, 1, 1) coefficient of log
+    rho along s_u du + s_v dv + s_w dw + s_v s_w dwv + s_u s_w dwu, which depends only
+    on the Livsic class of each component, against the measure of `w_norm` (or `ctx`).
     """
-    depth = max(g.depth for g in (du, dv, dw, dwv, dwu))
-    ctx = ctx or EquilibriumContext(du.sft, w_norm, depth=depth)
-    du, dv, dw = (g - ctx.integrate(g) for g in (du, dv, dw))
-    return (ctx.triple(du, dv, dw).value + ctx.covariance(du, dwv).value
-            + ctx.covariance(dv, dwu).value)
+    gs = (du, dv, dw, dwv, dwu)
+    ctx = ctx or EquilibriumContext(du.sft, w_norm, depth=max(g.depth for g in gs))
+    keys = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1))
+    return ctx._log_rho(dict(zip(keys, map(ctx.vector, gs))), (1, 1, 1))[0][1, 1, 1]
 
 
 def pressure_metric_d1(family: PotentialFamily, params=(0, 1, 2)) -> float:
@@ -280,7 +247,5 @@ def pressure_metric_d1(family: PotentialFamily, params=(0, 1, 2)) -> float:
     if abs(denom) < 1e-12:
         raise DegenerateDenominator(f"int F dm = {denom}")
     u, v, w = params
-    s3 = pressure_metric_d1_terms(
-        family.partial((u,)), family.partial((v,)), family.partial((w,)),
-        family.partial((v, w)), family.partial((u, w)), base.ctx.w, ctx=base.ctx)
-    return s3 / (-denom)
+    parts = map(family.partial, [(u,), (v,), (w,), (v, w), (u, w)])
+    return pressure_metric_d1_terms(*parts, base.ctx.w, ctx=base.ctx) / (-denom)

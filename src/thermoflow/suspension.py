@@ -126,8 +126,8 @@ def flow_pressure_derivative_transfer(flow: SuspensionFlow, family: FlowFamily,
 
     Shift side: the pressure-derivative assembly of s -> F_hat_s - c_s * roof,
     divided by int roof dm; the constants s k1 + (s^2/2) k2 are subtracted so
-    that the lower derivatives vanish as the formulas require. Every shift-side
-    term is taken on one prepared base F_hat_0 - c_0 * roof.
+    that the lower derivatives vanish, as `_Base.d2` and `.d3` check. Every
+    shift-side term is taken on one prepared base F_hat_0 - c_0 * roof.
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")

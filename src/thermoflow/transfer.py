@@ -181,7 +181,8 @@ def _perron(matrix):
 
     rho is the Perron root, h the right and nu the left Perron vector with sum(nu) = 1
     and <nu, h> = 1, and ratio = |lambda_2| / rho is the ratio of the computed
-    eigenvalues, so a lambda_2 equal to rho in modulus can round it to just above 1.
+    eigenvalues, at most 1 (Perron-Frobenius: no eigenvalue of a nonnegative matrix
+    exceeds rho in modulus); a lambda_2 equal to rho in modulus can round it to 1.
     Up to DENSE_WORDS rows rho and the ratio come from `eigvals`, and h and nu from one
     solve each of `_border` and its transpose; above, from ARPACK. `_refine` polishes
     both vectors. A failed solve raises NoConvergence, a non-finite result
@@ -213,7 +214,7 @@ def _perron(matrix):
         h = h / (nu @ h)
     if not (math.isfinite(rho) and np.isfinite(h).all() and np.isfinite(nu).all()):
         raise NonFiniteValue(f"Perron data of {n} words is not finite (rho = {rho:.3e})")
-    ratio = float(np.abs(np.delete(lam, top)).max() / rho) if n > 1 else 0.0
+    ratio = min(float(np.abs(np.delete(lam, top)).max() / rho), 1.0) if n > 1 else 0.0
     return rho, h, nu, ratio
 
 

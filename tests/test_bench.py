@@ -68,3 +68,24 @@ def test_src_lines_by_module_counts_each_file_and_sums_to_src_lines(tmp_path):
     by_module = bench._src_lines_by_module(root)
     assert "sft.py" in by_module and sum(by_module.values()) == sum(
         p.read_text().count("\n") for p in (root / "src" / "thermoflow").glob("*.py"))
+
+
+def test_src_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):
+    pkg = tmp_path / "src" / "thermoflow"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        '"""Module docstring,\n\nover three lines."""\n'
+        "import math  # a trailing comment\n"
+        "\n"
+        "# a comment line\n"
+        "def f(x):\n"
+        '    """One-line docstring."""\n'
+        "    return math.fsum([x,\n"
+        "                      2 * x])   # a statement over two lines\n"
+        'TEXT = """a string\nthat is code"""\n')
+    # the import, the def, both lines of the return and both lines of TEXT
+    assert bench._src_code_lines_by_module(tmp_path) == {"a.py": 6}
+    root = Path(__file__).resolve().parent.parent
+    lines = bench._src_lines_by_module(root)
+    code = bench._src_code_lines_by_module(root)
+    assert set(code) == set(lines) and all(0 < code[name] < lines[name] for name in lines)

@@ -1,15 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import base_context, random_family_1p
+from conftest import SHIFTS, FullDepthSums, base_context, random_family_1p
 from thermoflow import errors
-from thermoflow.derivatives import (PotentialFamily, _family_base, fd_oracle, pressure_d1,
-                                    pressure_d2, pressure_d2_mixed, pressure_d3,
+from thermoflow.correlations import EquilibriumContext
+from thermoflow.derivatives import (PotentialFamily, _family_base, _prepare, fd_oracle,
+                                    pressure_d1, pressure_d2, pressure_d2_mixed, pressure_d3,
                                     pressure_d3_mixed, pressure_metric, pressure_metric_d1,
                                     pressure_metric_d1_terms)
 from thermoflow.sft import (coboundary, constant_function, full_shift, golden_mean_shift,
                             random_function)
-from thermoflow.transfer import equilibrium_measure, normalize_potential, pressure, rpf
+from thermoflow.transfer import EPS, equilibrium_measure, normalize_potential, pressure, rpf
 
 
 def test_d1_constant_direction():
@@ -83,8 +86,8 @@ def test_mixed_derivatives_on_the_diagonal_are_the_pure_ones(solve_counts):
     assert pressure_d3_mixed(fam, (0, 0, 0)) == pressure_d3(fam)
     solve_counts.clear()
     pressure_d3(fam)
-    # two solves for the triple, one for the single distinct covariance
-    assert solve_counts["sums"] == 3
+    # one `sums` call for each level of the recursion below the top
+    assert solve_counts["sums"] == 2
 
 
 def test_d3_pure_cubic_constant():
@@ -342,3 +345,141 @@ def test_pressure_metric_d1_livsic_replacement_invariance():
         shifted[idx] = shifted[idx] + coboundary(random_function(s, 2, rng, scale=0.5))
         val = pressure_metric_d1_terms(*shifted, wn, ctx=ctx)
         assert abs(val - base_val) < 1e-6
+
+
+# The errors that the first level of the recursion carries into the next one: the
+# `sums` call of the first level reports K times its err[0] for one column, and that
+# column moves by a vector of this 1-norm on the minimal words, one minimal word and
+# one sign at a time. Each move must stay within the stated bound of the run it is in.
+CARRY_K = 1e6
+
+
+@pytest.fixture
+def first_level_move(monkeypatch):
+    """Set move["to"] = (column, sign, minimal word) to move the next `sums` call."""
+    sums, move = EquilibriumContext.sums, {"to": None}
+
+    def moved(self, vecs, *args, **kwargs):
+        out, err = sums(self, vecs, *args, **kwargs)
+        if move["to"] is not None:
+            (j, sign, u), move["to"] = move["to"], None
+            words = np.arange(len(out)) if self._levels.r == 0 else self._levels.prefix
+            err, out = err.copy(), out.copy()
+            err[0, j] *= CARRY_K
+            out[:, j] += sign * err[0, j] * (words == u)
+        return out, err
+
+    monkeypatch.setattr(EquilibriumContext, "sums", moved)
+    return move
+
+
+@pytest.mark.parametrize("shift", ["golden", "full2", "full3"])
+@pytest.mark.parametrize("context", [1, 2, 3])
+def test_first_level_errors_are_carried_into_the_triple_and_d3(shift, context,
+                                                               first_level_move):
+    """Depth-2 bases, whose minimal words have depth 1, at contexts r = 0, 1 and 2
+    levels above them."""
+    s = SHIFTS[shift]()
+    rng = np.random.default_rng(context)
+    f0 = random_function(s, 2, rng, scale=0.4)
+    base = _prepare(f0, context)
+    assert base.ctx._levels.r == context - 1
+    gs = [base.centered(random_function(s, context, rng)) for _ in range(3)]
+    fam = PotentialFamily.from_taylor(s, f0, {(0,): gs[0], (0, 0): random_function(s, context, rng),
+                                             (0, 0, 0): random_function(s, context, rng)})
+    runs = {3: lambda: (lambda rep: (rep.value, rep.tail_bound))(base.ctx.triple(*gs)),
+            1: lambda: base.d3(fam)}
+    for columns, run in runs.items():
+        value, _ = run()
+        for j in range(columns):
+            for sign in (1.0, -1.0):
+                for u in range(len(base.ctx._m_low)):
+                    first_level_move["to"] = (j, sign, u)
+                    got, bound = run()
+                    assert first_level_move["to"] is None
+                    assert abs(got - value) <= bound
+
+
+# Every derivative of a three-parameter family, on a grid of shifts, depths and seeds.
+GRID_PARAMS = [(0,), (0, 0), (0, 1), (0, 0, 0), (0, 0, 1), (0, 1, 2)]
+# central stencils by order, {offset: weight}: each is exact up to O(h^2)
+_STENCILS = {1: {-1: -0.5, 1: 0.5}, 2: {-1: 1.0, 0: -2.0, 1: 1.0},
+             3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
+             4: {-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0}}
+
+
+def _central(family, params, h):
+    """d^params P(f_t) at t = 0 by the product of the central stencils of each parameter."""
+    ps, total = sorted(set(params)), 0.0
+    for offsets in itertools.product(*(_STENCILS[params.count(q)].items() for q in ps)):
+        t, weight = [0.0] * family.nparams, 1.0
+        for q, (k, c) in zip(ps, offsets):
+            t[q], weight = k * h, weight * c
+        total += weight * pressure(family.sft, family.at(t))
+    return total / h ** len(params)
+
+
+def _green_kubo(oracle, vec, params):
+    """(value, bound) of the Green-Kubo display of d^params P at a base where every
+    first derivative vanishes, from the full-depth sums of `FullDepthSums`: the
+    integral of the partial, plus Cov(g_u, g_v) at order 2, plus Triple(g_u, g_v, g_w)
+    and the three Cov(g_a, d_bc f) at order 3."""
+    value, bound = oracle.m @ vec(params), 0.0
+    if len(params) == 2:
+        value, bound = np.add((value, bound), oracle.covariance(vec(params[:1]), vec(params[1:])))
+    if len(params) == 3:
+        value, bound = np.add((value, bound), oracle.triple(*(vec((q,)) for q in params)))
+        for a in range(3):
+            cov = oracle.covariance(vec(params[a:a + 1]), vec(params[:a] + params[a + 1:]))
+            value, bound = np.add((value, bound), cov)
+    return value, bound
+
+
+@pytest.mark.parametrize("shift", ["golden", "full2", "full3", "full4", "mixing3"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_every_derivative_on_a_grid_of_shifts_depths_and_seeds(shift, depth):
+    """Non-centred families: each derivative of `_Base.d1` against the Richardson
+    extrapolation (4 D(h/2) - D(h)) / 3 of the central stencils, within 1e-10, 1e-8
+    and 1e-5 relative at orders 1-3. Centred families (the same partials with the
+    first ones centred): each within its stated bound of the Green-Kubo display, up
+    to the rounding of the final integrals, which neither bound counts."""
+    s = SHIFTS[shift]()
+    for seed in range(2):
+        rng = np.random.default_rng([depth, seed])
+        f0 = random_function(s, depth, rng, scale=0.4)
+        partials = {tuple(map(int, a)): random_function(s, depth, rng, scale=0.3)
+                    for a in ("0", "1", "2", "00", "01", "02", "12", "000", "001", "012")}
+        family = PotentialFamily.from_taylor(s, f0, partials, nparams=3)
+        base = _family_base(family)
+        for params in GRID_PARAMS:
+            value, _ = base.d1(family, params)
+            h = {1: 1e-3, 2: 1e-2, 3: 2e-2}[len(params)]
+            fd = (4 * _central(family, params, h / 2) - _central(family, params, h)) / 3
+            assert abs(value - fd) <= {1: 1e-10, 2: 1e-8, 3: 1e-5}[len(params)] * max(1, abs(fd))
+        partials.update({(q,): base.centered(partials[q,]) for q in range(3)})
+        centred = PotentialFamily.from_taylor(s, f0, partials, nparams=3)
+        oracle = FullDepthSums(base.ctx)
+        for params in GRID_PARAMS:
+            value, bound = base.d2(centred, params) if len(params) > 1 else base.d1(centred, params)
+            want, want_bound = _green_kubo(oracle, lambda a: base.ctx.vector(centred.partial(a)),
+                                           params)
+            assert abs(value - want) <= bound + want_bound + 16 * EPS * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("shift", ["golden", "full2", "mixing3"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_fourth_order_derivatives_match_central_differences(shift, depth):
+    """Past the orders the library reads: the recursion at |alpha| = 4, whose third
+    level carries lambda terms with errors of their own, against the Richardson
+    extrapolation of the central stencils at h = 0.05 and 0.025, within 2e-5 relative."""
+    s = SHIFTS[shift]()
+    rng = np.random.default_rng(depth)
+    f0 = random_function(s, depth, rng, scale=0.4)
+    partials = {tuple(map(int, a)): random_function(s, depth, rng, scale=0.3)
+                for a in ("0", "1", "00", "01", "11", "000", "001", "011", "0000", "0011")}
+    family = PotentialFamily.from_taylor(s, f0, partials, nparams=2)
+    base = _family_base(family)
+    for params in [(0, 0, 0, 0), (0, 0, 1, 1)]:
+        value, bound = base.d1(family, params)
+        fd = (4 * _central(family, params, 0.025) - _central(family, params, 0.05)) / 3
+        assert abs(value - fd) <= 2e-5 * max(1, abs(fd)) and 0.0 < bound < 1e-9

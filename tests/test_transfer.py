@@ -502,6 +502,20 @@ def test_gap_matches_eigvals_on_random_shifts(seed):
     assert ctx.gap == pytest.approx(_eigvals_ratio(ctx.rm.matrix)[0], abs=1e-12)
 
 
+def test_gap_is_at_most_one_where_lambda_2_ties_rho():
+    """On the golden mean, e^w on the edges 00, 01 and 10 spans e^-52 to e^137, so the
+    cycle 01 10 dominates and the eigenvalues +-rho tie in modulus; their computed
+    ratio rounds to 1.0000000000000002, and by Perron-Frobenius (|lambda| <= rho for
+    a nonnegative matrix) the reported ratio is 1."""
+    s = golden_mean_shift()
+    w = DepthKFunction(s, 2, {(0, 0): -51.89510070359056, (0, 1): 58.10862757598184,
+                              (1, 0): 136.58448809963667})
+    lam = np.linalg.eigvals(dense(ruelle_matrix(s, w, depth=1).matrix))
+    rho = lam.real.max()
+    assert np.abs(lam[lam.real < rho]).max() / rho > 1.0
+    assert rpf(s, w).gap_estimate == 1.0
+
+
 def _golden_depth15_draw(seed):
     """A depth-2 golden-mean potential with |lambda_2| / rho in [0.36, 0.42] plus
     5e-3 times a depth-15 normal draw: the spectral-large golden-mean input."""
