@@ -32,7 +32,12 @@ the metric is unresolved, meaning that the first checkout's quartile spread,
 relative to its median, exceeds the bound while some run of the later
 checkout is no better than some run of the first, and whether it shows a
 gain: the later checkout won at least nine tenths of the repeats and the gap
-between the medians exceeds the first checkout's quartile spread.
+between the medians exceeds the first checkout's quartile spread. It also
+compares correctness: per workload, whether every run of each checkout was
+`correct`, each checkout's failed share (failed over attempted operations,
+summed over its runs) and whether the later checkout's share is above the
+first's; per config, whether the later checkout's runs exited with the same
+codes as the first's, repeat by repeat.
 """
 from __future__ import annotations
 
@@ -168,6 +173,27 @@ def _compare(base: list, other: list, bounds: dict) -> dict:
     return out
 
 
+def _failed_share(runs: list) -> float:
+    attempted = sum(run["attempted"] for run in runs)
+    return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
+
+
+def _correctness(base: list, other: list) -> dict:
+    """Per workload: whether every run of each checkout was correct, each one's
+    failed share, and whether `other` fails a larger share than `base`."""
+    return {"base_all_correct": all(run["correct"] for run in base),
+            "all_correct": all(run["correct"] for run in other),
+            "base_failed_share": _failed_share(base),
+            "failed_share": _failed_share(other),
+            "more_failed": _failed_share(other) > _failed_share(base)}
+
+
+def _exit_codes(base: list, other: list) -> dict:
+    """Per config: both checkouts' exit codes and whether they match, repeat by repeat."""
+    b, o = [run["exit_code"] for run in base], [run["exit_code"] for run in other]
+    return {"base_exit_codes": b, "exit_codes": o, "exit_codes_match": b == o}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -230,7 +256,13 @@ def main(argv=None) -> int:
                 "workloads": {w: _compare(base["workloads"][w], runs[other]["workloads"][w],
                                           bounds) for w in workloads},
                 "cli": {c: _compare(base["cli"][c], runs[other]["cli"][c],
-                                    {"wall_s": bounds["wall_s"]}) for c in configs}}
+                                    {"wall_s": bounds["wall_s"]}) for c in configs},
+                "correctness": {
+                    "workloads": {w: _correctness(base["workloads"][w],
+                                                  runs[other]["workloads"][w])
+                                  for w in workloads},
+                    "cli": {c: _exit_codes(base["cli"][c], runs[other]["cli"][c])
+                            for c in configs}}}
             for other in names[1:]}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0

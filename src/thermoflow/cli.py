@@ -139,6 +139,11 @@ def run_pressure(config: dict, out_dir: Path, seed: int) -> dict:
     s = _sft_from(config)
     w = _potential_from(config, s, rng)
     orders = _orders_from(config)
+    fam_spec = _section(config, "derivative_families", {})
+    if fam_spec:
+        depth = _integer(fam_spec.get("depth", 2), "derivative_families.depth", lo=1)
+        count = _integer(fam_spec.get("count", 1), "derivative_families.count")
+        scale = _number(fam_spec.get("scale", 0.25), "derivative_families.scale")
     data = rpf(s, w)
     report = {
         "schema": SCHEMA,
@@ -150,11 +155,7 @@ def run_pressure(config: dict, out_dir: Path, seed: int) -> dict:
         "gap_estimate": data.gap_estimate,
         "derivatives": [],
     }
-    fam_spec = _section(config, "derivative_families", {})
     if fam_spec:
-        depth = _integer(fam_spec.get("depth", 2), "derivative_families.depth", lo=1)
-        count = _integer(fam_spec.get("count", 1), "derivative_families.count")
-        scale = _number(fam_spec.get("scale", 0.25), "derivative_families.scale")
         base = _prepare(w, max(w.depth, depth), data)
         derivative = {1: base.d1, 2: base.d2, 3: base.d3}
         for fam_idx in range(count):
@@ -251,11 +252,11 @@ def run_suspension(config: dict, out_dir: Path, seed: int) -> dict:
     except ValueError as exc:
         raise errors.ConfigError(f"bad {kind} roof: {exc}")
     F = _flow_function_from(config.get("flow_function"), s, rng)
+    n_families = _integer(_section(config, "families", {}).get("count", 0), "families.count")
     c = flow_pressure(flow, F)
     residual = abs(pressure(s, hat_function(flow, F) - roof * c))
     report = {"schema": SCHEMA, "experiment": "suspension", "seed": seed,
               "flow_pressure": c, "root_residual": residual, "transfer": []}
-    n_families = _integer(_section(config, "families", {}).get("count", 0), "families.count")
     for fam_idx in range(n_families):
         fam = FlowFamily(
             F0=_flow_function_from({"kind": "random_fourier"}, s, rng),
@@ -342,6 +343,7 @@ def run_holonomy(config: dict, out_dir: Path, seed: int) -> dict:
     variations = config.get("variations", True)
     if not isinstance(variations, bool):
         raise errors.ConfigError(f"variations must be true or false, got {variations!r}")
+    kernel_samples = _integer(config.get("kernel_samples", 17), "kernel_samples")
     rng = np.random.default_rng(seed)
     orbits = _orbits_from(config, rng)
     # the trace rows read q_alpha (cubic) and q_i (quadratic); the variations q_beta
@@ -389,8 +391,7 @@ def run_holonomy(config: dict, out_dir: Path, seed: int) -> dict:
         json.dumps(orbit_specs, sort_keys=True, indent=1) + "\n")
     if orbits and orbits[0].q_alpha is not None and orbits[0].q_beta is not None:
         orbit = orbits[0]
-        ts = np.linspace(0.0, orbit.l, _integer(config.get("kernel_samples", 17),
-                                                "kernel_samples"))
+        ts = np.linspace(0.0, orbit.l, kernel_samples)
         _write_csv(out_dir / "holonomy_kernel.csv", ["t", "value"],
                    [[float(t), second_variation_trace_cc(orbit, float(t))] for t in ts])
     worst = max((row[7] for row in trace_rows), default=0.0)
@@ -412,7 +413,7 @@ def run_diskvanish(config: dict, out_dir: Path, seed: int) -> dict:
         raise errors.ConfigError("diskvanish config needs a 'cases' list of objects")
     report = {"schema": SCHEMA, "experiment": "diskvanish", "seed": seed,
               "cases": [], "warnings": []}
-    mismatch = False
+    systems = []            # every case read and built before the first solve
     for item in cases:
         case = item.get("case")
         if case not in REFERENCE_COUPLINGS:
@@ -437,6 +438,10 @@ def run_diskvanish(config: dict, out_dir: Path, seed: int) -> dict:
         if N - margin <= 0:
             report["warnings"].append(
                 f"{case}: N={N} leaves no interior indices at margin {margin}")
+        systems.append((system, margin, expected, completed))
+    mismatch = False
+    for system, margin, expected, completed in systems:
+        case, N, couplings = system.case, system.N, system.couplings
         verdict = solve_vanishing(system, margin=margin)
         entry = {"case": case, "N": N, "couplings": list(couplings),
                  "verdict": verdict.verdict, "kernel_dim": verdict.kernel_dim,

@@ -91,7 +91,3 @@ class DegreeMismatch(ThermoflowError):
 
 class ConfigError(ThermoflowError):
     pass
-
-
-class NoKernelCertificate(ThermoflowError):
-    """The primes that always suffice did not certify the kernel of a relation system."""

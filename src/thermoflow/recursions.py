@@ -8,25 +8,21 @@ the unknowns after matching powers; a trivial kernel over the interior
 indices forces the unknowns to vanish.
 
 Every series involved has integer coefficients (`ratseries.Series`), so each
-relation row is an integer linear form. Kernels are computed modulo 31-bit
-primes and certified exactly: the kernel vectors lifted from the residues are
-checked in integers, and rank_p <= rank_Q makes them span the kernel over Q.
-Verdicts are therefore exact over Q; no float and no rational elimination is
-involved.
+relation row is an integer linear form. Kernels come from one fraction-free
+Gauss-Jordan elimination over Z on sparse rows (`kernel_basis`), so verdicts
+are exact over Q with nothing left to certify, and no float is involved.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm, prod
-
-import numpy as np
+from math import comb, gcd
 
 from .diskseries import paired_indices
-from .errors import NoKernelCertificate, UnsupportedCoupling
+from .errors import UnsupportedCoupling
 from .ratseries import LinForm, Series, add_term, lin_series, tanh_multiple
 
 _CASES = {
@@ -72,8 +68,9 @@ class RecursionSystem:
 
 
 def _parse_mt(coupling: str) -> int | None:
-    body = coupling[2:-1] if coupling.startswith("s=") and coupling.endswith("t") else ""
-    return int(body) if body.isdigit() else None
+    """m of a coupling "s=mt" written with ASCII digits and no leading zero, else None."""
+    match = re.fullmatch(r"s=([1-9][0-9]*)t", coupling)
+    return int(match[1]) if match else None
 
 
 def _inv_pow_one_minus(order: int, power: int) -> Series:
@@ -223,133 +220,60 @@ def build_relations(case: str, N: int, couplings) -> RecursionSystem:
                            relations=tuple(relations), unknowns=unknowns)
 
 
-@functools.cache
-def _is_prime(n: int) -> bool:
-    """Strong probable-prime test to the bases 2, 7 and 61, which is exact for
-    every odd n with 61 < n < 2^32 (Jaeschke, Math. Comp. 61, 1993)."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1          # n - 1 = d 2^s with d odd
-    for a in (2, 7, 61):
-        x = pow(a, (n - 1) >> s, n)
-        if x != 1 and n - 1 not in [pow(x, 2 ** i, n) for i in range(s)]:
-            return False
-    return True
-
-
-def _primes():
-    """The primes between 2^30 and 2^31, largest first. Residue products fit
-    numpy int64, and 2^61 - 1, the benchmark oracle's modulus, is never one."""
-    return filter(_is_prime, range(2 ** 31 - 1, 2 ** 30, -2))
-
-
-def _rref_mod(rows, ncols: int, p: int) -> tuple:
-    """(pivot columns, reduced pivot rows) of the integer rows modulo p."""
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            a[i, j] = c % p
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        hit = np.flatnonzero(a[r:, c])
-        if hit.size:
-            a[[r, r + hit[0]]] = a[[r + hit[0], r]]
-            a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-            col = a[:, c].copy()
-            col[r] = 0
-            a = (a - np.outer(col, a[r])) % p
-            pivots.append(c)
-    return pivots, a[:len(pivots)]
-
-
-def _rational(u: int, modulus: int):
-    """(a, b) with a = b u mod modulus and |a|, b <= sqrt(modulus / 2), or None
-    (rational reconstruction, Wang, Guy & Davenport, SIGSAM Bull. 16(2), 1982)."""
-    bound = isqrt(modulus // 2)
-    r0, r1, t0, t1 = modulus, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if 0 < abs(t1) <= bound and gcd(r1, t1) == 1:
-        return (r1, t1) if t1 > 0 else (-r1, -t1)
-    return None
-
-
-def _lift(rows, ncols, pivots, free, fracs):
-    """Kernel vectors, 1 on their own free column and a / b on each pivot from
-    fracs (one list of (a, b) per free column), or None unless each satisfies
-    M v = 0 exactly in integers."""
-    basis = []
-    for f, column in zip(free, fracs):
-        den = lcm(*[b for _, b in column])
-        w = {f: den, **{pc: a * (den // b) for pc, (a, b) in zip(pivots, column)}}
-        if any(sum(c * w.get(j, 0) for j, c in row.items()) for row in rows):
-            return None
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for pc, (a, b) in zip(pivots, column):
-            v[pc] = Fraction(a, b)
-        basis.append(v)
-    return basis
+def _eliminate(row: dict, pivot: dict, c: int) -> dict:
+    """(p/g) row - (a/g) pivot divided by the gcd of its entries, where a and p
+    are the entries of row and pivot at column c and g = gcd(a, p): an integer
+    row with column c cleared and no zero entries."""
+    g = gcd(row[c], pivot[c])
+    s, t = pivot[c] // g, row[c] // g
+    out = {k: s * v for k, v in row.items()}
+    for k, v in pivot.items():
+        x = out.get(k, 0) - t * v
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    return {k: v // g for k, v in out.items()}
 
 
 def kernel_basis(rows, unknowns):
-    """Kernel of the relation matrix over Q, certified by modular ranks.
+    """Kernel of the relation matrix over Q, by Gauss-Jordan elimination over Z.
 
-    Rows (integer or rational linear forms) are normalized to primitive integer
-    rows and reduced modulo one prime of _primes() after another. Modulo p the
-    rank is at most rank_Q, and the pivots are those over Q unless p divides a
-    fixed minor; so the best pivots seen (fewest free columns, then earliest
-    pivots) are kept, the kernel residues of the primes that give them are
-    combined by CRT, and worse primes are skipped. The images are lifted by
-    rational reconstruction and checked exactly. As rank_p <= rank_Q, k exact
-    kernel vectors with rank_p = n - k, each 1 on its own free column and 0 on
-    the others, span the kernel over Q; they are nonzero only on earlier pivot
-    columns, so they are the basis read off the reduced echelon form over Q.
-    A number of primes fixed by a Hadamard bound always suffices, so
-    NoKernelCertificate after them means a fault, not a hard system.
+    Each row (an integer or rational linear form) is read as a primitive
+    integer row with its zero entries dropped, and reduced by every earlier
+    pivot row whose column it holds (fraction-free, as in Bareiss, Math. Comp.
+    22, 1968). A nonzero result becomes the pivot row of its smallest column
+    and clears that column from the earlier pivot rows, so the pivot rows stay
+    in reduced echelon form and every step is exact. Full column rank returns
+    [] at once. Otherwise each free column f gives the vector that is 1 at f,
+    -r[f] / r[c] at the pivot c of each pivot row r and 0 elsewhere: the basis
+    read off the reduced echelon form over Q.
     """
-    ncols = len(unknowns)
     col = {u: i for i, u in enumerate(unknowns)}
-    ints = [{col[u]: c for u, c in LinForm(row).normalized().items()} for row in rows]
-    # Every numerator and denominator of the reduced echelon form is a minor,
-    # at most H = the product of the min(rows, ncols) largest row norms
-    # (Hadamard). Reconstruction needs a modulus above 2 H^2, and only the at
-    # most bits(H) / 30 primes above 2^30 that divide one fixed minor can move
-    # the pivots, so this many primes always certify the kernel.
-    sq = sorted(max(1, sum(c * c for c in row.values())) for row in ints)
-    bits = prod(sq[len(sq) - min(len(sq), ncols):]).bit_length()   # H^2 < 2^bits
-    budget = -(-(bits + 1) // 30) + bits // 60
-    best = None
-    for p in itertools.islice(_primes(), budget):
-        pivots, red = _rref_mod(ints, ncols, p)
-        key = (-len(pivots), pivots)
-        free = sorted(set(range(ncols)) - set(pivots))
-        residues = [int(-x) % p for x in red[:, free].T.ravel()]   # by free column
-        if best is None or key < best:      # the first prime, or better pivots
-            best, images, modulus = key, residues, p
-            fracs = [None] * len(images)
-        elif key > best:                    # an unlucky prime
-            continue
-        else:
-            step = pow(modulus, -1, p)
-            images = [u + modulus * ((v - u) * step % p) for u, v in zip(images, residues)]
-            modulus *= p
-            # a lifted entry a / b stays only while the new residue agrees
-            fracs = [q if q is None or (q[0] - q[1] * v) % p == 0 else None
-                     for q, v in zip(fracs, residues)]
-        for i, u in enumerate(images):      # up to the first entry that fails
-            if fracs[i] is None:
-                fracs[i] = _rational(u, modulus)
-                if fracs[i] is None:
-                    break
-        else:
-            r = len(pivots)
-            basis = _lift(ints, ncols, pivots, free,
-                          [fracs[i * r:(i + 1) * r] for i in range(len(free))])
-            if basis is not None:
-                return basis
-    raise NoKernelCertificate(f"{budget} primes did not certify the kernel of a "
-                              f"{len(ints)} x {ncols} relation system")
+    pivots = {}                       # pivot column -> its pivot row
+    for form in rows:
+        row = {col[u]: c for u, c in LinForm(form).normalized().items() if c}
+        for c in [c for c in row if c in pivots]:
+            row = _eliminate(row, pivots[c], c)
+        if row:
+            c = min(row)
+            for k, other in pivots.items():
+                if c in other:
+                    pivots[k] = _eliminate(other, row, c)
+            pivots[c] = row
+            if len(pivots) == len(unknowns):
+                return []
+    basis = []
+    for f in range(len(unknowns)):
+        if f not in pivots:
+            v = [Fraction(0)] * len(unknowns)
+            v[f] = Fraction(1)
+            for c, row in pivots.items():
+                if f in row:
+                    v[c] = Fraction(-row[f], row[c])
+            basis.append(v)
+    return basis
 
 
 @dataclass(frozen=True)

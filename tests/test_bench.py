@@ -89,3 +89,36 @@ def test_src_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):
     lines = bench._src_lines_by_module(root)
     code = bench._src_code_lines_by_module(root)
     assert set(code) == set(lines) and all(0 < code[name] < lines[name] for name in lines)
+
+
+def _workload_runs(*runs):
+    return [{"correct": correct, "failed": failed, "attempted": attempted}
+            for correct, failed, attempted in runs]
+
+
+def test_correctness_reports_failed_shares_summed_over_runs():
+    base = _workload_runs((True, 0, 100), (True, 2, 300))
+    other = _workload_runs((True, 1, 100), (False, 1, 100))
+    got = bench._correctness(base, other)
+    assert got["base_all_correct"] and not got["all_correct"]
+    assert got["base_failed_share"] == pytest.approx(2 / 400)
+    assert got["failed_share"] == pytest.approx(2 / 200)
+    assert got["more_failed"]
+    assert not bench._correctness(other, base)["more_failed"]
+
+
+def test_correctness_of_equal_shares_and_no_attempts():
+    runs = _workload_runs((True, 1, 50), (True, 1, 50))
+    got = bench._correctness(runs, _workload_runs((True, 2, 100)))
+    assert got["failed_share"] == got["base_failed_share"] == pytest.approx(0.02)
+    assert not got["more_failed"]
+    idle = _workload_runs((True, 0, 0))
+    assert bench._correctness(idle, idle)["failed_share"] == 0.0
+
+
+def test_exit_codes_match_repeat_by_repeat():
+    base = [{"exit_code": 0, "wall_s": 0.1}, {"exit_code": 0, "wall_s": 0.1}]
+    assert bench._exit_codes(base, base)["exit_codes_match"]
+    other = [{"exit_code": 0, "wall_s": 0.1}, {"exit_code": 3, "wall_s": 0.1}]
+    got = bench._exit_codes(base, other)
+    assert got == {"base_exit_codes": [0, 0], "exit_codes": [0, 3], "exit_codes_match": False}

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermoflow import recursions
 from thermoflow.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -389,13 +388,6 @@ def test_non_finite_hat_exit_3(tmp_path, capsys, flow_function):
     assert "numerical failure" in err and "Traceback" not in err
 
 
-def test_diskvanish_without_kernel_certificate_exit_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(recursions, "_primes", lambda: iter((3,)))
-    assert _run(["diskvanish", "--config", CONFIGS / "diskvanish_ab_single.json",
-                 "--out", tmp_path]) == 3
-    assert "did not certify the kernel" in capsys.readouterr().err
-
-
 def test_diskvanish_kernel_entries_past_a_thousand_bits(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -456,6 +448,48 @@ def test_diskvanish_small_n_warning(tmp_path):
     assert _run(["diskvanish", "--config", cfg, "--out", tmp_path]) == 0
     report = json.loads((tmp_path / "diskvanish_report.json").read_text())
     assert report["warnings"]
+
+
+# A config whose fault sits in a field each experiment reads late, and the
+# first solve of that experiment, which must not run.
+_LATE_FAULTS = [
+    ("pressure", {"sft": GOLDEN_MEAN, "derivative_families": {"count": "many"}},
+     "thermoflow.transfer.rpf"),
+    ("suspension", {"sft": GOLDEN_MEAN, "families": {"count": "many"}},
+     "thermoflow.suspension.flow_pressure"),
+    ("holonomy", {"orbits": {"kind": "random", "count": 2}, "kernel_samples": "many"},
+     "thermoflow.cli.trace_derivative"),
+    *(("diskvanish", {"cases": [{"case": "AB", "N": 8}, second]},
+       "thermoflow.cli.solve_vanishing")
+      for second in ({"case": "CD", "N": "x"}, {"case": "EF", "N": 6, "expect": 5},
+                     {"case": "GH", "N": 6, "couplings": ["s=02t"]}, {"case": "IJ", "N": 1}))]
+
+
+@pytest.mark.parametrize("experiment,fields,solver", _LATE_FAULTS)
+def test_config_error_exits_2_before_any_solve_or_output(tmp_path, monkeypatch, experiment,
+                                                         fields, solver):
+    def solve(*args, **kwargs):
+        raise AssertionError(f"{solver} ran before the config was read")
+
+    monkeypatch.setattr(solver, solve)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": experiment, **fields}))
+    out = tmp_path / "out"
+    assert _run([experiment, "--config", cfg, "--out", out]) == 2
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("case,coupling", [
+    (case, coupling) for case in ("GH", "CD")
+    for coupling in ("s=02t", "s=\u0662t", "s=\u00b2t", "s=+2t", "s= 2t", "s=2T", "s=2t ")])
+def test_diskvanish_rejects_a_coupling_not_in_canonical_form(tmp_path, capsys, case, coupling):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "experiment": "diskvanish",
+                               "cases": [{"case": case, "N": 6, "couplings": [coupling]}]}))
+    out = tmp_path / "out"
+    assert _run(["diskvanish", "--config", cfg, "--out", out]) == 2
+    assert list(out.iterdir()) == []
+    assert "config error" in capsys.readouterr().err
 
 
 def test_selftest_runs_clean(tmp_path, capsys):

@@ -1,16 +1,13 @@
 import hashlib
-import itertools
 from fractions import Fraction
-from math import isqrt
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (fraction_kernel_basis, named_relation, ray_kernel_description,
                       rows_normalized)
-from thermoflow import errors, recursions
+from thermoflow import errors
 from thermoflow.ratseries import LinForm, Series, tanh_multiple
 from thermoflow.recursions import (REFERENCE_COUPLINGS, build_completed_relations,
                                    build_relations, kernel_basis, solve_vanishing)
@@ -137,6 +134,11 @@ def test_unsupported_couplings_rejected():
         build_relations("GH", 5, ["s=t"])
     with pytest.raises(errors.UnsupportedCoupling):
         build_relations("CD", 5, ["s=4t"])
+    # s=mt takes m in ASCII digits with no leading zero
+    for case in ("CD", "GH", "IJ"):
+        for coupling in ("s=02t", "s=\u0662t", "s=\u00b2t", "s=2t "):
+            with pytest.raises(errors.UnsupportedCoupling):
+                build_relations(case, 5, [coupling])
 
 
 # ----------------------------------------------------------------- verdicts
@@ -207,29 +209,41 @@ def test_kernel_basis_simple():
 
 
 def test_kernel_basis_crosses_unlucky_primes():
-    """An entry divisible by the first prime moves the pivots, or drops the
-    rank, modulo that prime; the entry -1/p then needs three more primes
-    combined by CRT to lift."""
-    p = next(recursions._primes())
+    """Entries divisible by the prime p = 2^31 - 1 keep their exact kernel: a
+    modular elimination modulo p would move the pivots or drop the rank."""
+    p = 2 ** 31 - 1
     x = (("X", 0), ("X", 1))
     rows = [LinForm({x[0]: p, x[1]: 1})]
     assert kernel_basis(rows, x) == fraction_kernel_basis(rows, x) == [[Fraction(-1, p), 1]]
-    rows.append(LinForm({x[1]: Fraction(1, 3)}))
+    rows = [LinForm({x[0]: 2 * p, x[1]: p}), LinForm({x[0]: 1, x[1]: Fraction(1, 3)})]
     assert kernel_basis(rows, x) == fraction_kernel_basis(rows, x) == []
 
 
-def test_primes_are_the_primes_below_2_31():
-    """_primes() against a sieve of the 2^14 numbers below 2^31 by every d
-    below sqrt(2^31), and the primality test against trial division."""
-    lo = 2 ** 31 - 2 ** 14
-    sieve = np.ones(2 ** 14, dtype=bool)
-    for d in range(2, 46341):
-        sieve[-lo % d::d] = False
-    expect = [lo + int(i) for i in np.flatnonzero(sieve)[::-1]]
-    assert list(itertools.takewhile(lambda p: p > lo, recursions._primes())) == expect
-    assert expect[:4] == [2 ** 31 - 1, 2 ** 31 - 19, 2 ** 31 - 61, 2 ** 31 - 69]
-    for n in range(63, 5000, 2):
-        assert recursions._is_prime(n) == all(n % d for d in range(3, isqrt(n) + 1, 2))
+# Entries a kernel row can hold: zero, small and rational numbers, and integers
+# past 31 and 63 bits.
+_ENTRIES = st.one_of(st.sampled_from([0, 2 ** 31 - 1, -2 ** 62, 3 ** 40]),
+                     st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+
+
+@st.composite
+def _row_sets(draw):
+    """(rows, unknowns): up to twice as many rows as columns, with explicit
+    zero coefficients, all-zero rows and duplicated rows."""
+    unknowns = tuple(("X", i) for i in range(draw(st.integers(1, 5))))
+    row = st.dictionaries(st.sampled_from(unknowns), _ENTRIES).map(LinForm)
+    rows = draw(st.lists(row, max_size=2 * len(unknowns)))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return rows, unknowns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_sets())
+@example(([LinForm({("X", 0): 0})], (("X", 0),)))     # a zero entry is no pivot
+@example(([], ()))
+def test_kernel_basis_equals_fraction_rref_on_drawn_rows(drawn):
+    rows, unknowns = drawn
+    assert kernel_basis(rows, unknowns) == fraction_kernel_basis(rows, unknowns)
 
 
 def test_kernel_basis_lifts_entries_of_a_thousand_bits():
@@ -240,13 +254,6 @@ def test_kernel_basis_lifts_entries_of_a_thousand_bits():
     basis = kernel_basis(rows, system.unknowns)
     assert basis == fraction_kernel_basis(rows, system.unknowns)
     assert max(x.denominator.bit_length() for v in basis for x in v) > 990
-
-
-def test_kernel_basis_raises_when_the_primes_run_out(monkeypatch):
-    monkeypatch.setattr(recursions, "_primes", lambda: iter((5, 7)))
-    system = build_relations("AB", 6, ["s=t"])
-    with pytest.raises(errors.NoKernelCertificate):
-        kernel_basis(rows_normalized(system), system.unknowns)
 
 
 @pytest.mark.parametrize("kind", ["reference", "single", "completed"])
